@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalConstants
-from .madelung import AMPLITUDE_FLOOR, PolarForm, PotentialProfile, _as_points, decompose
+from .core import PhysicalConstants, as_points
+from .madelung import AMPLITUDE_FLOOR, PolarForm, PotentialProfile, decompose
 from .specfun import airy_ai
 
 __all__ = [
@@ -106,7 +106,7 @@ def airy_polar(
     along, so residuals probe the phase bookkeeping rather than stencil
     noise.  Disable it to exercise the finite-difference amplitude path.
     """
-    x = _as_points(grid)
+    x = as_points(grid)
     polar = decompose(
         airy_psi(params, x, t),
         x,
@@ -126,7 +126,7 @@ def airy_bohm_closed_form(params: AiryPacketParams, grid, t: float) -> Potential
     Follows from Ai''(u) = u Ai(u): the ratio lap(A)/A is smooth even across
     the amplitude zeros, so no point is masked.
     """
-    x = _as_points(grid)
+    x = as_points(grid)
     m = float(params.constants.mass)
     values = -(params.strength**3 / (2.0 * m)) * (x - params.drift_rate * t * t)
     return PotentialProfile(

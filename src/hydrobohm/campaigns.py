@@ -87,14 +87,17 @@ def default_airy_grid(params: AiryPacketParams):
     return make_axis_grid(-15.0 / beta, 10.0 / beta, 8000)
 
 
-def run_levels(n_max: int, constants: PhysicalConstants | None = None, tolerance: float = LEVELS_TOL):
+def run_levels(n_max: int, constants: PhysicalConstants | None = None, tolerance: float | None = None):
     """Energy table E_n with the 1/n^2 ratio check against E_1.
 
     Returns (report, rows); rows carry (n, E_n, E_n/E_1, 1/n^2) as floats.
+    tolerance defaults to LEVELS_TOL.
     """
     if n_max < 1:
         raise ValueError("n_max must satisfy n_max >= 1")
     constants = constants or atomic_units()
+    if tolerance is None:
+        tolerance = LEVELS_TOL
     report = VerificationReport(command="levels", tolerance=tolerance)
     e1 = float(energy_level(1, constants))
     rows = []
@@ -197,15 +200,18 @@ def run_flatness(
 def run_bohr_radii(
     n_max: int,
     constants: PhysicalConstants | None = None,
-    tolerance: float = BOHR_RADII_TOL,
+    tolerance: float | None = None,
 ):
     """Peak of P_{n,n-1} against the Bohr orbit radius n^2 a.
 
     Returns (report, rows); rows carry (n, r_peak, n^2 a, rel_error, passed).
+    tolerance defaults to BOHR_RADII_TOL.
     """
     if n_max < 1:
         raise ValueError("n_max must satisfy n_max >= 1")
     constants = constants or atomic_units()
+    if tolerance is None:
+        tolerance = BOHR_RADII_TOL
     a = float(constants.bohr_radius)
     report = VerificationReport(command="bohr-radii", tolerance=tolerance)
     rows = []
@@ -249,7 +255,7 @@ def run_airy(
     strength: float,
     times,
     constants: PhysicalConstants | None = None,
-    tolerance: float = AIRY_TOL,
+    tolerance: float | None = None,
 ):
     """Quantum-acceleration, residual and trajectory checks for the packet.
 
@@ -262,11 +268,14 @@ def run_airy(
     below tolerance at large B t.
 
     Returns (report, rows); rows carry (t, displacement, expected).
+    tolerance defaults to AIRY_TOL.
     """
     times = tuple(float(t) for t in times)
     if not times:
         raise ValueError("times must contain at least one instant")
     constants = constants or atomic_units()
+    if tolerance is None:
+        tolerance = AIRY_TOL
     params = AiryPacketParams(strength, constants)
     report = VerificationReport(command="airy", tolerance=tolerance)
     trajectory_grid = default_airy_grid(params)

@@ -28,23 +28,13 @@ import argparse
 import os
 import sys
 import time as _time
-from dataclasses import dataclass
 
 import numpy as np
 
-from .campaigns import (
-    AIRY_TOL,
-    BOHR_RADII_TOL,
-    LEVELS_TOL,
-    ProfileCurve,
-    profile_curve,
-    run_airy,
-    run_bohr_radii,
-    run_flatness,
-    run_levels,
-)
+from .campaigns import profile_curve, run_airy, run_bohr_radii, run_flatness, run_levels
 from .core import atomic_units
 from .reports import (
+    REPORT_HEADER,
     VerificationReport,
     format_number,
     report_rows,
@@ -53,40 +43,9 @@ from .reports import (
     write_svg,
 )
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 OUT_DIR_ENV = "HYDROBOHM_OUT_DIR"
-
-_REPORT_HEADER = ["case_id", "computed", "expected", "abs_error", "rel_error", "pass"]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated invocation parameters for one campaign run."""
-
-    command: str
-    n_max: int = 1
-    policy: str = "all-lm"
-    method: str = "analytic"
-    tolerance: float | None = None
-    strength: float = 1.0
-    times: tuple[float, ...] = (0.0, 0.3, 1.0)
-    selection: object = None
-    quantity: str = "P"
-    fmt: str = "csv"
-    out_path: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.n_max < 1:
-            raise ValueError("n_max must satisfy n_max >= 1")
-        if self.tolerance is not None and not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.fmt not in ("csv", "json", "svg"):
-            raise ValueError(f"unknown format {self.fmt!r}")
-        if self.command == "airy" and not self.strength > 0.0:
-            raise ValueError("strength must be positive")
-        if self.command == "airy" and not self.times:
-            raise ValueError("at least one time is required")
 
 
 def _resolve_out(path: str) -> str:
@@ -97,22 +56,42 @@ def _resolve_out(path: str) -> str:
     return path
 
 
-def _print_report(report: VerificationReport) -> None:
+def _cell(value) -> str:
+    """One table cell, the same on stdout and in CSV."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    return format_number(value)
+
+
+def _finish(args: argparse.Namespace, report: VerificationReport, table=None, csv_table=None) -> int:
+    """Print the table and the summary, write --out, return the exit status.
+
+    table is (column names, rows of raw values): it is printed and becomes
+    the JSON payload's "table".  The CSV file holds csv_table, or the
+    report's generic case rows when none is given.
+    """
+    if table is not None:
+        columns, rows = table
+        print(",".join(columns))
+        for row in rows:
+            print(",".join(_cell(value) for value in row))
     for line in report.summary_lines():
         print(line)
-
-
-def _write_report(config: RunConfig, report: VerificationReport, table=None) -> None:
-    if config.out_path is None:
-        return
-    path = _resolve_out(config.out_path)
-    if config.fmt == "json":
-        payload = {"report": report.to_dict()}
-        if table is not None:
-            payload["table"] = table
-        write_json(path, payload)
-    else:
-        write_csv(path, _REPORT_HEADER, report_rows(report))
+    if args.out is not None:
+        path = _resolve_out(args.out)
+        if args.format == "json":
+            payload = {"report": report.to_dict()}
+            if table is not None:
+                payload["table"] = [dict(zip(columns, row)) for row in rows]
+            write_json(path, payload)
+        else:
+            header, csv_rows = csv_table or (REPORT_HEADER, report_rows(report))
+            write_csv(path, header, [[_cell(value) for value in row] for row in csv_rows])
+    return 0 if report.all_passed else 1
 
 
 def _parse_times(text: str) -> tuple[float, ...]:
@@ -151,128 +130,38 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def cmd_levels(config: RunConfig) -> int:
-    report, rows = run_levels(
-        config.n_max, atomic_units(), config.tolerance if config.tolerance else LEVELS_TOL
-    )
-    print("n,energy,ratio,expected")
-    for n, energy, ratio, expected in rows:
-        print(f"{n},{format_number(energy)},{format_number(ratio)},{format_number(expected)}")
-    _print_report(report)
-    if config.out_path is not None:
-        path = _resolve_out(config.out_path)
-        if config.fmt == "json":
-            write_json(
-                path,
-                {
-                    "report": report.to_dict(),
-                    "table": [
-                        {"n": n, "energy": energy, "ratio": ratio, "expected": expected}
-                        for n, energy, ratio, expected in rows
-                    ],
-                },
-            )
-        else:
-            header = ["n", "energy", "ratio", "expected", "rel_error", "pass"]
-            csv_rows = []
-            for (n, energy, ratio, expected), case in zip(rows, report.sorted_cases()):
-                csv_rows.append(
-                    [
-                        str(n),
-                        format_number(energy),
-                        format_number(ratio),
-                        format_number(expected),
-                        format_number(case.rel_error),
-                        "true" if case.passed else "false",
-                    ]
-                )
-            write_csv(path, header, csv_rows)
-    return 0 if report.all_passed else 1
+def cmd_levels(args: argparse.Namespace) -> int:
+    report, rows = run_levels(args.n_max, atomic_units(), args.tol)
+    columns = ["n", "energy", "ratio", "expected"]
+    csv_rows = [row + (case.rel_error, case.passed) for row, case in zip(rows, report.cases)]
+    return _finish(args, report, (columns, rows), (columns + ["rel_error", "pass"], csv_rows))
 
 
-def cmd_flatness(config: RunConfig) -> int:
+def cmd_flatness(args: argparse.Namespace) -> int:
     report = run_flatness(
-        config.n_max,
-        atomic_units(),
-        policy=config.policy,
-        method=config.method,
-        tolerance=config.tolerance,
+        args.n_max, atomic_units(), policy=args.policy, method=args.method, tolerance=args.tol
     )
-    _print_report(report)
-    _write_report(config, report)
-    return 0 if report.all_passed else 1
+    return _finish(args, report)
 
 
-def cmd_bohr_radii(config: RunConfig) -> int:
-    report, rows = run_bohr_radii(
-        config.n_max, atomic_units(), config.tolerance if config.tolerance else BOHR_RADII_TOL
+def cmd_bohr_radii(args: argparse.Namespace) -> int:
+    report, rows = run_bohr_radii(args.n_max, atomic_units(), args.tol)
+    table = (["n", "r_peak", "expected", "rel_error", "pass"], rows)
+    return _finish(args, report, table, table)
+
+
+def cmd_airy(args: argparse.Namespace) -> int:
+    report, rows = run_airy(args.strength, args.times, atomic_units(), args.tol)
+    return _finish(args, report, (["t", "x_peak", "expected"], rows))
+
+
+def cmd_profile(args: argparse.Namespace) -> int:
+    curve = profile_curve(
+        args.state, args.quantity, atomic_units(), strength=args.strength, time=args.time
     )
-    print("n,r_peak,expected,rel_error,pass")
-    for n, r_peak, expected, rel_error, passed in rows:
-        print(
-            f"{n},{format_number(r_peak)},{format_number(expected)},"
-            f"{format_number(rel_error)},{'true' if passed else 'false'}"
-        )
-    _print_report(report)
-    if config.out_path is not None:
-        path = _resolve_out(config.out_path)
-        if config.fmt == "json":
-            write_json(
-                path,
-                {
-                    "report": report.to_dict(),
-                    "table": [
-                        {"n": n, "r_peak": r_peak, "expected": expected, "rel_error": rel, "pass": passed}
-                        for n, r_peak, expected, rel, passed in rows
-                    ],
-                },
-            )
-        else:
-            header = ["n", "r_peak", "expected", "rel_error", "pass"]
-            csv_rows = [
-                [
-                    str(n),
-                    format_number(r_peak),
-                    format_number(expected),
-                    format_number(rel),
-                    "true" if passed else "false",
-                ]
-                for n, r_peak, expected, rel, passed in rows
-            ]
-            write_csv(path, header, csv_rows)
-    return 0 if report.all_passed else 1
-
-
-def cmd_airy(config: RunConfig) -> int:
-    report, rows = run_airy(
-        config.strength,
-        config.times,
-        atomic_units(),
-        config.tolerance if config.tolerance else AIRY_TOL,
-    )
-    print("t,x_peak,expected")
-    for t, displacement, expected in rows:
-        print(f"{format_number(t)},{format_number(displacement)},{format_number(expected)}")
-    _print_report(report)
-    _write_report(
-        config,
-        report,
-        table=[{"t": t, "x_peak": d, "expected": e} for t, d, e in rows],
-    )
-    return 0 if report.all_passed else 1
-
-
-def cmd_profile(config: RunConfig) -> int:
-    curve: ProfileCurve = profile_curve(
-        config.selection,
-        config.quantity,
-        atomic_units(),
-        strength=config.strength,
-        time=config.times[0],
-    )
-    path = _resolve_out(config.out_path)
-    coord_name = "x" if config.selection == "airy" else "r"
-    if config.fmt == "svg":
+    path = _resolve_out(args.out)
+    coord_name = "x" if args.state == "airy" else "r"
+    if args.format == "svg":
         write_svg(
             path,
             curve.coords,
@@ -282,7 +171,7 @@ def cmd_profile(config: RunConfig) -> int:
             curve.y_label,
             mask=curve.masked,
         )
-    elif config.fmt == "json":
+    elif args.format == "json":
         write_json(
             path,
             {
@@ -318,35 +207,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_levels = sub.add_parser("levels", help="energy table with the 1/n^2 ratio check")
-    p_levels.add_argument("--n-max", type=_positive_int, required=True)
-    p_levels.add_argument("--tol", type=_positive_float, default=None)
-    p_levels.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_levels.add_argument("--out", default=None)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--tol", type=_positive_float, default=None)
+    output.add_argument("--format", choices=("csv", "json"), default="csv")
+    output.add_argument("--out", default=None)
 
-    p_flat = sub.add_parser("flatness", help="V_Q = E_n check per eigenstate")
+    p_levels = sub.add_parser("levels", parents=[output], help="energy table with the 1/n^2 ratio check")
+    p_levels.add_argument("--n-max", type=_positive_int, required=True)
+    p_levels.set_defaults(run=cmd_levels)
+
+    p_flat = sub.add_parser("flatness", parents=[output], help="V_Q = E_n check per eigenstate")
     p_flat.add_argument("--n-max", type=_positive_int, required=True)
     group = p_flat.add_mutually_exclusive_group()
     group.add_argument("--all-lm", dest="policy", action="store_const", const="all-lm")
     group.add_argument("--circular", dest="policy", action="store_const", const="circular")
-    p_flat.set_defaults(policy="all-lm")
     p_flat.add_argument("--method", choices=("analytic", "fd"), default="analytic")
-    p_flat.add_argument("--tol", type=_positive_float, default=None)
-    p_flat.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_flat.add_argument("--out", default=None)
+    p_flat.set_defaults(policy="all-lm", run=cmd_flatness)
 
-    p_bohr = sub.add_parser("bohr-radii", help="P_{n,n-1} peak against n^2 a")
+    p_bohr = sub.add_parser("bohr-radii", parents=[output], help="P_{n,n-1} peak against n^2 a")
     p_bohr.add_argument("--n-max", type=_positive_int, required=True)
-    p_bohr.add_argument("--tol", type=_positive_float, default=None)
-    p_bohr.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_bohr.add_argument("--out", default=None)
+    p_bohr.set_defaults(run=cmd_bohr_radii)
 
-    p_airy = sub.add_parser("airy", help="accelerating-packet checks")
+    p_airy = sub.add_parser("airy", parents=[output], help="accelerating-packet checks")
     p_airy.add_argument("--B", dest="strength", type=_positive_float, default=1.0)
     p_airy.add_argument("--times", type=_parse_times, default=(0.0, 0.3, 1.0))
-    p_airy.add_argument("--tol", type=_positive_float, default=None)
-    p_airy.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_airy.add_argument("--out", default=None)
+    p_airy.set_defaults(run=cmd_airy)
 
     p_prof = sub.add_parser("profile", help="export a named curve")
     p_prof.add_argument("--state", type=_parse_state, required=True, help="n,l,m or 'airy'")
@@ -357,67 +242,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument("--time", type=float, default=0.0)
     p_prof.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     p_prof.add_argument("--out", required=True)
+    p_prof.set_defaults(run=cmd_profile)
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    if args.command == "levels":
-        return RunConfig(
-            command="levels", n_max=args.n_max, tolerance=args.tol, fmt=args.format, out_path=args.out
-        )
-    if args.command == "flatness":
-        return RunConfig(
-            command="flatness",
-            n_max=args.n_max,
-            policy=args.policy,
-            method=args.method,
-            tolerance=args.tol,
-            fmt=args.format,
-            out_path=args.out,
-        )
-    if args.command == "bohr-radii":
-        return RunConfig(
-            command="bohr-radii", n_max=args.n_max, tolerance=args.tol, fmt=args.format, out_path=args.out
-        )
-    if args.command == "airy":
-        return RunConfig(
-            command="airy",
-            strength=args.strength,
-            times=args.times,
-            tolerance=args.tol,
-            fmt=args.format,
-            out_path=args.out,
-        )
-    return RunConfig(
-        command="profile",
-        selection=args.state,
-        quantity=args.quantity,
-        strength=args.strength,
-        times=(args.time,),
-        fmt=args.format,
-        out_path=args.out,
-    )
-
-
-_DISPATCH = {
-    "levels": cmd_levels,
-    "flatness": cmd_flatness,
-    "bohr-radii": cmd_bohr_radii,
-    "airy": cmd_airy,
-    "profile": cmd_profile,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        config = _config_from_args(args)
-    except ValueError as exc:
-        parser.error(str(exc))
+    args = _build_parser().parse_args(argv)
     started = _time.perf_counter()
     try:
-        status = _DISPATCH[config.command](config)
+        status = args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

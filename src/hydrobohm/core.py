@@ -24,6 +24,7 @@ __all__ = [
     "quantum_number_violation",
     "make_radial_grid",
     "make_axis_grid",
+    "as_points",
 ]
 
 
@@ -172,3 +173,10 @@ def make_radial_grid(r_min: float, r_max: float, count: int, law: str = "uniform
 
 def make_axis_grid(x_min: float, x_max: float, count: int) -> AxisGrid:
     return AxisGrid(x_min=x_min, x_max=x_max, count=count)
+
+
+def as_points(grid) -> np.ndarray:
+    """Sample coordinates of a RadialGrid or AxisGrid; arrays pass through."""
+    if isinstance(grid, (RadialGrid, AxisGrid)):
+        return grid.points
+    return np.asarray(grid)

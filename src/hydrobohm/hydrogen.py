@@ -20,15 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalConstants, QuantumNumbers, RadialGrid, atomic_units
-from .specfun import LaguerreSpec, laguerre, laguerre_derivative, ln_factorial, spherical_harmonic
+from .core import PhysicalConstants, QuantumNumbers, as_points, atomic_units
+from .specfun import laguerre, laguerre_derivative, ln_factorial, spherical_harmonic
 
 __all__ = [
     "EigenstateSpec",
     "RadialProfile",
     "state",
     "energy_level",
-    "laguerre_spec",
     "radial_R",
     "radial_R_derivatives",
     "psi",
@@ -83,11 +82,6 @@ def energy_level(n: int, constants: PhysicalConstants):
     return -constants.hartree / (2 * n * n)
 
 
-def laguerre_spec(qn: QuantumNumbers) -> LaguerreSpec:
-    """Radial polynomial indices: degree n - l - 1, superscript 2l + 1."""
-    return LaguerreSpec(k=qn.n - qn.l - 1, alpha=2 * qn.l + 1)
-
-
 def _radial_norm(spec: EigenstateSpec) -> float:
     n, l = spec.n, spec.l
     a = float(spec.constants.bohr_radius)
@@ -95,30 +89,30 @@ def _radial_norm(spec: EigenstateSpec) -> float:
     return (2.0 / (n * a)) ** 1.5 * math.exp(0.5 * log_ratio)
 
 
-def _as_points(grid) -> np.ndarray:
-    if isinstance(grid, (RadialGrid,)):
-        return grid.points
-    return np.asarray(grid)
+def _laguerre_with_derivatives(spec: EigenstateSpec, rho):
+    """L, L' and L'' of the radial polynomial L_{n-l-1}^{2l+1} at rho."""
+    k, alpha = spec.n - spec.l - 1, 2 * spec.l + 1
+    lag = laguerre(k, alpha, rho)
+    lag1 = laguerre_derivative(k, alpha, rho) if k >= 1 else np.zeros_like(rho)
+    lag2 = laguerre_derivative(k, alpha, rho, order=2) if k >= 2 else np.zeros_like(rho)
+    return lag, lag1, lag2
 
 
 def radial_R(spec: EigenstateSpec, r) -> np.ndarray:
     """Radial factor R_nl(r) for r > 0, dtype-preserving."""
     r = np.asarray(r)
-    poly = laguerre_spec(spec.qn)
     rho = (2.0 / (spec.n * float(spec.constants.bohr_radius))) * r
-    return _radial_norm(spec) * np.exp(-rho / 2) * rho**spec.l * laguerre(poly.k, poly.alpha, rho)
+    lag = laguerre(spec.n - spec.l - 1, 2 * spec.l + 1, rho)
+    return _radial_norm(spec) * np.exp(-rho / 2) * rho**spec.l * lag
 
 
 def radial_R_derivatives(spec: EigenstateSpec, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(R, dR/dr, d2R/dr2) by the product rule on e^{-rho/2} rho^l L(rho)."""
     r = np.asarray(r)
     n, l = spec.n, spec.l
-    poly = laguerre_spec(spec.qn)
     c = 2.0 / (n * float(spec.constants.bohr_radius))
     rho = c * r
-    lag = laguerre(poly.k, poly.alpha, rho)
-    lag1 = laguerre_derivative(poly.k, poly.alpha, rho) if poly.k >= 1 else np.zeros_like(rho)
-    lag2 = laguerre_derivative(poly.k, poly.alpha, rho, order=2) if poly.k >= 2 else np.zeros_like(rho)
+    lag, lag1, lag2 = _laguerre_with_derivatives(spec, rho)
     envelope = np.exp(-rho / 2)
     p_l = rho**l
     p_lm1 = l * rho ** (l - 1) if l >= 1 else np.zeros_like(rho)
@@ -154,7 +148,7 @@ def schrodinger_residual(spec: EigenstateSpec, grid, energy=None) -> float:
     `energy` overrides E_n; useful for checking that the residual actually
     responds to a wrong eigenvalue.
     """
-    r = _as_points(grid)
+    r = as_points(grid)
     constants = spec.constants
     hb, mass, coul = float(constants.hbar), float(constants.mass), float(constants.coulomb)
     e_n = float(energy_level(spec.n, constants) if energy is None else energy)
@@ -166,16 +160,21 @@ def schrodinger_residual(spec: EigenstateSpec, grid, energy=None) -> float:
     return float(np.abs(residual[keep]).max() / scale)
 
 
+def _distribution_slope(spec: EigenstateSpec, r) -> np.ndarray:
+    """dP/dr = 2 r R (R + r dR/dr); also the scalar probe of radial_peaks."""
+    big_r, d1, _ = radial_R_derivatives(spec, r)
+    return 2.0 * r * big_r * (big_r + r * d1)
+
+
 def radial_profile(spec: EigenstateSpec, grid, quantity: str = "P") -> RadialProfile:
     """Radial curve for one state: R, the distribution P = r^2 R^2, or dP/dr."""
-    r = _as_points(grid)
+    r = as_points(grid)
     if quantity == "R":
         values = radial_R(spec, r)
     elif quantity == "P":
         values = r**2 * radial_R(spec, r) ** 2
     elif quantity == "dP_dr":
-        big_r, d1, _ = radial_R_derivatives(spec, r)
-        values = 2.0 * r * big_r * (big_r + r * d1)
+        values = _distribution_slope(spec, r)
     else:
         raise ValueError(f"unknown quantity {quantity!r}")
     return RadialProfile(coords=r, values=np.asarray(values), meaning=quantity)
@@ -184,11 +183,6 @@ def radial_profile(spec: EigenstateSpec, grid, quantity: str = "P") -> RadialPro
 def radial_distribution(spec: EigenstateSpec, grid) -> RadialProfile:
     """P_nl(r) = r^2 R_nl(r)^2 on the grid."""
     return radial_profile(spec, grid, "P")
-
-
-def _distribution_slope(spec: EigenstateSpec, r) -> np.ndarray:
-    big_r, d1, _ = radial_R_derivatives(spec, r)
-    return 2.0 * r * big_r * (big_r + r * d1)
 
 
 def radial_peaks(

@@ -29,15 +29,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AxisGrid, PhysicalConstants, RadialGrid
+from .core import PhysicalConstants, as_points
 from .hydrogen import (
     EigenstateSpec,
+    _laguerre_with_derivatives,
     energy_level,
-    laguerre_spec,
     node_mask,
     radial_R_derivatives,
 )
-from .specfun import laguerre, laguerre_derivative, spherical_harmonic
+from .specfun import spherical_harmonic
 
 __all__ = [
     "PolarForm",
@@ -102,12 +102,6 @@ class CurrentField:
     direction: str = "x"
 
 
-def _as_points(grid) -> np.ndarray:
-    if isinstance(grid, (RadialGrid, AxisGrid)):
-        return grid.points
-    return np.asarray(grid)
-
-
 def _uniform_spacing(coords: np.ndarray) -> float:
     steps = np.diff(coords)
     h = float(steps.mean())
@@ -164,7 +158,7 @@ def decompose(
     crossed above the floor, or an under-resolved grid): both endpoints are
     flagged invalid so the jump splits the run.
     """
-    coords = _as_points(grid)
+    coords = as_points(grid)
     values = np.asarray(values, dtype=complex)
     if values.shape != coords.shape:
         raise ValueError("field and grid shapes differ")
@@ -198,7 +192,7 @@ def reconstruct(polar: PolarForm, constants: PhysicalConstants) -> np.ndarray:
 
 def coulomb_profile(constants: PhysicalConstants, grid) -> PotentialProfile:
     """Attractive external potential V(r) = -coulomb / r."""
-    r = _as_points(grid)
+    r = as_points(grid)
     values = -float(constants.coulomb) / r
     return PotentialProfile(coords=r, values=values, node_mask=np.zeros(r.shape, bool), kind="external")
 
@@ -227,16 +221,13 @@ def bohm_potential_analytic(
     """
     if form not in ("full", "amplitude"):
         raise ValueError(f"unknown form {form!r}")
-    r = _as_points(grid)
+    r = as_points(grid)
     constants = spec.constants
     hb, mass = float(constants.hbar), float(constants.mass)
-    poly = laguerre_spec(spec.qn)
     a = float(constants.bohr_radius)
     c = 2.0 / (spec.n * a)
     rho = c * r
-    lag = laguerre(poly.k, poly.alpha, rho)
-    lag1 = laguerre_derivative(poly.k, poly.alpha, rho) if poly.k >= 1 else np.zeros_like(rho)
-    lag2 = laguerre_derivative(poly.k, poly.alpha, rho, order=2) if poly.k >= 2 else np.zeros_like(rho)
+    lag, lag1, lag2 = _laguerre_with_derivatives(spec, rho)
     mask = node_mask(spec, r)
     safe_lag = np.where(mask, 1.0, lag)
     ratio1 = lag1 / safe_lag
@@ -267,7 +258,7 @@ def bohm_potential_fd(
     and points whose stencil touches one, are masked: the 0/0 at amplitude
     zeros is analytically finite but numerically ill conditioned.
     """
-    coords = _as_points(grid)
+    coords = as_points(grid)
     field = np.asarray(values)
     if field.shape != coords.shape:
         raise ValueError("field and grid shapes differ")
@@ -328,7 +319,7 @@ def probability_current(values, grid, constants: PhysicalConstants, direction: s
     The coordinate is treated as arc length, so for an azimuthal ring pass
     r sin(theta) phi as the grid.
     """
-    coords = _as_points(grid)
+    coords = as_points(grid)
     field = np.asarray(values, dtype=complex)
     if field.shape != coords.shape:
         raise ValueError("field and grid shapes differ")
@@ -468,7 +459,7 @@ def polar_section(
     derivatives (so residuals are limited by the closed forms, not by
     stencil truncation).
     """
-    r = _as_points(grid)
+    r = as_points(grid)
     constants = spec.constants
     hb = float(constants.hbar)
     e_n = float(energy_level(spec.n, constants))

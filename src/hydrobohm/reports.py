@@ -18,6 +18,7 @@ __all__ = [
     "VerificationReport",
     "make_case",
     "format_number",
+    "REPORT_HEADER",
     "report_rows",
     "write_csv",
     "write_json",
@@ -152,6 +153,9 @@ class VerificationReport:
                     f"rel_error {format_number(case.rel_error)}"
                 )
         return lines
+
+
+REPORT_HEADER = ["case_id", "computed", "expected", "abs_error", "rel_error", "pass"]
 
 
 def report_rows(report: VerificationReport) -> list[list[str]]:

@@ -12,13 +12,12 @@ truncation error would otherwise drown in double-precision rounding noise.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "LaguerreSpec",
     "ln_factorial",
     "laguerre",
     "laguerre_derivative",
@@ -27,37 +26,25 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LaguerreSpec:
-    """Degree and superscript of a generalized Laguerre polynomial."""
-
-    k: int
-    alpha: int
-
-    def __post_init__(self) -> None:
-        _check_laguerre_args(self.k, self.alpha)
-
 _LN_FACTORIAL_MAX = 200
-_LN_FACTORIAL_TABLE: list[float] | None = None
 
 
 def ln_factorial(k: int) -> float:
-    """ln(k!) by compensated summation of ln(1) + ... + ln(k).
+    """ln(k!) by compensated summation of ln(2) + ... + ln(k).
 
     Supports 0 <= k <= 200, which covers every normalization constant used
     by the eigenstate module with a wide margin.
     """
-    global _LN_FACTORIAL_TABLE
     if not isinstance(k, (int, np.integer)):
         raise ValueError(f"k must be an integer, got {k!r}")
     if k < 0 or k > _LN_FACTORIAL_MAX:
         raise ValueError(f"k must lie in [0, {_LN_FACTORIAL_MAX}], got {k}")
-    if _LN_FACTORIAL_TABLE is None:
-        logs = [math.log(i) for i in range(1, _LN_FACTORIAL_MAX + 1)]
-        _LN_FACTORIAL_TABLE = [0.0]
-        for i in range(_LN_FACTORIAL_MAX):
-            _LN_FACTORIAL_TABLE.append(math.fsum(logs[: i + 1]))
-    return _LN_FACTORIAL_TABLE[int(k)]
+    return _log_factorial_sum(int(k))
+
+
+@functools.cache
+def _log_factorial_sum(k: int) -> float:
+    return math.fsum(math.log(i) for i in range(2, k + 1))
 
 
 def _check_laguerre_args(k: int, alpha: int) -> None:
