@@ -97,14 +97,12 @@ def airy_polar(
     grid,
     t: float,
     amplitude_floor: float = AMPLITUDE_FLOOR,
-    analytic_curvature: bool = True,
 ) -> PolarForm:
     """PolarForm of the packet at time t (Cartesian line geometry).
 
-    With analytic_curvature the exact amplitude curvature A'' = beta^2 u A
-    (from Ai'' = u Ai; the sign of each lobe cancels in the ratio) rides
-    along, so residuals probe the phase bookkeeping rather than stencil
-    noise.  Disable it to exercise the finite-difference amplitude path.
+    The exact amplitude curvature A'' = beta^2 u A (from Ai'' = u Ai; the
+    sign of each lobe cancels in the ratio) rides along, so residuals probe
+    the phase bookkeeping rather than stencil noise.
     """
     x = as_points(grid)
     polar = decompose(
@@ -114,8 +112,6 @@ def airy_polar(
         geometry="cartesian",
         amplitude_floor=amplitude_floor,
     )
-    if not analytic_curvature:
-        return polar
     curvature = params.beta**2 * airy_argument(params, x, t) * polar.amplitude
     return dataclasses.replace(polar, amplitude_d2=curvature)
 

@@ -40,6 +40,11 @@ __all__ = [
 ]
 
 NODE_MASK_FLOOR = 1e-12
+PEAK_SCAN_PER_DECADE = 1000
+PEAK_REL_TOL = 1e-10
+OVERLAP_RADIAL_POINTS = 240
+OVERLAP_THETA_POINTS = 32
+OVERLAP_PHI_POINTS = 32
 
 
 @dataclass(frozen=True)
@@ -185,30 +190,25 @@ def radial_distribution(spec: EigenstateSpec, grid) -> RadialProfile:
     return radial_profile(spec, grid, "P")
 
 
-def radial_peaks(
-    spec: EigenstateSpec,
-    r_hi: float | None = None,
-    points_per_decade: int = 1000,
-    rel_tol: float = 1e-10,
-) -> np.ndarray:
+def radial_peaks(spec: EigenstateSpec) -> np.ndarray:
     """Locations of the strict local maxima of P_nl, in increasing order.
 
     Sign changes of the analytic dP/dr are bracketed on a logarithmic scan
-    (points_per_decade samples per decade) and polished by bisection until
-    the bracket is narrower than rel_tol relative to the position.
+    of [10^-3 a, 4 n^2 a] (PEAK_SCAN_PER_DECADE samples per decade) and
+    polished by bisection until the bracket is narrower than PEAK_REL_TOL
+    relative to the position.
     """
     a = float(spec.constants.bohr_radius)
     r_lo = 1e-3 * a
-    if r_hi is None:
-        r_hi = 4.0 * spec.n**2 * a
+    r_hi = 4.0 * spec.n**2 * a
     decades = math.log10(r_hi / r_lo)
-    scan = np.geomspace(r_lo, r_hi, max(int(decades * points_per_decade), 16))
+    scan = np.geomspace(r_lo, r_hi, max(int(decades * PEAK_SCAN_PER_DECADE), 16))
     slope = _distribution_slope(spec, scan)
     peaks = []
     sign = np.sign(slope)
     for i in np.nonzero((sign[:-1] > 0) & (sign[1:] < 0))[0]:
         lo, hi = scan[i], scan[i + 1]
-        while hi - lo > rel_tol * hi:
+        while hi - lo > PEAK_REL_TOL * hi:
             mid = 0.5 * (lo + hi)
             s = _distribution_slope(spec, np.asarray(mid))
             if s > 0:
@@ -221,32 +221,25 @@ def radial_peaks(
     return np.asarray(peaks)
 
 
-def overlap(
-    spec_a: EigenstateSpec,
-    spec_b: EigenstateSpec,
-    radial_points: int = 240,
-    theta_points: int = 32,
-    phi_points: int = 32,
-    r_max: float | None = None,
-) -> complex:
+def overlap(spec_a: EigenstateSpec, spec_b: EigenstateSpec) -> complex:
     """<psi_a | psi_b> by tensor-product quadrature of the full 3D integrand.
 
-    Gauss-Legendre in r and in cos(theta), uniform trapezoid in phi.  Both
-    states must share one PhysicalConstants instance; orthonormality of the
-    closed forms is then a measurable outcome, not an input.
+    Gauss-Legendre in r on [0, 30 a max(n_a, n_b)] and in cos(theta),
+    uniform trapezoid in phi.  Both states must share one PhysicalConstants
+    instance; orthonormality of the closed forms is then a measurable
+    outcome, not an input.
     """
     if spec_a.constants != spec_b.constants:
         raise ValueError("overlap requires both states to use the same constants")
     a = float(spec_a.constants.bohr_radius)
-    if r_max is None:
-        r_max = 30.0 * a * max(spec_a.n, spec_b.n)
-    nodes, weights = np.polynomial.legendre.leggauss(radial_points)
+    r_max = 30.0 * a * max(spec_a.n, spec_b.n)
+    nodes, weights = np.polynomial.legendre.leggauss(OVERLAP_RADIAL_POINTS)
     r = 0.5 * (nodes + 1.0) * r_max
     w_r = 0.5 * r_max * weights
-    x_nodes, w_x = np.polynomial.legendre.leggauss(theta_points)
+    x_nodes, w_x = np.polynomial.legendre.leggauss(OVERLAP_THETA_POINTS)
     theta = np.arccos(x_nodes)
-    phi = 2.0 * math.pi * np.arange(phi_points) / phi_points
-    w_phi = 2.0 * math.pi / phi_points
+    phi = 2.0 * math.pi * np.arange(OVERLAP_PHI_POINTS) / OVERLAP_PHI_POINTS
+    w_phi = 2.0 * math.pi / OVERLAP_PHI_POINTS
 
     radial = w_r * r**2 * radial_R(spec_a, r) * radial_R(spec_b, r)
     th = theta[:, None]

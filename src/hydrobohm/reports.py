@@ -9,6 +9,7 @@ timing is deliberately kept out of serialized reports for the same reason.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,17 @@ def make_case(case_id: str, computed: float, expected: float, tolerance: float, 
     )
 
 
+# An integer run is a digit run that does not follow a decimal point or a
+# digit; fraction digits (t=0.25 < t=0.3) keep their string order.
+_INTEGER_RUN = re.compile(r"(?<![.\d])(\d+)")
+
+
+def _case_order(case: CaseRecord) -> list:
+    parts = _INTEGER_RUN.split(case.case_id)
+    parts[1::2] = map(int, parts[1::2])
+    return parts
+
+
 @dataclass
 class VerificationReport:
     """A campaign's cases plus its configured tolerance."""
@@ -98,7 +110,8 @@ class VerificationReport:
         return max((case.rel_error for case in self.cases), default=0.0)
 
     def sorted_cases(self) -> list[CaseRecord]:
-        return sorted(self.cases, key=lambda case: case.case_id)
+        """Cases by identifier, integer runs compared as numbers (n=99 < n=100)."""
+        return sorted(self.cases, key=_case_order)
 
     def to_dict(self) -> dict:
         return {
@@ -186,8 +199,7 @@ def write_csv(path, header: list[str], rows: list[list[str]]) -> None:
 def write_json(path, payload: dict) -> None:
     """Deterministic JSON: sorted keys, two-space indent, LF endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as stream:
-        json.dump(payload, stream, indent=2, sort_keys=True)
-        stream.write("\n")
+        stream.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 _SVG_WIDTH = 640

@@ -142,28 +142,30 @@ def spherical_harmonic(l: int, m: int, theta, phi):
 #                     callers amplify any absolute noise by 1/h^2; keeping the
 #                     series zone small keeps that noise at a few ulps.
 #   |x| >= 9          Asymptotic series (monotonic and oscillatory forms).
-#   1.8 < |x| < 9     Taylor steps of the ODE y'' = x y from station values
-#                     anchored at |x| = 9.  Marching toward smaller x is the
-#                     stable direction on the positive side and neutral on
-#                     the oscillatory side.
+#   1.8 < |x| < 9     Taylor series of the ODE y'' = x y about the nearest
+#                     station of a 0.6-spaced ladder anchored at |x| = 9 (13
+#                     stations per side).  The ladder is marched once toward
+#                     smaller |x|, the stable direction on the positive side
+#                     and neutral on the oscillatory side.  A point finds its
+#                     station by arithmetic on the ladder; at an exact
+#                     midpoint it takes the outer station.
 
 _AIRY_SUPPORTED = 20.0
 _AIRY_SERIES_EDGE = 1.8
 _AIRY_ASYMPTOTIC_EDGE = 9.0
 _AIRY_STATION_STEP = 0.6
+_AIRY_LADDER_STEPS = int(round((_AIRY_ASYMPTOTIC_EDGE - _AIRY_SERIES_EDGE) / _AIRY_STATION_STEP))
 _AIRY_TAYLOR_TERMS = 42
 
 _AI_ZERO = "0.355028053887817239260063186004183176398"
 _AIP_ZERO = "-0.258819403792806798405183560189203963479"
 _PI = "3.141592653589793238462643383279502884197"
 
-_airy_station_cache: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
 
 def _airy_maclaurin(x, dtype):
     """Ai via the two Maclaurin series of y'' = x y; accurate for |x| <= ~4.5."""
-    c_even = np.asarray(np.longdouble(_AI_ZERO) if dtype == np.longdouble else float(_AI_ZERO), dtype=dtype)
-    c_odd = np.asarray(np.longdouble(_AIP_ZERO) if dtype == np.longdouble else float(_AIP_ZERO), dtype=dtype)
+    c_even = np.asarray(_AI_ZERO, dtype=dtype)
+    c_odd = np.asarray(_AIP_ZERO, dtype=dtype)
     x3 = x * x * x
     term_f = np.ones_like(x)
     term_g = x.copy()
@@ -178,6 +180,7 @@ def _airy_maclaurin(x, dtype):
     return total
 
 
+@functools.cache
 def _airy_asymptotic_coefficients(count: int, dtype):
     """u_k and v_k of the large-argument expansions, by their term ratio."""
     u = np.empty(count, dtype=dtype)
@@ -196,7 +199,7 @@ def _airy_asymptotic_coefficients(count: int, dtype):
 
 def _airy_asymptotic_positive(x, dtype):
     """Ai and Ai' for x >= ~9 from the monotonic asymptotic expansion."""
-    pi = np.asarray(np.longdouble(_PI) if dtype == np.longdouble else float(_PI), dtype=dtype)
+    pi = np.asarray(_PI, dtype=dtype)
     u, v = _airy_asymptotic_coefficients(36, dtype)
     zeta = (2.0 / 3.0) * x ** np.asarray(1.5, dtype=dtype)
     inv = 1.0 / zeta
@@ -217,7 +220,7 @@ def _airy_asymptotic_positive(x, dtype):
 
 def _airy_asymptotic_negative(x, dtype):
     """Ai and Ai' for x <= ~-9 from the oscillatory asymptotic expansion."""
-    pi = np.asarray(np.longdouble(_PI) if dtype == np.longdouble else float(_PI), dtype=dtype)
+    pi = np.asarray(_PI, dtype=dtype)
     u, v = _airy_asymptotic_coefficients(36, dtype)
     t = -x
     zeta = (2.0 / 3.0) * t ** np.asarray(1.5, dtype=dtype)
@@ -245,12 +248,18 @@ def _airy_asymptotic_negative(x, dtype):
     return ai, aip
 
 
-def _airy_taylor_step(x0, ai0, aip0, delta):
-    """Advance (Ai, Ai') from x0 by delta with a Taylor series of y'' = x y."""
+def _airy_taylor_coefficients(x0, ai0, aip0) -> list:
+    """Taylor coefficients of y'' = x y about x0 from (Ai, Ai')(x0); elementwise."""
     coeffs = [ai0, aip0]
     for k in range(_AIRY_TAYLOR_TERMS - 2):
         lower = coeffs[k - 1] if k >= 1 else np.zeros_like(ai0)
         coeffs.append((x0 * coeffs[k] + lower) / ((k + 1) * (k + 2)))
+    return coeffs
+
+
+def _airy_taylor_step(x0, ai0, aip0, delta):
+    """Advance (Ai, Ai') from x0 by delta with a Taylor series of y'' = x y."""
+    coeffs = _airy_taylor_coefficients(x0, ai0, aip0)
     value = np.zeros_like(delta)
     slope = np.zeros_like(delta)
     for k in range(len(coeffs) - 1, -1, -1):
@@ -260,46 +269,31 @@ def _airy_taylor_step(x0, ai0, aip0, delta):
     return value, slope
 
 
-def _airy_stations(dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cached (position, Ai, Ai') tables on both mid-range ladders.
+@functools.cache
+def _airy_stations(dtype) -> tuple[np.ndarray, np.ndarray]:
+    """The 26 station positions and their 42 x 26 Taylor table, once per dtype.
 
-    The ladder is always marched in extended precision and then cast: the
-    cast costs one rounding, while marching in float64 would accumulate a
-    station error an order of magnitude above it.  (Either way the anchors
-    carry the intrinsic ~e^{-2 zeta(9)} floor of the asymptotic series.)
+    Positions run |x| = 9, 8.4, ..., 1.8 on the positive side, then the same
+    on the negative side; row k of the table holds every station's k-th
+    coefficient (rows 0 and 1 are Ai and Ai').  The ladder is always marched
+    in extended precision and then cast: the cast costs one rounding, while
+    marching in float64 would accumulate a station error an order of
+    magnitude above it.  (Either way the anchors carry the intrinsic
+    ~e^{-2 zeta(9)} floor of the asymptotic series.)
     """
-    key = np.dtype(dtype).char
-    if key in _airy_station_cache:
-        return _airy_station_cache[key]
     work = np.dtype(np.longdouble)
-    steps = int(round((_AIRY_ASYMPTOTIC_EDGE - _AIRY_SERIES_EDGE) / _AIRY_STATION_STEP))
-    positions = []
-    values = []
-    slopes = []
-    for direction in (1.0, -1.0):
-        anchor = np.asarray(direction * _AIRY_ASYMPTOTIC_EDGE, dtype=work)
-        if direction > 0:
-            ai, aip = _airy_asymptotic_positive(anchor, work)
-        else:
-            ai, aip = _airy_asymptotic_negative(anchor, work)
-        positions.append(anchor.copy())
-        values.append(ai.copy())
-        slopes.append(aip.copy())
-        x0 = anchor
-        for _ in range(steps):
-            delta = np.asarray(-direction * _AIRY_STATION_STEP, dtype=work)
+    ladder = []
+    for sign, asymptotic in ((1.0, _airy_asymptotic_positive), (-1.0, _airy_asymptotic_negative)):
+        x0 = np.asarray(sign * _AIRY_ASYMPTOTIC_EDGE, dtype=work)
+        ai, aip = asymptotic(x0, work)
+        ladder.append((x0, ai, aip))
+        delta = np.asarray(-sign * _AIRY_STATION_STEP, dtype=work)
+        for _ in range(_AIRY_LADDER_STEPS):
             ai, aip = _airy_taylor_step(x0, ai, aip, delta)
             x0 = x0 + delta
-            positions.append(x0.copy())
-            values.append(ai.copy())
-            slopes.append(aip.copy())
-    table = (
-        np.asarray(positions, dtype=dtype),
-        np.asarray(values, dtype=dtype),
-        np.asarray(slopes, dtype=dtype),
-    )
-    _airy_station_cache[key] = table
-    return table
+            ladder.append((x0, ai, aip))
+    stations, values, slopes = (np.asarray(column, dtype=dtype) for column in zip(*ladder))
+    return stations, np.asarray(_airy_taylor_coefficients(stations, values, slopes))
 
 
 def airy_ai(x):
@@ -326,17 +320,19 @@ def airy_ai(x):
         out[far_neg] = _airy_asymptotic_negative(flat[far_neg], dtype)[0]
     mid = ~(small | far_pos | far_neg)
     if np.any(mid):
-        stations, station_ai, station_aip = _airy_stations(dtype)
+        stations, coeffs = _airy_stations(dtype)
         xm = flat[mid]
-        idx = np.argmin(np.abs(xm[:, None] - stations[None, :]), axis=1)
-        result = np.empty_like(xm)
-        for station in np.unique(idx):
-            sel = idx == station
-            delta = xm[sel] - stations[station]
-            result[sel] = _airy_taylor_step(
-                stations[station], station_ai[station], station_aip[station], delta
-            )[0]
-        out[mid] = result
+        # Outer neighbour by ladder arithmetic, then the nearer of it and the
+        # next inner one; on a tie the strict < keeps the outer station.
+        rung = np.floor((_AIRY_ASYMPTOTIC_EDGE - np.abs(xm)) / _AIRY_STATION_STEP)
+        outer = np.clip(rung, 0, _AIRY_LADDER_STEPS - 1).astype(np.intp)
+        outer += np.where(xm > 0, 0, _AIRY_LADDER_STEPS + 1)
+        idx = outer + (np.abs(xm - stations[outer + 1]) < np.abs(xm - stations[outer]))
+        delta = xm - stations[idx]
+        value = np.zeros_like(delta)
+        for row in coeffs[::-1]:
+            value = value * delta + row[idx]
+        out[mid] = value
     out = out.reshape(x_arr.shape)
     if x_arr.shape == ():
         return out[()]

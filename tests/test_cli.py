@@ -36,6 +36,13 @@ class TestLevels:
         assert lines[1].startswith("1,-0.5,1,1,")
         assert lines[1].endswith(",true")
 
+    def test_json_cases_in_numeric_order_past_99(self, capsys, tmp_path):
+        target = tmp_path / "levels.json"
+        code, _, _ = run(capsys, "levels", "--n-max", "100", "--format", "json", "--out", str(target))
+        assert code == 0
+        ids = [case["case_id"] for case in json.loads(target.read_text(encoding="utf-8"))["report"]["cases"]]
+        assert ids == [f"n={n:02d}" for n in range(1, 101)]
+
 
 class TestFlatness:
     def test_full_shell_set_passes(self, capsys):
