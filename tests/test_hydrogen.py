@@ -1,5 +1,6 @@
 """Hydrogen eigenstates: energies, radial functions, peaks, orthonormality."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -20,6 +21,7 @@ from hydrobohm import (
     radial_peaks,
     radial_profile,
     schrodinger_residual,
+    si_units,
     state,
     spherical_harmonic,
 )
@@ -230,3 +232,25 @@ class TestOverlap:
     def test_overlap_is_conjugate_symmetric(self):
         a, b = state(3, 1, 1), state(4, 1, 1)
         assert overlap(a, b) == pytest.approx(np.conj(overlap(b, a)), abs=1e-12)
+
+    def test_gram_bits_for_states_up_to_n4(self):
+        # The i <= j pairs of acceptance criterion 6, in its order.
+        states = [
+            state(n, l, m) for n in range(1, 5) for l in range(n) for m in range(-l, l + 1)
+        ]
+        values = [overlap(left, right) for i, left in enumerate(states) for right in states[i:]]
+        assert len(values) == 465
+        assert _complex_bits(values) == (
+            "c31ad250af6af9c4268a829b89554d7ea38252794170c03c396f717aceb9a1b0"
+        )
+
+    def test_overlap_bits_in_si_units(self):
+        si = si_units()
+        value = overlap(state(3, 1, -1, si), state(4, 1, -1, si))
+        assert _complex_bits([value]) == (
+            "4a9d79c728950c79ef34423a79558c6fcf2719065862f82b4f4cbb3e1f76a367"
+        )
+
+
+def _complex_bits(values) -> str:
+    return hashlib.sha256(np.asarray(values, dtype=np.complex128).tobytes()).hexdigest()
