@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 import time as _time
 
@@ -46,6 +47,16 @@ from .reports import (
 __all__ = ["main"]
 
 OUT_DIR_ENV = "HYDROBOHM_OUT_DIR"
+
+# Largest --n-max of flatness and bohr-radii: the normalization of the state
+# (n, n - 1) needs ln((2n - 1)!), and ln_factorial covers k <= 200.
+STATE_N_MAX = 100
+
+# argparse reads a value that starts with '-' as an option unless it is a
+# plain negative number, so `--times -1,0.5` and `--time -1e-3` are joined
+# into `--times=-1,0.5` and `--time=-1e-3` before parsing.
+_SIGNED_VALUE_OPTIONS = ("--times", "--time")
+_SIGNED_VALUE = re.compile(r"-\.?\d")
 
 
 def _resolve_out(path: str) -> str:
@@ -121,6 +132,23 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
     return value
+
+
+def _state_n_max(text: str) -> int:
+    value = _positive_int(text)
+    if value > STATE_N_MAX:
+        raise argparse.ArgumentTypeError(f"must be <= {STATE_N_MAX}, got {value}")
+    return value
+
+
+def _join_signed_values(argv: list[str]) -> list[str]:
+    joined: list[str] = []
+    for token in argv:
+        if joined and joined[-1] in _SIGNED_VALUE_OPTIONS and _SIGNED_VALUE.match(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
 
 
 def _positive_float(text: str) -> float:
@@ -217,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_levels.set_defaults(run=cmd_levels)
 
     p_flat = sub.add_parser("flatness", parents=[output], help="V_Q = E_n check per eigenstate")
-    p_flat.add_argument("--n-max", type=_positive_int, required=True)
+    p_flat.add_argument("--n-max", type=_state_n_max, required=True)
     group = p_flat.add_mutually_exclusive_group()
     group.add_argument("--all-lm", dest="policy", action="store_const", const="all-lm")
     group.add_argument("--circular", dest="policy", action="store_const", const="circular")
@@ -225,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_flat.set_defaults(policy="all-lm", run=cmd_flatness)
 
     p_bohr = sub.add_parser("bohr-radii", parents=[output], help="P_{n,n-1} peak against n^2 a")
-    p_bohr.add_argument("--n-max", type=_positive_int, required=True)
+    p_bohr.add_argument("--n-max", type=_state_n_max, required=True)
     p_bohr.set_defaults(run=cmd_bohr_radii)
 
     p_airy = sub.add_parser("airy", parents=[output], help="accelerating-packet checks")
@@ -247,7 +275,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(_join_signed_values(argv))
     started = _time.perf_counter()
     try:
         status = args.run(args)

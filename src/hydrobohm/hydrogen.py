@@ -15,8 +15,10 @@ flatness checks downstream remain genuine tests rather than tautologies.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,9 +89,7 @@ def energy_level(n: int, constants: PhysicalConstants):
     return -constants.hartree / (2 * n * n)
 
 
-def _radial_norm(spec: EigenstateSpec) -> float:
-    n, l = spec.n, spec.l
-    a = float(spec.constants.bohr_radius)
+def _radial_norm(n: int, l: int, a: float) -> float:
     log_ratio = ln_factorial(n - l - 1) - math.log(2 * n) - ln_factorial(n + l)
     return (2.0 / (n * a)) ** 1.5 * math.exp(0.5 * log_ratio)
 
@@ -103,19 +103,24 @@ def _laguerre_with_derivatives(spec: EigenstateSpec, rho):
     return lag, lag1, lag2
 
 
+def _radial_values(n: int, l: int, a: float, r: np.ndarray) -> np.ndarray:
+    """R_nl(r) for the Bohr radius a, from plain numbers."""
+    rho = (2.0 / (n * a)) * r
+    lag = laguerre(n - l - 1, 2 * l + 1, rho)
+    return _radial_norm(n, l, a) * np.exp(-rho / 2) * rho**l * lag
+
+
 def radial_R(spec: EigenstateSpec, r) -> np.ndarray:
     """Radial factor R_nl(r) for r > 0, dtype-preserving."""
-    r = np.asarray(r)
-    rho = (2.0 / (spec.n * float(spec.constants.bohr_radius))) * r
-    lag = laguerre(spec.n - spec.l - 1, 2 * spec.l + 1, rho)
-    return _radial_norm(spec) * np.exp(-rho / 2) * rho**spec.l * lag
+    return _radial_values(spec.n, spec.l, float(spec.constants.bohr_radius), np.asarray(r))
 
 
 def radial_R_derivatives(spec: EigenstateSpec, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(R, dR/dr, d2R/dr2) by the product rule on e^{-rho/2} rho^l L(rho)."""
     r = np.asarray(r)
     n, l = spec.n, spec.l
-    c = 2.0 / (n * float(spec.constants.bohr_radius))
+    a = float(spec.constants.bohr_radius)
+    c = 2.0 / (n * a)
     rho = c * r
     lag, lag1, lag2 = _laguerre_with_derivatives(spec, rho)
     envelope = np.exp(-rho / 2)
@@ -127,7 +132,7 @@ def radial_R_derivatives(spec: EigenstateSpec, r) -> tuple[np.ndarray, np.ndarra
     f2 = envelope * (
         (p_l / 4 - p_lm1 + p_lm2) * lag + (2 * p_lm1 - p_l) * lag1 + p_l * lag2
     )
-    norm = _radial_norm(spec)
+    norm = _radial_norm(n, l, a)
     return norm * f0, norm * c * f1, norm * c * c * f2
 
 
@@ -221,33 +226,72 @@ def radial_peaks(spec: EigenstateSpec) -> np.ndarray:
     return np.asarray(peaks)
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    values.setflags(write=False)
+    return values
+
+
+class _OverlapRule(NamedTuple):
+    """Read-only quadrature arrays shared by every overlap."""
+
+    unit_r: np.ndarray  # radial Gauss-Legendre nodes mapped to [0, 1]
+    weights: np.ndarray  # their weights on [-1, 1]
+    theta: np.ndarray  # arccos of the cos(theta) nodes, as a column
+    phi: np.ndarray  # uniform phi nodes, as a row
+    w_x: np.ndarray  # cos(theta) weights, as a column
+
+
+@functools.cache
+def _overlap_rule() -> _OverlapRule:
+    """The overlap quadrature rule, built on the first call, never at import."""
+    nodes, weights = np.polynomial.legendre.leggauss(OVERLAP_RADIAL_POINTS)
+    x_nodes, w_x = np.polynomial.legendre.leggauss(OVERLAP_THETA_POINTS)
+    theta = np.arccos(x_nodes)
+    phi = 2.0 * math.pi * np.arange(OVERLAP_PHI_POINTS) / OVERLAP_PHI_POINTS
+    arrays = (0.5 * (nodes + 1.0), weights, theta[:, None], phi[None, :], w_x[:, None])
+    return _OverlapRule(*(_read_only(values) for values in arrays))
+
+
+@functools.lru_cache(maxsize=256)
+def _overlap_radial(n: int, l: int, a: float, r_max: float) -> np.ndarray:
+    """R_nl on the radial nodes of [0, r_max]; keyed on plain numbers."""
+    return _read_only(_radial_values(n, l, a, _overlap_rule().unit_r * r_max))
+
+
+@functools.lru_cache(maxsize=128)
+def _overlap_angular(l: int, m: int) -> np.ndarray:
+    """Y_l^m on the (theta, phi) product grid of the overlap rule."""
+    rule = _overlap_rule()
+    return _read_only(spherical_harmonic(l, m, rule.theta, rule.phi))
+
+
 def overlap(spec_a: EigenstateSpec, spec_b: EigenstateSpec) -> complex:
     """<psi_a | psi_b> by tensor-product quadrature of the full 3D integrand.
 
     Gauss-Legendre in r on [0, 30 a max(n_a, n_b)] and in cos(theta),
     uniform trapezoid in phi.  Both states must share one PhysicalConstants
     instance; orthonormality of the closed forms is then a measurable
-    outcome, not an input.
+    outcome, not an input.  The quadrature rule is built once per process,
+    on the first call, and each state's R_nl and Y_l^m on it are computed
+    once and reused (bounded caches of read-only arrays).
     """
     if spec_a.constants != spec_b.constants:
         raise ValueError("overlap requires both states to use the same constants")
     a = float(spec_a.constants.bohr_radius)
     r_max = 30.0 * a * max(spec_a.n, spec_b.n)
-    nodes, weights = np.polynomial.legendre.leggauss(OVERLAP_RADIAL_POINTS)
-    r = 0.5 * (nodes + 1.0) * r_max
-    w_r = 0.5 * r_max * weights
-    x_nodes, w_x = np.polynomial.legendre.leggauss(OVERLAP_THETA_POINTS)
-    theta = np.arccos(x_nodes)
-    phi = 2.0 * math.pi * np.arange(OVERLAP_PHI_POINTS) / OVERLAP_PHI_POINTS
+    rule = _overlap_rule()
+    r = rule.unit_r * r_max
+    w_r = 0.5 * r_max * rule.weights
     w_phi = 2.0 * math.pi / OVERLAP_PHI_POINTS
 
-    radial = w_r * r**2 * radial_R(spec_a, r) * radial_R(spec_b, r)
-    th = theta[:, None]
-    ph = phi[None, :]
+    radial = (
+        w_r * r**2 * _overlap_radial(spec_a.n, spec_a.l, a, r_max)
+        * _overlap_radial(spec_b.n, spec_b.l, a, r_max)
+    )
     angular = (
-        np.conj(spherical_harmonic(spec_a.l, spec_a.m, th, ph))
-        * spherical_harmonic(spec_b.l, spec_b.m, th, ph)
-        * w_x[:, None]
+        np.conj(_overlap_angular(spec_a.l, spec_a.m))
+        * _overlap_angular(spec_b.l, spec_b.m)
+        * rule.w_x
         * w_phi
     )
     return complex(radial.sum() * angular.sum())

@@ -111,6 +111,13 @@ class TestAiry:
             main(["airy", "--times", ","])
         assert excinfo.value.code == 2
 
+    def test_negative_time_list_parses_in_both_spellings(self, capsys):
+        spaced = run(capsys, "airy", "--times", "-1,0.5")
+        joined = run(capsys, "airy", "--times=-1,0.5")
+        assert spaced[0] == 0
+        assert spaced[:2] == joined[:2]
+        assert "cases: 10  passes: 10" in spaced[1]
+
 
 class TestProfile:
     def test_csv_profile(self, capsys, tmp_path):
@@ -151,6 +158,13 @@ class TestProfile:
         clear = [row for row in payload["rows"] if not row["masked"]]
         assert all(isinstance(row["value"], float) for row in clear)
 
+    def test_negative_exponent_time_parses_in_both_spellings(self, capsys, tmp_path):
+        spaced, joined = tmp_path / "spaced.csv", tmp_path / "joined.csv"
+        argv = ("profile", "--state", "airy", "--out")
+        assert run(capsys, *argv, str(spaced), "--time", "-1e-3")[0] == 0
+        assert run(capsys, *argv, str(joined), "--time=-1e-3")[0] == 0
+        assert spaced.read_bytes() == joined.read_bytes()
+
     def test_out_is_required(self):
         with pytest.raises(SystemExit) as excinfo:
             main(["profile", "--state", "1,0,0"])
@@ -162,6 +176,25 @@ class TestProfile:
         )
         assert code == 2
         assert "error:" in err
+
+
+class TestStateNMax:
+    @pytest.mark.parametrize("command", ["flatness", "bohr-radii"])
+    def test_above_100_is_a_usage_error_naming_the_limit(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--n-max", "101"])
+        assert excinfo.value.code == 2
+        assert "argument --n-max: must be <= 100, got 101" in capsys.readouterr().err
+
+    def test_bohr_radii_at_the_limit_runs(self, capsys):
+        code, out, _ = run(capsys, "bohr-radii", "--n-max", "100")
+        assert code == 0
+        assert "cases: 100  passes: 100" in out
+
+    def test_levels_has_no_such_limit(self, capsys):
+        code, out, _ = run(capsys, "levels", "--n-max", "101")
+        assert code == 0
+        assert "cases: 101  passes: 101" in out
 
 
 class TestUsageErrors:

@@ -2,11 +2,16 @@
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hydrobohm.hydrogen as hydrogen
 from hydrobohm import (
     PhysicalConstants,
     atomic_units,
@@ -250,6 +255,80 @@ class TestOverlap:
         assert _complex_bits([value]) == (
             "4a9d79c728950c79ef34423a79558c6fcf2719065862f82b4f4cbb3e1f76a367"
         )
+
+
+class TestOverlapCaches:
+    # a = 1/2 (mass 2) at max n 4 shares r_max = 60 with a = 1 at max n 2, so
+    # (2, 1, 0) meets the same radial nodes in both: a cache that dropped a
+    # would hand one unit system the other's R_21.
+    PAIRS = [
+        ((2, 1, 0), (1, 0, 0)),
+        ((4, 0, 0), (2, 1, 0)),
+        ((2, 1, 1), (3, 1, 1)),
+        ((4, 3, -2), (4, 3, -2)),
+    ]
+    UNITS = [atomic_units(), si_units(), PhysicalConstants(1.0, 2.0, 1.0)]
+
+    @staticmethod
+    def _clear():
+        hydrogen._overlap_radial.cache_clear()
+        hydrogen._overlap_angular.cache_clear()
+
+    @staticmethod
+    def _overlap(a, b, constants):
+        return overlap(state(*a, constants=constants), state(*b, constants=constants))
+
+    def _values(self, constants):
+        return [self._overlap(a, b, constants) for a, b in self.PAIRS]
+
+    def test_cached_arrays_are_read_only(self):
+        rule = hydrogen._overlap_rule()
+        cached = list(rule) + [
+            hydrogen._overlap_radial(2, 1, 1.0, 60.0),
+            hydrogen._overlap_angular(1, 1),
+        ]
+        for values in cached:
+            with pytest.raises(ValueError):
+                values[(0,) * values.ndim] = 0.0
+
+    def test_interleaved_unit_systems_match_separate_runs(self):
+        alone = []
+        for constants in self.UNITS:
+            self._clear()
+            alone.append(self._values(constants))
+        self._clear()
+        interleaved = [[] for _ in self.UNITS]
+        for a, b in self.PAIRS:
+            for values, constants in zip(interleaved, self.UNITS):
+                values.append(self._overlap(a, b, constants))
+        assert interleaved == alone
+        assert self._values(self.UNITS[1]) == alone[1]
+
+    def test_mismatched_constants_still_raise(self):
+        overlap(state(2, 1, 0), state(2, 1, 0))
+        with pytest.raises(ValueError, match="same constants"):
+            overlap(state(2, 1, 0), state(2, 1, 0, constants=si_units()))
+        with pytest.raises(ValueError, match="same constants"):
+            overlap(state(1, 0, 0, constants=PhysicalConstants(1.0, 2.0, 1.0)), state(1, 0, 0))
+
+    def test_import_builds_no_quadrature_rule(self):
+        src = Path(hydrogen.__file__).resolve().parents[1]
+        probe = (
+            "import numpy as np\n"
+            "builds = []\n"
+            "leggauss = np.polynomial.legendre.leggauss\n"
+            "np.polynomial.legendre.leggauss = lambda *a: builds.append(a) or leggauss(*a)\n"
+            "import hydrobohm, hydrobohm.hydrogen as h\n"
+            "print(len(builds), h._overlap_rule.cache_info().currsize)\n"
+            "hydrobohm.overlap(hydrobohm.state(1, 0), hydrobohm.state(2, 0))\n"
+            "hydrobohm.overlap(hydrobohm.state(3, 1), hydrobohm.state(2, 1))\n"
+            "print(len(builds), h._overlap_rule.cache_info().currsize)\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.stdout.split("\n")[:2] == ["0 0", "2 1"]
 
 
 def _complex_bits(values) -> str:
