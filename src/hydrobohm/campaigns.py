@@ -9,7 +9,6 @@ stencil noise; those choices are documented on the functions.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -34,6 +33,7 @@ from .hydrogen import (
     state,
 )
 from .madelung import (
+    _worst,
     bohm_potential_analytic,
     bohm_potential_fd,
     continuity_residual,
@@ -72,6 +72,7 @@ AIRY_TOL = 1e-5
 FD_FLATNESS_STEP = 1e-3
 FD_FLATNESS_FLOOR = 0.05
 AIRY_RESIDUAL_STEP = 2.5e-4
+AIRY_EULER_STEP = 1e-3
 AIRY_RESIDUAL_FLOOR = 0.05
 AIRY_RESIDUAL_WINDOW = (-6.0, 2.0)
 
@@ -111,26 +112,16 @@ def run_levels(n_max: int, constants: PhysicalConstants | None = None, tolerance
     return report, rows
 
 
-def _flatness_states(n_max: int, policy: str):
-    for n in range(1, n_max + 1):
-        l_values = range(n) if policy == "all-lm" else [n - 1]
-        for l in l_values:
-            for m in range(-l, l + 1):
-                yield n, l, m
+def _flatness_deviation(spec, grid, bohm) -> float:
+    """max |V_Q - E_n| / |E_n| over the points the Bohm potential keeps."""
+    constants = spec.constants
+    v_q = quantum_potential(coulomb_profile(constants, grid), bohm)
+    e_n = float(energy_level(spec.n, constants))
+    return _worst(v_q.values - e_n, ~v_q.node_mask) / abs(e_n)
 
 
-def _flatness_deviation_analytic(n: int, l: int, constants: PhysicalConstants, grid) -> float:
-    spec = state(n, l, 0, constants)
-    v_q = quantum_potential(
-        coulomb_profile(constants, grid), bohm_potential_analytic(spec, grid)
-    )
-    e_n = float(energy_level(n, constants))
-    good = ~v_q.node_mask
-    return float(np.abs(v_q.values[good] - e_n).max() / abs(e_n))
-
-
-def _flatness_deviation_fd(n: int, l: int, constants: PhysicalConstants) -> float:
-    """Deviation on a uniform grid at h = 10^-3 a with an 0.05 amplitude floor.
+def _flatness_fd_bohm(spec):
+    """Grid and Bohm potential at h = 10^-3 a with an 0.05 amplitude floor.
 
     The wider floor is what the second difference needs: truncation near a
     node scales like h^2/|R|, so points the analytic path keeps at the
@@ -139,25 +130,16 @@ def _flatness_deviation_fd(n: int, l: int, constants: PhysicalConstants) -> floa
     growth makes h^2 R'''/(3r) stencil error (through the 2R'/r term)
     the dominant contribution for high-n, low-l states.
     """
+    constants = spec.constants
     a = float(constants.bohr_radius)
-    r_hi = max(30.0, 4.0 * n * n) * a
+    r_hi = max(30.0, 4.0 * spec.n * spec.n) * a
     h = FD_FLATNESS_STEP * a
     count = int(round((r_hi - a) / h)) + 1
     grid = make_radial_grid(a, r_hi, count, law="uniform")
-    spec = state(n, l, 0, constants)
     values = radial_R(spec, grid.points)
-    bohm = bohm_potential_fd(
-        values,
-        grid,
-        constants,
-        geometry="radial",
-        angular_l=l,
-        amplitude_floor=FD_FLATNESS_FLOOR,
+    return grid, bohm_potential_fd(
+        values, grid, constants, geometry="radial", angular_l=spec.l, amplitude_floor=FD_FLATNESS_FLOOR
     )
-    v_q = quantum_potential(coulomb_profile(constants, grid), bohm)
-    e_n = float(energy_level(n, constants))
-    good = ~v_q.node_mask
-    return float(np.abs(v_q.values[good] - e_n).max() / abs(e_n))
 
 
 def run_flatness(
@@ -184,17 +166,16 @@ def run_flatness(
         tolerance = FLATNESS_ANALYTIC_TOL if method == "analytic" else FLATNESS_FD_TOL
     report = VerificationReport(command="flatness", tolerance=tolerance)
     grid = default_hydrogen_grid(n_max, constants) if method == "analytic" else None
-    cache: dict[tuple[int, int], float] = {}
-    for n, l, m in _flatness_states(n_max, policy):
-        if (n, l) not in cache:
+    for n in range(1, n_max + 1):
+        for l in range(n) if policy == "all-lm" else [n - 1]:
+            spec = state(n, l, 0, constants)
             if method == "analytic":
-                cache[(n, l)] = _flatness_deviation_analytic(n, l, constants, grid)
+                deviation = _flatness_deviation(spec, grid, bohm_potential_analytic(spec, grid))
             else:
-                cache[(n, l)] = _flatness_deviation_fd(n, l, constants)
-        deviation = cache[(n, l)]
-        report.add(
-            make_case(f"n={n:02d} l={l:02d} m={m:+03d}", deviation, 0.0, tolerance, metric="abs")
-        )
+                deviation = _flatness_deviation(spec, *_flatness_fd_bohm(spec))
+            for m in range(-l, l + 1):
+                case_id = f"n={n:02d} l={l:02d} m={m:+03d}"
+                report.add(make_case(case_id, deviation, 0.0, tolerance, metric="abs"))
     return report
 
 
@@ -264,8 +245,9 @@ def run_airy(
     displacement against B^3 t^2 / 4m^2 (absolute, tolerance two grid
     steps of the default trajectory grid).  The continuity time step
     shrinks with the node drift rate so its O(dt^2) truncation stays
-    below tolerance at large B t.  Each (grid, time) state is decomposed,
-    and each time's density peak located, only once per run.
+    below tolerance at large B t; wherever it equals the Euler step, the
+    Euler check reuses the continuity pair.  The density peak is located
+    once per distinct time, t = 0 included.
 
     Returns (report, rows); rows carry (t, displacement, expected).
     tolerance defaults to AIRY_TOL.
@@ -281,14 +263,14 @@ def run_airy(
     trajectory_grid = default_airy_grid(params)
     trajectory_tol = 2.0 * trajectory_grid.spacing
     a_exact = airy_quantum_acceleration(params)
-    peak = functools.cache(functools.partial(_airy_peak, params, trajectory_grid))
+    peaks = {t: _airy_peak(params, trajectory_grid, t) for t in {0.0, *times}}
     rows = []
     for t in times:
         grid = _airy_residual_grid(params, t)
         x = grid.points
-        polar_at = functools.cache(
-            functools.partial(airy_polar, params, grid, amplitude_floor=AIRY_RESIDUAL_FLOOR)
-        )
+
+        def polar_at(time: float):
+            return airy_polar(params, grid, time, amplitude_floor=AIRY_RESIDUAL_FLOOR)
 
         envelope = airy_ai(airy_argument(params, x, t))
         bohm_fd = bohm_potential_fd(
@@ -304,17 +286,18 @@ def run_airy(
         report.add(make_case(f"hj t={t:g}", hj, 0.0, tolerance, metric="abs"))
 
         drift_speed = 2.0 * params.beta * params.drift_rate * abs(t)
-        dt = min(1e-3, AIRY_RESIDUAL_STEP / drift_speed) if drift_speed > 0 else 1e-3
-        cont = continuity_residual(polar_at(t - 0.5 * dt), polar_at(t + 0.5 * dt), dt, constants)
+        dt = min(AIRY_EULER_STEP, AIRY_RESIDUAL_STEP / drift_speed) if drift_speed > 0 else AIRY_EULER_STEP
+        pair = polar_at(t - 0.5 * dt), polar_at(t + 0.5 * dt)
+        cont = continuity_residual(*pair, dt, constants)
         report.add(make_case(f"continuity t={t:g}", cont, 0.0, tolerance, metric="abs"))
 
-        dt_euler = 1e-3
+        if dt != AIRY_EULER_STEP:
+            pair = polar_at(t - 0.5 * AIRY_EULER_STEP), polar_at(t + 0.5 * AIRY_EULER_STEP)
         closed_form = airy_bohm_closed_form(params, grid, t)
-        euler_pair = polar_at(t - 0.5 * dt_euler), polar_at(t + 0.5 * dt_euler)
-        euler = euler_residual(*euler_pair, dt_euler, closed_form, constants)
+        euler = euler_residual(*pair, AIRY_EULER_STEP, closed_form, constants)
         report.add(make_case(f"euler t={t:g}", euler, 0.0, tolerance, metric="abs"))
 
-        displacement = peak(t) - peak(0.0)
+        displacement = peaks[t] - peaks[0.0]
         expected = params.drift_rate * t * t
         report.add(
             make_case(f"trajectory t={t:g}", displacement, expected, trajectory_tol, metric="abs")
@@ -377,15 +360,14 @@ def _hydrogen_curve(n: int, l: int, m: int, quantity: str, constants: PhysicalCo
     if quantity == "V_bohm":
         profile = bohm_potential_analytic(spec, grid)
         return ProfileCurve(r, profile.values, profile.node_mask, f"{label}: Bohm potential", "r [bohr]", "V_bohm [hartree]")
-    if quantity == "V_q":
-        v_q = quantum_potential(coulomb_profile(constants, grid), bohm_potential_analytic(spec, grid))
-        return ProfileCurve(r, v_q.values, v_q.node_mask, f"{label}: quantum potential", "r [bohr]", "V_q [hartree]")
     if quantity == "j":
         hbar, mass = float(constants.hbar), float(constants.mass)
         density = np.abs(psi(spec, r, np.full(r.shape, math.pi / 2), np.zeros(r.shape))) ** 2
         values = hbar * m * density / (mass * r)
         return ProfileCurve(r, values, none, f"{label}: azimuthal current at the equator", "r [bohr]", "j [au]")
     v_q = quantum_potential(coulomb_profile(constants, grid), bohm_potential_analytic(spec, grid))
+    if quantity == "V_q":
+        return ProfileCurve(r, v_q.values, v_q.node_mask, f"{label}: quantum potential", "r [bohr]", "V_q [hartree]")
     e_n = float(energy_level(n, constants))
     deviation = np.abs(v_q.values - e_n) / abs(e_n)
     return ProfileCurve(r, deviation, v_q.node_mask, f"{label}: flatness deviation", "r [bohr]", "|V_q - E_n| / |E_n|")

@@ -25,6 +25,7 @@ into the given directory.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -48,8 +49,9 @@ __all__ = ["main"]
 
 OUT_DIR_ENV = "HYDROBOHM_OUT_DIR"
 
-# Largest --n-max of flatness and bohr-radii: the normalization of the state
-# (n, n - 1) needs ln((2n - 1)!), and ln_factorial covers k <= 200.
+# Largest --n-max of flatness and bohr-radii and largest n of profile --state:
+# the normalization of the state (n, n - 1) needs ln((2n - 1)!), and
+# ln_factorial covers k <= 200.
 STATE_N_MAX = 100
 
 # argparse reads a value that starts with '-' as an option unless it is a
@@ -105,9 +107,16 @@ def _finish(args: argparse.Namespace, report: VerificationReport, table=None, cs
     return 0 if report.all_passed else 1
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
 def _parse_times(text: str) -> tuple[float, ...]:
     try:
-        times = tuple(float(part) for part in text.split(",") if part.strip() != "")
+        times = tuple(_finite_float(part) for part in text.split(",") if part.strip() != "")
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad time list {text!r}") from exc
     if not times:
@@ -122,9 +131,12 @@ def _parse_state(text: str):
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("state must be n,l,m or 'airy'")
     try:
-        return tuple(int(part) for part in parts)
+        n, l, m = (int(part) for part in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad state {text!r}") from exc
+    if n > STATE_N_MAX:
+        raise argparse.ArgumentTypeError(f"n must be <= {STATE_N_MAX}, got {n}")
+    return n, l, m
 
 
 def _positive_int(text: str) -> int:
@@ -152,7 +164,7 @@ def _join_signed_values(argv: list[str]) -> list[str]:
 
 
 def _positive_float(text: str) -> float:
-    value = float(text)
+    value = _finite_float(text)
     if not value > 0.0:
         raise argparse.ArgumentTypeError("must be positive")
     return value
@@ -267,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--quantity", choices=("P", "V", "V_bohm", "V_q", "j", "residual"), default="P"
     )
     p_prof.add_argument("--B", dest="strength", type=_positive_float, default=1.0)
-    p_prof.add_argument("--time", type=float, default=0.0)
+    p_prof.add_argument("--time", type=_finite_float, default=0.0)
     p_prof.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     p_prof.add_argument("--out", required=True)
     p_prof.set_defaults(run=cmd_profile)

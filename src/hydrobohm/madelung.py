@@ -121,6 +121,13 @@ def _interior(valid: np.ndarray) -> np.ndarray:
     return ok
 
 
+def _worst(residual: np.ndarray, usable: np.ndarray) -> float:
+    """Largest |residual| over the usable points."""
+    if not usable.any():
+        raise ValueError("no usable interior points")
+    return float(np.abs(residual[usable]).max())
+
+
 def _central_first(values: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Second-order first derivative on a possibly nonuniform grid."""
     out = np.full(values.shape, np.nan, dtype=np.result_type(values, coords, float))
@@ -378,8 +385,7 @@ def hj_residual_field(
 
 def hj_residual(polar: PolarForm, v_external, ds_dt, constants: PhysicalConstants) -> float:
     """Max |residual| of the quantum Hamilton-Jacobi equation over valid points."""
-    residual, usable = hj_residual_field(polar, v_external, ds_dt, constants)
-    return float(np.abs(residual[usable]).max())
+    return _worst(*hj_residual_field(polar, v_external, ds_dt, constants))
 
 
 def continuity_residual(
@@ -403,10 +409,7 @@ def continuity_residual(
     if polar_a.geometry == "radial":
         divergence = divergence + 2.0 * flux / coords
     density_rate = (polar_b.amplitude**2 - polar_a.amplitude**2) / dt
-    usable = _interior(_interior(valid))
-    if not usable.any():
-        raise ValueError("no usable interior points")
-    return float(np.abs((divergence + density_rate)[usable]).max())
+    return _worst(divergence + density_rate, _interior(_interior(valid)))
 
 
 def euler_residual(
@@ -434,12 +437,8 @@ def euler_residual(
     dp_dt = (p_b - p_a) / dt
     advection = (p_mid / mass) * _central_first(p_mid, coords)
     grad_q = _central_first(quantum.values, coords)
-    residual = dp_dt + advection + grad_q
     valid = polar_a.valid & polar_b.valid & ~quantum.node_mask
-    usable = _interior(_interior(valid))
-    if not usable.any():
-        raise ValueError("no usable interior points")
-    return float(np.abs(residual[usable]).max())
+    return _worst(dp_dt + advection + grad_q, _interior(_interior(valid)))
 
 
 def polar_section(

@@ -8,6 +8,7 @@ timing is deliberately kept out of serialized reports for the same reason.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import re
 from dataclasses import dataclass, field
@@ -117,17 +118,7 @@ class VerificationReport:
         return {
             "command": self.command,
             "tolerance": self.tolerance,
-            "cases": [
-                {
-                    "case_id": case.case_id,
-                    "computed": case.computed,
-                    "expected": case.expected,
-                    "abs_error": case.abs_error,
-                    "rel_error": case.rel_error,
-                    "passed": case.passed,
-                }
-                for case in self.sorted_cases()
-            ],
+            "cases": [dataclasses.asdict(case) for case in self.sorted_cases()],
             "summary": {
                 "cases": self.case_count,
                 "passes": self.pass_count,
@@ -138,18 +129,10 @@ class VerificationReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "VerificationReport":
+        names = [case_field.name for case_field in dataclasses.fields(CaseRecord)]
         report = cls(command=data["command"], tolerance=data["tolerance"])
         for entry in data["cases"]:
-            report.add(
-                CaseRecord(
-                    case_id=entry["case_id"],
-                    computed=entry["computed"],
-                    expected=entry["expected"],
-                    abs_error=entry["abs_error"],
-                    rel_error=entry["rel_error"],
-                    passed=entry["passed"],
-                )
-            )
+            report.add(CaseRecord(**{name: entry[name] for name in names}))
         return report
 
     def summary_lines(self) -> list[str]:

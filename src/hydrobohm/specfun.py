@@ -305,7 +305,7 @@ def airy_ai(x):
     x_arr = np.asarray(x)
     dtype = x_arr.dtype if x_arr.dtype in (np.dtype(np.float64), np.dtype(np.longdouble)) else np.dtype(np.float64)
     flat = np.asarray(x_arr, dtype=dtype).reshape(-1)
-    if flat.size and np.max(np.abs(flat)) > _AIRY_SUPPORTED:
+    if not np.all(np.abs(flat) <= _AIRY_SUPPORTED):
         raise ValueError(f"airy_ai supports |x| <= {_AIRY_SUPPORTED}")
     out = np.empty_like(flat)
 

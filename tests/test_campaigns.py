@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import hydrobohm.campaigns as campaigns
 from hydrobohm import energy_level, radial_distribution, radial_peaks, state
 from hydrobohm.campaigns import (
     AIRY_TOL,
@@ -83,6 +84,33 @@ class TestRunFlatness:
             run_flatness(2, policy="everything")
         with pytest.raises(ValueError):
             run_flatness(2, method="spectral")
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap campaigns-module functions; returns name -> call count."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(campaigns, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(campaigns, name, counted)
+    return counts
+
+
+class TestSharedWork:
+    def test_flatness_evaluates_one_bohm_potential_per_n_l(self, monkeypatch):
+        counts = _count_calls(monkeypatch, "bohm_potential_analytic")
+        report = run_flatness(6)
+        assert report.case_count == 91  # sum of n^2 for n <= 6
+        assert counts == {"bohm_potential_analytic": 21}
+
+    def test_airy_builds_each_polar_form_and_peak_once(self, monkeypatch):
+        counts = _count_calls(monkeypatch, "airy_polar", "_airy_peak", "airy_ai")
+        run_airy(1.0, (0, 0.3, 1))
+        assert counts == {"airy_polar": 11, "_airy_peak": 3, "airy_ai": 3}
 
 
 class TestRunBohrRadii:

@@ -191,6 +191,18 @@ class TestStateNMax:
         assert code == 0
         assert "cases: 100  passes: 100" in out
 
+    def test_profile_state_above_100_is_a_usage_error_naming_the_limit(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", "--state", "101,100,0", "--out", str(tmp_path / "x.csv")])
+        assert excinfo.value.code == 2
+        assert "argument --state: n must be <= 100, got 101" in capsys.readouterr().err
+
+    def test_profile_state_at_the_limit_runs(self, capsys, tmp_path):
+        target = tmp_path / "x.csv"
+        code, _, _ = run(capsys, "profile", "--state", "100,99,0", "--out", str(target))
+        assert code == 0
+        assert target.exists()
+
     def test_levels_has_no_such_limit(self, capsys):
         code, out, _ = run(capsys, "levels", "--n-max", "101")
         assert code == 0
@@ -214,6 +226,29 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
         assert excinfo.value.code == 2
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize(
+        "option, argv",
+        [
+            ("--B", ["airy", "--B", "inf"]),
+            ("--B", ["airy", "--B", "nan"]),
+            ("--times", ["airy", "--times", "nan"]),
+            ("--times", ["airy", "--times", "0,inf"]),
+            ("--times", ["airy", "--times=-inf"]),
+            ("--tol", ["flatness", "--n-max", "1", "--tol", "nan"]),
+            ("--tol", ["airy", "--tol", "inf"]),
+            ("--time", ["profile", "--state", "airy", "--time", "nan", "--out", "x.csv"]),
+            ("--time", ["profile", "--state", "airy", "--time=-inf", "--out", "x.csv"]),
+            ("--B", ["profile", "--state", "airy", "--B", "inf", "--out", "x.csv"]),
+        ],
+    )
+    def test_usage_error_names_the_option(self, option, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"argument {option}: must be finite" in capsys.readouterr().err
 
 
 class TestOutputDirectoryRedirect:

@@ -196,6 +196,10 @@ class TestAiryAi:
             with pytest.raises(ValueError, match="20"):
                 airy_ai(bad)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="20"):
+            airy_ai(np.array([0.0, np.nan]))
+
     def test_station_regime_boundaries_are_continuous(self):
         # Values straddling the series/stepped and stepped/asymptotic edges
         # must agree up to the function's own slope over the tiny interval;
