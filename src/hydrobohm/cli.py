@@ -54,6 +54,13 @@ OUT_DIR_ENV = "HYDROBOHM_OUT_DIR"
 # ln_factorial covers k <= 200.
 STATE_N_MAX = 100
 
+# Largest --B of airy and profile --state airy.  The Euler check's fixed
+# 1e-3 time step costs truncation error that grows with B: at t = 0 the
+# residual stays under 0.6 of the 1e-5 tolerance up to B = 100 and first
+# exceeds it at B = 115.75.  Past B = 122 the polar forms at t -+ 5e-4 leave
+# airy_ai's |x| <= 20, and B**3 overflows near 5.6e102.
+AIRY_B_MAX = 100.0
+
 # argparse reads a value that starts with '-' as an option unless it is a
 # plain negative number, so `--times -1,0.5` and `--time -1e-3` are joined
 # into `--times=-1,0.5` and `--time=-1e-3` before parsing.
@@ -170,6 +177,13 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _airy_strength(text: str) -> float:
+    value = _positive_float(text)
+    if value > AIRY_B_MAX:
+        raise argparse.ArgumentTypeError(f"must be <= {AIRY_B_MAX:g}, got {value!r}")
+    return value
+
+
 def cmd_levels(args: argparse.Namespace) -> int:
     report, rows = run_levels(args.n_max, atomic_units(), args.tol)
     columns = ["n", "energy", "ratio", "expected"]
@@ -269,7 +283,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bohr.set_defaults(run=cmd_bohr_radii)
 
     p_airy = sub.add_parser("airy", parents=[output], help="accelerating-packet checks")
-    p_airy.add_argument("--B", dest="strength", type=_positive_float, default=1.0)
+    p_airy.add_argument("--B", dest="strength", type=_airy_strength, default=1.0)
     p_airy.add_argument("--times", type=_parse_times, default=(0.0, 0.3, 1.0))
     p_airy.set_defaults(run=cmd_airy)
 
@@ -278,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_prof.add_argument(
         "--quantity", choices=("P", "V", "V_bohm", "V_q", "j", "residual"), default="P"
     )
-    p_prof.add_argument("--B", dest="strength", type=_positive_float, default=1.0)
+    p_prof.add_argument("--B", dest="strength", type=_airy_strength, default=1.0)
     p_prof.add_argument("--time", type=_finite_float, default=0.0)
     p_prof.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     p_prof.add_argument("--out", required=True)

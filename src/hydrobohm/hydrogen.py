@@ -44,6 +44,12 @@ __all__ = [
 NODE_MASK_FLOOR = 1e-12
 PEAK_SCAN_PER_DECADE = 1000
 PEAK_REL_TOL = 1e-10
+# Bisection steps of radial_peaks resolved per vector slope evaluation.  A
+# scan bracket needs about 25 steps, so 7 levels (127 midpoints per tree)
+# take 4 slope calls.  On the flatness-sweep benchmark 6 levels (5 calls)
+# ran as fast and 8 levels slower: their trees cost more to build than the
+# one call they save.
+_PEAK_TREE_LEVELS = 7
 OVERLAP_RADIAL_POINTS = 240
 OVERLAP_THETA_POINTS = 32
 OVERLAP_PHI_POINTS = 32
@@ -94,20 +100,24 @@ def _radial_norm(n: int, l: int, a: float) -> float:
     return (2.0 / (n * a)) ** 1.5 * math.exp(0.5 * log_ratio)
 
 
-def _laguerre_with_derivatives(spec: EigenstateSpec, rho):
-    """L, L' and L'' of the radial polynomial L_{n-l-1}^{2l+1} at rho."""
+def _laguerre_with_derivatives(spec: EigenstateSpec, rho, order: int = 2):
+    """L and its first `order` derivatives of L_{n-l-1}^{2l+1} at rho, one recurrence each."""
     k, alpha = spec.n - spec.l - 1, 2 * spec.l + 1
-    lag = laguerre(k, alpha, rho)
-    lag1 = laguerre_derivative(k, alpha, rho) if k >= 1 else np.zeros_like(rho)
-    lag2 = laguerre_derivative(k, alpha, rho, order=2) if k >= 2 else np.zeros_like(rho)
-    return lag, lag1, lag2
+    return (laguerre(k, alpha, rho),) + tuple(
+        laguerre_derivative(k, alpha, rho, order=j) if k >= j else np.zeros_like(rho)
+        for j in range(1, order + 1)
+    )
+
+
+def _radial_from_laguerre(n: int, l: int, a: float, rho: np.ndarray, lag: np.ndarray) -> np.ndarray:
+    """R_nl at rho = 2 r / (n a), given L_{n-l-1}^{2l+1}(rho)."""
+    return _radial_norm(n, l, a) * np.exp(-rho / 2) * rho**l * lag
 
 
 def _radial_values(n: int, l: int, a: float, r: np.ndarray) -> np.ndarray:
     """R_nl(r) for the Bohr radius a, from plain numbers."""
     rho = (2.0 / (n * a)) * r
-    lag = laguerre(n - l - 1, 2 * l + 1, rho)
-    return _radial_norm(n, l, a) * np.exp(-rho / 2) * rho**l * lag
+    return _radial_from_laguerre(n, l, a, rho, laguerre(n - l - 1, 2 * l + 1, rho))
 
 
 def radial_R(spec: EigenstateSpec, r) -> np.ndarray:
@@ -115,25 +125,33 @@ def radial_R(spec: EigenstateSpec, r) -> np.ndarray:
     return _radial_values(spec.n, spec.l, float(spec.constants.bohr_radius), np.asarray(r))
 
 
-def radial_R_derivatives(spec: EigenstateSpec, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(R, dR/dr, d2R/dr2) by the product rule on e^{-rho/2} rho^l L(rho)."""
+def _radial_derivatives(spec: EigenstateSpec, r, order: int) -> tuple[np.ndarray, ...]:
+    """R and its first `order` (1 or 2) r-derivatives by the product rule on e^{-rho/2} rho^l L(rho)."""
     r = np.asarray(r)
     n, l = spec.n, spec.l
     a = float(spec.constants.bohr_radius)
     c = 2.0 / (n * a)
     rho = c * r
-    lag, lag1, lag2 = _laguerre_with_derivatives(spec, rho)
+    lags = _laguerre_with_derivatives(spec, rho, order)
+    lag, lag1 = lags[0], lags[1]
     envelope = np.exp(-rho / 2)
     p_l = rho**l
     p_lm1 = l * rho ** (l - 1) if l >= 1 else np.zeros_like(rho)
-    p_lm2 = l * (l - 1) * rho ** (l - 2) if l >= 2 else np.zeros_like(rho)
     f0 = envelope * p_l * lag
     f1 = envelope * ((p_lm1 - p_l / 2) * lag + p_l * lag1)
-    f2 = envelope * (
-        (p_l / 4 - p_lm1 + p_lm2) * lag + (2 * p_lm1 - p_l) * lag1 + p_l * lag2
-    )
     norm = _radial_norm(n, l, a)
+    if order == 1:
+        return norm * f0, norm * c * f1
+    p_lm2 = l * (l - 1) * rho ** (l - 2) if l >= 2 else np.zeros_like(rho)
+    f2 = envelope * (
+        (p_l / 4 - p_lm1 + p_lm2) * lag + (2 * p_lm1 - p_l) * lag1 + p_l * lags[2]
+    )
     return norm * f0, norm * c * f1, norm * c * c * f2
+
+
+def radial_R_derivatives(spec: EigenstateSpec, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R, dR/dr, d2R/dr2) by the product rule on e^{-rho/2} rho^l L(rho)."""
+    return _radial_derivatives(spec, r, 2)
 
 
 def psi(spec: EigenstateSpec, r, theta, phi) -> np.ndarray:
@@ -147,7 +165,12 @@ def node_mask(spec: EigenstateSpec, r, floor: float = NODE_MASK_FLOOR) -> np.nda
     Masked points sit too close to radial nodes (or too deep in the
     exponential tail) for amplitude-dividing quantities to be evaluated.
     """
-    values = np.abs(np.asarray(radial_R(spec, r), dtype=float))
+    return _amplitude_mask(radial_R(spec, r), floor)
+
+
+def _amplitude_mask(values, floor: float = NODE_MASK_FLOOR) -> np.ndarray:
+    """True where |values| < floor * max |values|; the rule node_mask applies to R_nl."""
+    values = np.abs(np.asarray(values, dtype=float))
     peak = values.max() if values.size else 0.0
     return values < floor * peak
 
@@ -171,8 +194,11 @@ def schrodinger_residual(spec: EigenstateSpec, grid, energy=None) -> float:
 
 
 def _distribution_slope(spec: EigenstateSpec, r) -> np.ndarray:
-    """dP/dr = 2 r R (R + r dR/dr); also the scalar probe of radial_peaks."""
-    big_r, d1, _ = radial_R_derivatives(spec, r)
+    """dP/dr = 2 r R (R + r dR/dr) from R and R' alone, elementwise on any shape of r.
+
+    radial_peaks evaluates it on its scan and on its midpoint trees.
+    """
+    big_r, d1 = _radial_derivatives(spec, r, 1)
     return 2.0 * r * big_r * (big_r + r * d1)
 
 
@@ -195,13 +221,53 @@ def radial_distribution(spec: EigenstateSpec, grid) -> RadialProfile:
     return radial_profile(spec, grid, "P")
 
 
+def _midpoint_tree(lo: float, hi: float, levels: int) -> list[float]:
+    """Every midpoint bisection of (lo, hi) can visit in `levels` steps, as a heap.
+
+    Node j halves its interval (a, b) at 0.5 * (a + b); node 2j + 1 halves
+    (a, mid) and node 2j + 2 halves (mid, b).  Each node is the float a
+    scalar bisection computes.
+    """
+    intervals, mids = [(lo, hi)], []
+    for _ in range(levels):
+        halves = []
+        for a, b in intervals:
+            mid = 0.5 * (a + b)
+            mids.append(mid)
+            halves += ((a, mid), (mid, b))
+        intervals = halves
+    return mids
+
+
+def _wide(lo: float, hi: float) -> bool:
+    """The bisection of radial_peaks continues while this holds."""
+    return hi - lo > PEAK_REL_TOL * hi
+
+
+def _bisect_in_tree(lo: float, hi: float, mids: list, slopes: list) -> tuple[float, float]:
+    """Bisect (lo, hi) along one midpoint tree until the bracket is narrow or leaves the tree."""
+    j = 0
+    while j < len(mids) and _wide(lo, hi):
+        mid, s = mids[j], slopes[j]
+        if s > 0:
+            lo, j = mid, 2 * j + 2
+        elif s < 0:
+            hi, j = mid, 2 * j + 1
+        else:
+            lo = hi = mid
+    return lo, hi
+
+
 def radial_peaks(spec: EigenstateSpec) -> np.ndarray:
     """Locations of the strict local maxima of P_nl, in increasing order.
 
     Sign changes of the analytic dP/dr are bracketed on a logarithmic scan
     of [10^-3 a, 4 n^2 a] (PEAK_SCAN_PER_DECADE samples per decade) and
     polished by bisection until the bracket is narrower than PEAK_REL_TOL
-    relative to the position.
+    relative to the position.  The bisection of every open bracket takes
+    _PEAK_TREE_LEVELS steps per slope evaluation: the slope is evaluated
+    at once on all midpoints those steps can visit (the bisection's own
+    midpoints, bit for bit), then each bracket walks its tree.
     """
     a = float(spec.constants.bohr_radius)
     r_lo = 1e-3 * a
@@ -209,21 +275,15 @@ def radial_peaks(spec: EigenstateSpec) -> np.ndarray:
     decades = math.log10(r_hi / r_lo)
     scan = np.geomspace(r_lo, r_hi, max(int(decades * PEAK_SCAN_PER_DECADE), 16))
     slope = _distribution_slope(spec, scan)
-    peaks = []
     sign = np.sign(slope)
-    for i in np.nonzero((sign[:-1] > 0) & (sign[1:] < 0))[0]:
-        lo, hi = scan[i], scan[i + 1]
-        while hi - lo > PEAK_REL_TOL * hi:
-            mid = 0.5 * (lo + hi)
-            s = _distribution_slope(spec, np.asarray(mid))
-            if s > 0:
-                lo = mid
-            elif s < 0:
-                hi = mid
-            else:
-                lo = hi = mid
-        peaks.append(0.5 * (lo + hi))
-    return np.asarray(peaks)
+    tops = np.nonzero((sign[:-1] > 0) & (sign[1:] < 0))[0]
+    brackets = list(zip(scan[tops].tolist(), scan[tops + 1].tolist()))
+    while open_ := [i for i, bracket in enumerate(brackets) if _wide(*bracket)]:
+        trees = [_midpoint_tree(*brackets[i], _PEAK_TREE_LEVELS) for i in open_]
+        slopes = _distribution_slope(spec, np.array(trees)).tolist()
+        for i, mids, tree_slopes in zip(open_, trees, slopes):
+            brackets[i] = _bisect_in_tree(*brackets[i], mids, tree_slopes)
+    return np.asarray([0.5 * (lo + hi) for lo, hi in brackets])
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:

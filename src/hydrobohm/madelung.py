@@ -32,9 +32,10 @@ import numpy as np
 from .core import PhysicalConstants, as_points
 from .hydrogen import (
     EigenstateSpec,
+    _amplitude_mask,
     _laguerre_with_derivatives,
+    _radial_from_laguerre,
     energy_level,
-    node_mask,
     radial_R_derivatives,
 )
 from .specfun import spherical_harmonic
@@ -224,7 +225,9 @@ def bohm_potential_analytic(
     c = 2/(n a), which cancels the l/r^2 growth symbolically and keeps the
     evaluation well conditioned down to small r.  L, L' and L'' come from
     three separate recurrence evaluations, so the identity V_Q = E_n stays
-    a nontrivial numerical statement about those recurrences.
+    a nontrivial numerical statement about those recurrences.  The node
+    mask is node_mask's rule applied to R_nl assembled from the L already
+    in hand, on the same rho, so it is the mask node_mask returns.
     """
     if form not in ("full", "amplitude"):
         raise ValueError(f"unknown form {form!r}")
@@ -235,7 +238,7 @@ def bohm_potential_analytic(
     c = 2.0 / (spec.n * a)
     rho = c * r
     lag, lag1, lag2 = _laguerre_with_derivatives(spec, rho)
-    mask = node_mask(spec, r)
+    mask = _amplitude_mask(_radial_from_laguerre(spec.n, spec.l, a, rho, lag))
     safe_lag = np.where(mask, 1.0, lag)
     ratio1 = lag1 / safe_lag
     ratio2 = lag2 / safe_lag

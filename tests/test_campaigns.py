@@ -1,9 +1,13 @@
 """Verification campaign drivers and profile curves."""
 
+import math
+
 import numpy as np
 import pytest
 
 import hydrobohm.campaigns as campaigns
+import hydrobohm.hydrogen as hydrogen
+import hydrobohm.madelung as madelung
 from hydrobohm import energy_level, radial_distribution, radial_peaks, state
 from hydrobohm.campaigns import (
     AIRY_TOL,
@@ -86,17 +90,20 @@ class TestRunFlatness:
             run_flatness(2, method="spectral")
 
 
-def _count_calls(monkeypatch, *names):
-    """Wrap campaigns-module functions; returns name -> call count."""
+def _count_calls(monkeypatch, *names, modules=(campaigns,)):
+    """Wrap each name at every module that binds it; returns name -> call count."""
     counts = dict.fromkeys(names, 0)
     for name in names:
-        original = getattr(campaigns, name)
+        bound = [module for module in modules if hasattr(module, name)]
+        assert bound, f"{name} is bound in none of the counted modules"
+        for module in bound:
+            original = getattr(module, name)
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            counts[_name] += 1
-            return _original(*args, **kwargs)
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(campaigns, name, counted)
+            monkeypatch.setattr(module, name, counted)
     return counts
 
 
@@ -106,6 +113,18 @@ class TestSharedWork:
         report = run_flatness(6)
         assert report.case_count == 91  # sum of n^2 for n <= 6
         assert counts == {"bohm_potential_analytic": 21}
+
+    def test_flatness_masks_nodes_from_the_laguerre_values_in_hand(self, monkeypatch):
+        counts = _count_calls(monkeypatch, "node_mask", "radial_R", modules=(hydrogen, madelung, campaigns))
+        run_flatness(6)
+        assert counts == {"node_mask": 0, "radial_R": 0}
+
+    def test_peak_bisection_evaluates_the_slope_once_per_midpoint_tree(self, monkeypatch):
+        counts = _count_calls(monkeypatch, "_distribution_slope", modules=(hydrogen,))
+        peaks = radial_peaks(state(100, 99))
+        assert peaks.size == 1
+        # One scan, then 25 bisection steps in trees of _PEAK_TREE_LEVELS levels.
+        assert 2 <= counts["_distribution_slope"] <= 1 + math.ceil(25 / hydrogen._PEAK_TREE_LEVELS)
 
     def test_airy_builds_each_polar_form_and_peak_once(self, monkeypatch):
         counts = _count_calls(monkeypatch, "airy_polar", "_airy_peak", "airy_ai")

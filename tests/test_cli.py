@@ -1,12 +1,13 @@
 """Command-line interface: exit codes, file outputs, determinism."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 import hydrobohm.campaigns as campaigns
-from hydrobohm.cli import OUT_DIR_ENV, main
+from hydrobohm.cli import AIRY_B_MAX, OUT_DIR_ENV, main
 from hydrobohm.reports import VerificationReport
 
 
@@ -207,6 +208,30 @@ class TestStateNMax:
         code, out, _ = run(capsys, "levels", "--n-max", "101")
         assert code == 0
         assert "cases: 101  passes: 101" in out
+
+
+class TestAiryStrengthLimit:
+    def test_airy_at_the_limit_runs(self, capsys):
+        code, out, _ = run(capsys, "airy", "--B", repr(AIRY_B_MAX), "--times", "0")
+        assert code == 0
+        assert "cases: 5  passes: 5" in out
+
+    def test_profile_at_the_limit_runs(self, capsys, tmp_path):
+        target = tmp_path / "x.csv"
+        argv = ["profile", "--state", "airy", "--quantity", "V_q", "--B", repr(AIRY_B_MAX), "--out", str(target)]
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        assert target.exists()
+
+    @pytest.mark.parametrize("value", [math.nextafter(AIRY_B_MAX, math.inf), 1e300])
+    @pytest.mark.parametrize(
+        "argv", [["airy", "--times", "0"], ["profile", "--state", "airy", "--out", "x.csv"]], ids=["airy", "profile"]
+    )
+    def test_above_the_limit_is_a_usage_error_naming_B(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--B", repr(value)])
+        assert excinfo.value.code == 2
+        assert f"argument --B: must be <= {AIRY_B_MAX:g}, got {value!r}" in capsys.readouterr().err
 
 
 class TestUsageErrors:
