@@ -154,6 +154,24 @@ GOLDEN = [
     ("profile --state airy --time 0.5 --quantity residual --format svg --out out.svg", 0,
      "cb946bc4a380a6af8859204b8e2d1a35ecfd99dc2c76a881cdb900ebc51d88cc",
      "9a00460baa4d47390b2e10a23c5f61a4060043209aac04ec7f9501f5a607079d"),
+    # Masked runs: 207 of 4,000 V_q samples of (4, 2, -1) are masked in a
+    # trailing run; 2,748 of 8,000 packet residual samples are masked, which
+    # splits the SVG curve into 13 polylines.
+    ("profile --state 4,2,-1 --quantity V_q --format csv --out out.csv", 0,
+     "d83d3cf8a04fdc733f56a7c4cc49194e049c27b96600b5257ce35748bd54c07f",
+     "7bf52be270ebc1463a84164ccaeb3ec3d4747df6b80598ec05b3c2a4718cd95b"),
+    ("profile --state 4,2,-1 --quantity V_q --format json --out out.json", 0,
+     "5a0cba291dcac9e815664c3fa2364dce9b56f2eb00c01e25878177d2a6f6dc38",
+     "1f1ccbb9d6dc96ab9dff04c52dffc1fb47f799c3587db194c48bf960b78efc2e"),
+    ("profile --state 4,2,-1 --quantity V_q --format svg --out out.svg", 0,
+     "1da15aeb952b4c06ef1a64bc7a0a0e51f913ec315dbdee3a3941fd11dfec32a3",
+     "9a00460baa4d47390b2e10a23c5f61a4060043209aac04ec7f9501f5a607079d"),
+    ("profile --state airy --time 0 --quantity residual --format json --out out.json", 0,
+     "72c1fbd2fe488af1d28721c828890113082e5b32a4c06df8a156ed4ac35b4657",
+     "1f1ccbb9d6dc96ab9dff04c52dffc1fb47f799c3587db194c48bf960b78efc2e"),
+    ("profile --state airy --time 0 --quantity residual --format svg --out out.svg", 0,
+     "68a21c68b37814732eecd0505694614f9bc8c5a8669d4d8619501231d3c10a42",
+     "9a00460baa4d47390b2e10a23c5f61a4060043209aac04ec7f9501f5a607079d"),
     ("profile --state 1,1,0 --out out.csv", 2,
      None,
      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
