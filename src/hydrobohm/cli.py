@@ -31,17 +31,17 @@ import re
 import sys
 import time as _time
 
-import numpy as np
-
 from .campaigns import profile_curve, run_airy, run_bohr_radii, run_flatness, run_levels
 from .core import atomic_units
 from .reports import (
     REPORT_HEADER,
     VerificationReport,
     format_number,
+    profile_rows,
     report_rows,
     write_csv,
     write_json,
+    write_profile_json,
     write_svg,
 )
 
@@ -226,29 +226,9 @@ def cmd_profile(args: argparse.Namespace) -> int:
             mask=curve.masked,
         )
     elif args.format == "json":
-        write_json(
-            path,
-            {
-                "title": curve.title,
-                "x_label": curve.x_label,
-                "y_label": curve.y_label,
-                "rows": [
-                    {coord_name: float(c), "value": None if bad else float(v), "masked": bool(bad)}
-                    for c, v, bad in zip(curve.coords, curve.values, curve.masked)
-                ],
-            },
-        )
+        write_profile_json(path, coord_name, curve)
     else:
-        rows = []
-        for c, v, bad in zip(curve.coords, curve.values, curve.masked):
-            rows.append(
-                [
-                    format_number(c),
-                    "" if bad or not np.isfinite(v) else format_number(v),
-                    "true" if bad else "false",
-                ]
-            )
-        write_csv(path, [coord_name, "value", "masked"], rows)
+        write_csv(path, [coord_name, "value", "masked"], profile_rows(curve))
     print(f"wrote {path}")
     return 0
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,8 +23,10 @@ __all__ = [
     "format_number",
     "REPORT_HEADER",
     "report_rows",
+    "profile_rows",
     "write_csv",
     "write_json",
+    "write_profile_json",
     "write_svg",
 ]
 
@@ -171,18 +174,79 @@ def report_rows(report: VerificationReport) -> list[list[str]]:
     return rows
 
 
-def write_csv(path, header: list[str], rows: list[list[str]]) -> None:
+def _write_text(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as stream:
+        stream.write(text)
+
+
+def write_csv(path, header: list[str], rows: list[Sequence[str]]) -> None:
     """UTF-8, comma-delimited, LF-terminated CSV."""
     lines = [",".join(header)]
     lines.extend(",".join(row) for row in rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as stream:
-        stream.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def write_json(path, payload: dict) -> None:
     """Deterministic JSON: sorted keys, two-space indent, LF endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as stream:
-        stream.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _flag_column(flags: np.ndarray) -> list[str]:
+    """The JSON/CSV literals "true"/"false" of a boolean array (two shared strings)."""
+    return list(map(("false", "true").__getitem__, flags.tolist()))
+
+
+def _value_column(curve, to_text, missing: str) -> list[str]:
+    """to_text of each curve value; missing where it is masked or not finite."""
+    cells = list(map(to_text, curve.values.tolist()))
+    for index in np.flatnonzero(curve.masked | ~np.isfinite(curve.values)).tolist():
+        cells[index] = missing
+    return cells
+
+
+def profile_rows(curve) -> list[tuple[str, str, str]]:
+    """CSV rows (coordinate, value, masked) of a profile curve.
+
+    Numbers use format_number; the value cell is blank where the sample is
+    masked or not finite.
+    """
+    return list(
+        zip(
+            map(format_number, curve.coords.tolist()),
+            _value_column(curve, format_number, ""),
+            _flag_column(curve.masked),
+        )
+    )
+
+
+def write_profile_json(path, coord_name: str, curve) -> None:
+    """A profile curve as write_json would write its row-dict payload.
+
+    The payload is {"title", "x_label", "y_label", "rows"}, one row
+    {coord_name: c, "value": v, "masked": flag} per sample, and the bytes
+    equal json.dumps(payload, indent=2, sort_keys=True) + "\n".  The rows
+    are filled into one per-row template from three string columns instead
+    of going through the pure-Python indenting encoder.  The value is null
+    where the sample is masked or not finite (NaN and Infinity are not
+    JSON); the coordinates are finite grid points.
+    """
+    columns = {
+        coord_name: list(map(float.__repr__, curve.coords.tolist())),
+        "value": _value_column(curve, float.__repr__, "null"),
+        "masked": _flag_column(curve.masked),
+    }
+    names = sorted(columns)
+    row = "    {\n" + ",\n".join(f"      {json.dumps(name)}: %s" for name in names) + "\n    }"
+    rows = ",\n".join(map(row.__mod__, zip(*(columns[name] for name in names))))
+    lines = [
+        "{",
+        f'  "rows": [\n{rows}\n  ],' if rows else '  "rows": [],',
+        f'  "title": {json.dumps(curve.title)},',
+        f'  "x_label": {json.dumps(curve.x_label)},',
+        f'  "y_label": {json.dumps(curve.y_label)}',
+        "}",
+    ]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 _SVG_WIDTH = 640
@@ -222,13 +286,6 @@ def write_svg(path, x: np.ndarray, y: np.ndarray, title: str, x_label: str, y_la
     y_lo, y_hi = _axis_range(y[keep])
     plot_w = _SVG_WIDTH - _SVG_MARGIN_LEFT - _SVG_MARGIN_RIGHT
     plot_h = _SVG_HEIGHT - _SVG_MARGIN_TOP - _SVG_MARGIN_BOTTOM
-
-    def px(value: float) -> float:
-        return _SVG_MARGIN_LEFT + (value - x_lo) / (x_hi - x_lo) * plot_w
-
-    def py(value: float) -> float:
-        clipped = min(max(value, y_lo), y_hi)
-        return _SVG_MARGIN_TOP + (y_hi - clipped) / (y_hi - y_lo) * plot_h
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" '
@@ -271,16 +328,15 @@ def write_svg(path, x: np.ndarray, y: np.ndarray, title: str, x_label: str, y_la
         f'font-family="monospace" font-size="12" '
         f'transform="rotate(-90 16 {_SVG_MARGIN_TOP + plot_h / 2:.1f})">{y_label}</text>'
     )
-    segment: list[str] = []
-    for xi, yi, ok in zip(x, y, keep):
-        if ok:
-            segment.append(f"{px(float(xi)):.2f},{py(float(yi)):.2f}")
-        elif segment:
-            if len(segment) > 1:
-                parts.append(f'<polyline points="{" ".join(segment)}" fill="none" stroke="#1f6fb4" stroke-width="1.5"/>')
-            segment = []
-    if len(segment) > 1:
-        parts.append(f'<polyline points="{" ".join(segment)}" fill="none" stroke="#1f6fb4" stroke-width="1.5"/>')
+    # Same operation order as the scalar formula margin + (v - lo) / (hi - lo) * size,
+    # so every pixel coordinate is bit-identical to a per-point evaluation.
+    px = _SVG_MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
+    py = _SVG_MARGIN_TOP + (y_hi - np.minimum(np.maximum(y, y_lo), y_hi)) / (y_hi - y_lo) * plot_h
+    # Each run of kept samples is one polyline; a lone sample draws nothing.
+    edges = np.diff(keep.astype(np.int8), prepend=0, append=0)
+    for start, stop in zip(np.flatnonzero(edges == 1).tolist(), np.flatnonzero(edges == -1).tolist()):
+        if stop - start > 1:
+            points = " ".join(map("%.2f,%.2f".__mod__, zip(px[start:stop].tolist(), py[start:stop].tolist())))
+            parts.append(f'<polyline points="{points}" fill="none" stroke="#1f6fb4" stroke-width="1.5"/>')
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as stream:
-        stream.write("\n".join(parts) + "\n")
+    _write_text(path, "\n".join(parts) + "\n")

@@ -78,3 +78,52 @@ def local_maxima(x: np.ndarray, y: np.ndarray) -> list[float]:
     """Abscissae of strict interior local maxima of samples y(x)."""
     inner = (y[1:-1] > y[:-2]) & (y[1:-1] > y[2:])
     return [float(v) for v in x[1:-1][inner]]
+
+
+def svg_polylines(x: np.ndarray, y: np.ndarray, mask=None) -> list[str]:
+    """The `points` strings of write_svg's curve, one scalar sample at a time.
+
+    This is the per-point loop the writer used before it computed pixel
+    coordinates in numpy: each kept sample is mapped with scalar Python
+    arithmetic, masked or non-finite samples close the current segment, and
+    segments of a single point are dropped.  The canvas numbers repeat the
+    writer's (640 x 420, margins 72/24/36/52).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    drop = ~np.isfinite(y)
+    if mask is not None:
+        drop = drop | np.asarray(mask, dtype=bool)
+    keep = ~drop
+
+    def axis_range(values):
+        lo, hi = float(values.min()), float(values.max())
+        if hi == lo:
+            pad = max(abs(lo) * 1e-6, 1e-12)
+            return lo - pad, hi + pad
+        return lo, hi
+
+    x_lo, x_hi = axis_range(x)
+    y_lo, y_hi = axis_range(y[keep])
+    plot_w = 640 - 72 - 24
+    plot_h = 420 - 36 - 52
+
+    def px(value: float) -> float:
+        return 72 + (value - x_lo) / (x_hi - x_lo) * plot_w
+
+    def py(value: float) -> float:
+        clipped = min(max(value, y_lo), y_hi)
+        return 36 + (y_hi - clipped) / (y_hi - y_lo) * plot_h
+
+    polylines = []
+    segment: list[str] = []
+    for xi, yi, ok in zip(x, y, keep):
+        if ok:
+            segment.append(f"{px(float(xi)):.2f},{py(float(yi)):.2f}")
+        elif segment:
+            if len(segment) > 1:
+                polylines.append(" ".join(segment))
+            segment = []
+    if len(segment) > 1:
+        polylines.append(" ".join(segment))
+    return polylines

@@ -2,19 +2,25 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from hydrobohm.campaigns import ProfileCurve
 from hydrobohm.reports import (
     VerificationReport,
     format_number,
     make_case,
+    profile_rows,
     report_rows,
     write_csv,
     write_json,
+    write_profile_json,
     write_svg,
 )
+
+import oracles
 
 
 class TestMakeCase:
@@ -144,3 +150,134 @@ class TestWriters:
         write_svg(first, x, y, title="t", x_label="x", y_label="y")
         write_svg(second, x, y, title="t", x_label="x", y_label="y")
         assert first.read_bytes() == second.read_bytes()
+
+
+def _curve(coords, values, masked, title="hydrogen (n=3, l=1, m=1): quantum potential"):
+    return ProfileCurve(
+        np.asarray(coords, dtype=float),
+        np.asarray(values, dtype=float),
+        np.asarray(masked, dtype=bool),
+        title,
+        "r [bohr]",
+        "V_q [hartree]",
+    )
+
+
+def _row_dict_json(coord_name, curve):
+    """The profile JSON as the row-dict payload through json.dumps."""
+    payload = {
+        "title": curve.title,
+        "x_label": curve.x_label,
+        "y_label": curve.y_label,
+        "rows": [
+            {coord_name: float(c), "value": None if bad else float(v), "masked": bool(bad)}
+            for c, v, bad in zip(curve.coords, curve.values, curve.masked)
+        ],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-JSON token {token}")
+
+
+_EDGE_VALUES = [-0.0, 5e-324, 0.1, 1e-5, 1e16, -2.5e-300, 123456789.123, -1.0 / 3.0]
+
+
+def _oracle_curves():
+    n = len(_EDGE_VALUES) + 4
+    masked_ends = np.zeros(n, dtype=bool)
+    masked_ends[:2] = masked_ends[-2:] = True
+    rng = np.random.default_rng(7)
+    wide = rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)
+    return {
+        "edge values, masked at both ends": _curve(np.linspace(0.0, 1.0, n), [7.0, 8.0] + _EDGE_VALUES + [9.0, 10.0], masked_ends),
+        "single row": _curve([0.25], [-0.0], [False]),
+        "single masked row": _curve([0.25], [1.5], [True]),
+        "no rows": _curve([], [], []),
+        "wide magnitudes, random mask": _curve(np.sort(rng.random(500)) * 40.0, wide, rng.random(500) < 0.3),
+        "escaped title": _curve([0.0, 1.0], [0.1, 0.2], [False, True], title='packet "t=0" \\ \u03c8 \u2207\u00b2'),
+    }
+
+
+class TestProfileJson:
+    @pytest.mark.parametrize("coord_name", ["r", "x"])
+    @pytest.mark.parametrize("name", list(_oracle_curves()))
+    def test_bytes_equal_row_dict_json(self, name, coord_name, tmp_path):
+        curve = _oracle_curves()[name]
+        path = tmp_path / "profile.json"
+        write_profile_json(path, coord_name, curve)
+        assert path.read_bytes() == _row_dict_json(coord_name, curve).encode("utf-8")
+
+    def test_non_finite_values_are_null(self, tmp_path):
+        values = [1.0, math.nan, math.inf, -math.inf, 2.0]
+        masked = [False, False, False, False, True]
+        path = tmp_path / "profile.json"
+        write_profile_json(path, "x", _curve(np.arange(5.0), values, masked))
+        rows = json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)["rows"]
+        assert [row["value"] for row in rows] == [1.0, None, None, None, None]
+        assert [row["masked"] for row in rows] == masked
+
+
+class TestProfileRows:
+    def test_cells_match_per_row_formatting(self):
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal(200) * 10.0 ** rng.integers(-20, 20, 200)
+        values[[0, 50, 199]] = [math.nan, math.inf, -math.inf]
+        masked = rng.random(200) < 0.2
+        masked[:3] = masked[-3:] = True
+        curve = _curve(np.linspace(0.0, 30.0, 200), values, masked)
+        expected = [
+            (format_number(c), "" if bad or not np.isfinite(v) else format_number(v), "true" if bad else "false")
+            for c, v, bad in zip(curve.coords, curve.values, curve.masked)
+        ]
+        assert profile_rows(curve) == expected
+
+
+def _written_polylines(path):
+    return re.findall(r'<polyline points="([^"]*)"', path.read_text(encoding="utf-8"))
+
+
+def _near_pixel_boundaries(lo, hi, size, count):
+    """lo, hi, and values whose pixel offset (v - lo) / (hi - lo) * size lies
+    within 4 ulps of one of count rounding boundaries (k + 0.5) / 100 of "%.2f".
+
+    A pixel formula that rounds differently from the scalar one shows here.
+    """
+    centres = lo + (np.arange(count) + 0.5) / 100.0 / size * (hi - lo)
+    near = centres[:, None] + np.spacing(centres)[:, None] * np.arange(-4, 5)
+    return np.concatenate(([lo], np.sort(near.ravel()), [hi]))
+
+
+def _svg_curves():
+    x = np.linspace(0.0, 3.0, 41)
+    y = np.cos(2.0 * x) * np.exp(-x)
+    isolated = np.ones(41, dtype=bool)
+    isolated[[3, 7, 8, 20, 30, 31, 32]] = False
+    both_ends = np.zeros(41, dtype=bool)
+    both_ends[:5] = both_ends[-6:] = True
+    with_nan = y.copy()
+    with_nan[[0, 10, 11, 25, 40]] = np.nan
+    return {
+        "isolated kept samples": (x, y, isolated),
+        "masked runs at both ends": (x, y, both_ends),
+        "NaN values": (x, with_nan, None),
+        "NaN values and a mask": (x, with_nan, both_ends),
+        "constant y": (x, np.full(41, -0.5), None),
+        "constant y with a gap": (x, np.full(41, 2.0), isolated),
+        "no mask": (x, y, None),
+        "rounding boundaries": (
+            _near_pixel_boundaries(0.0, 3.0, 544, 600),
+            _near_pixel_boundaries(2.0, -1.0, 332, 600),
+            None,
+        ),
+    }
+
+
+class TestSvgPolylines:
+    @pytest.mark.parametrize("name", list(_svg_curves()))
+    def test_matches_scalar_reference(self, name, tmp_path):
+        x, y, mask = _svg_curves()[name]
+        path = tmp_path / "curve.svg"
+        write_svg(path, x, y, title="t", x_label="x", y_label="y", mask=mask)
+        assert _written_polylines(path) == oracles.svg_polylines(x, y, mask)
