@@ -328,8 +328,9 @@ def write_svg(path, x: np.ndarray, y: np.ndarray, title: str, x_label: str, y_la
         f'font-family="monospace" font-size="12" '
         f'transform="rotate(-90 16 {_SVG_MARGIN_TOP + plot_h / 2:.1f})">{y_label}</text>'
     )
-    # Same operation order as the scalar formula margin + (v - lo) / (hi - lo) * size,
-    # so every pixel coordinate is bit-identical to a per-point evaluation.
+    # Same operation order as the scalar margin + (v - lo) / (hi - lo) * size
+    # (hi - v for y), so every pixel coordinate is bit-identical to a
+    # per-point evaluation.
     px = _SVG_MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
     py = _SVG_MARGIN_TOP + (y_hi - np.minimum(np.maximum(y, y_lo), y_hi)) / (y_hi - y_lo) * plot_h
     # Each run of kept samples is one polyline; a lone sample draws nothing.
