@@ -3,7 +3,9 @@
 Everything here is built from first principles (exact rational series,
 quadrature of defining integrals, dense-grid scans) so the package's
 recurrence- and series-based evaluators are checked against genuinely
-different arithmetic, not against themselves.
+different arithmetic, not against themselves.  The exceptions are kept
+copies of loops the package ran before a rewrite (svg_polylines,
+airy_ai_reference): those check that the rewrite kept every bit.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from hydrobohm import specfun
 
 
 def laguerre_series(k: int, alpha: int, x: Fraction) -> Fraction:
@@ -127,3 +131,56 @@ def svg_polylines(x: np.ndarray, y: np.ndarray, mask=None) -> list[str]:
     if len(segment) > 1:
         polylines.append(" ".join(segment))
     return polylines
+
+
+
+def airy_ai_reference(x):
+    """airy_ai on |x| < 9 in the operation order of its first tabled version.
+
+    Unlike the constructions above this is not independent arithmetic: it
+    keeps the Maclaurin loop (fresh temporaries per term, stop test on the
+    array maxima) and the station Horner loop (value * delta + row) as they
+    were before the kernels were rewritten in place, so the rewrite can be
+    checked bit for bit.  The station table itself is the package's.
+    """
+    flat = np.asarray(x).reshape(-1)
+    assert flat.dtype in (np.dtype(np.float64), np.dtype(np.longdouble))
+    assert np.all(np.abs(flat) < specfun._AIRY_ASYMPTOTIC_EDGE)
+    out = np.empty_like(flat)
+    small = np.abs(flat) <= specfun._AIRY_SERIES_EDGE
+    if np.any(small):
+        out[small] = _airy_maclaurin_reference(flat[small])
+    if not np.all(small):
+        out[~small] = _airy_horner_reference(flat[~small])
+    return out.reshape(np.shape(x))
+
+
+def _airy_maclaurin_reference(x):
+    c_even = np.asarray(specfun._AI_ZERO, dtype=x.dtype)
+    c_odd = np.asarray(specfun._AIP_ZERO, dtype=x.dtype)
+    x3 = x * x * x
+    term_f = np.ones_like(x)
+    term_g = x.copy()
+    total = c_even * term_f + c_odd * term_g
+    for k in range(60):
+        term_f = term_f * x3 / ((3 * k + 2) * (3 * k + 3))
+        term_g = term_g * x3 / ((3 * k + 3) * (3 * k + 4))
+        contribution = c_even * term_f + c_odd * term_g
+        total = total + contribution
+        if np.max(np.abs(term_f)) < 1e-25 and np.max(np.abs(term_g)) < 1e-25:
+            break
+    return total
+
+
+def _airy_horner_reference(xm):
+    steps = specfun._AIRY_LADDER_STEPS
+    stations, coeffs = specfun._airy_stations(xm.dtype)
+    rung = np.floor((specfun._AIRY_ASYMPTOTIC_EDGE - np.abs(xm)) / specfun._AIRY_STATION_STEP)
+    outer = np.clip(rung, 0, steps - 1).astype(np.intp)
+    outer += np.where(xm > 0, 0, steps + 1)
+    idx = outer + (np.abs(xm - stations[outer + 1]) < np.abs(xm - stations[outer]))
+    delta = xm - stations[idx]
+    value = np.zeros_like(delta)
+    for row in coeffs[::-1]:
+        value = value * delta + row[idx]
+    return value

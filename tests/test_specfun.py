@@ -245,3 +245,29 @@ def test_airy_ai_bits_on_residual_grids(strength, t, digest):
 def test_airy_ai_bits_on_full_range():
     x = np.linspace(-20.0, 20.0, 400001)
     assert _bits(airy_ai(x)) == "1bbca20ce6c89bc800ae8d40b543a4d890181ae38e7134f7fc03ef45af41e7c0"
+
+
+def _same_bits(a, b) -> bool:
+    """Equal values and signs; compares values, not the padding of longdouble."""
+    return a.dtype == b.dtype and bool(np.all(a == b) and np.all(np.signbit(a) == np.signbit(b)))
+
+
+_KERNEL_INPUTS = {
+    "random": np.random.default_rng(20260101).uniform(-9.0, 9.0, 20001),
+    "largest-negative": np.array([-1.75, -0.4, 0.0, 0.9, 1.3, -2.5, 4.0, -8.9]),
+    "largest-negative-series": np.array([0.2, -1.6, 1.1, -0.05]),
+    "single-series": np.array([-1.3]),
+    "single-station": np.array([5.83]),
+    "tiny": np.array([1e-3, -7e-4, 0.0, 3e-5, -1e-3]),
+    "symmetric": np.repeat(np.linspace(0.0, 8.9, 90), 2) * np.tile([1.0, -1.0], 90),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["float64", "longdouble"])
+@pytest.mark.parametrize("name", list(_KERNEL_INPUTS))
+def test_airy_ai_kernels_keep_the_reference_bits(name, dtype):
+    x = _KERNEL_INPUTS[name].astype(dtype)
+    if dtype is np.longdouble and name == "random":
+        # Use the bits below float64 resolution too.
+        x = x + np.random.default_rng(7).uniform(-1e-17, 1e-17, x.size).astype(dtype)
+    assert _same_bits(airy_ai(x), oracles.airy_ai_reference(x))
