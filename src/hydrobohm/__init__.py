@@ -13,7 +13,6 @@ from .airy import (
     AiryPacketParams,
     airy_argument,
     airy_bohm_closed_form,
-    airy_peak_trajectory,
     airy_phase,
     airy_phase_time_derivative,
     airy_polar,
@@ -68,7 +67,6 @@ from .madelung import (
     probability_current,
     quantum_acceleration,
     quantum_potential,
-    reconstruct,
 )
 from .reports import CaseRecord, VerificationReport
 from .specfun import airy_ai, laguerre, laguerre_derivative, spherical_harmonic
@@ -90,7 +88,6 @@ __all__ = [
     "airy_ai",
     "airy_argument",
     "airy_bohm_closed_form",
-    "airy_peak_trajectory",
     "airy_phase",
     "airy_phase_time_derivative",
     "airy_polar",
@@ -124,7 +121,6 @@ __all__ = [
     "radial_distribution",
     "radial_peaks",
     "radial_profile",
-    "reconstruct",
     "run_airy",
     "run_bohr_radii",
     "run_flatness",

@@ -38,7 +38,6 @@ __all__ = [
     "airy_polar",
     "airy_bohm_closed_form",
     "airy_quantum_acceleration",
-    "airy_peak_trajectory",
 ]
 
 
@@ -86,10 +85,13 @@ def airy_phase_time_derivative(params: AiryPacketParams, x, t: float):
 
 def airy_psi(params: AiryPacketParams, x, t: float) -> np.ndarray:
     """Complex packet samples Ai(u) e^{iS/hbar}."""
+    return _packet_field(params, x, t, airy_ai(airy_argument(params, x, t)))
+
+
+def _packet_field(params: AiryPacketParams, x, t: float, envelope) -> np.ndarray:
+    """Ai(u) e^{iS/hbar} from the envelope Ai(u) already evaluated on x."""
     hbar = float(params.constants.hbar)
-    return airy_ai(airy_argument(params, x, t)) * np.exp(
-        1j * airy_phase(params, x, t) / hbar
-    )
+    return envelope * np.exp(1j * airy_phase(params, x, t) / hbar)
 
 
 def airy_polar(
@@ -105,12 +107,13 @@ def airy_polar(
     the phase bookkeeping rather than stencil noise.
     """
     x = as_points(grid)
+    return _packet_polar(params, x, t, airy_psi(params, x, t), amplitude_floor)
+
+
+def _packet_polar(params: AiryPacketParams, x, t: float, field, amplitude_floor: float) -> PolarForm:
+    """airy_polar's body for the packet samples field already in hand on x."""
     polar = decompose(
-        airy_psi(params, x, t),
-        x,
-        params.constants,
-        geometry="cartesian",
-        amplitude_floor=amplitude_floor,
+        field, x, params.constants, geometry="cartesian", amplitude_floor=amplitude_floor
     )
     curvature = params.beta**2 * airy_argument(params, x, t) * polar.amplitude
     return dataclasses.replace(polar, amplitude_d2=curvature)
@@ -134,8 +137,3 @@ def airy_quantum_acceleration(params: AiryPacketParams) -> float:
     """Constant acceleration a_Q = -grad(V_Bohm)/m = B^3 / 2 m^2."""
     m = float(params.constants.mass)
     return params.strength**3 / (2.0 * m * m)
-
-
-def airy_peak_trajectory(params: AiryPacketParams, t) -> np.ndarray:
-    """Displacement of every profile feature since t = 0: B^3 t^2 / 4 m^2."""
-    return params.drift_rate * np.square(np.asarray(t, dtype=float))

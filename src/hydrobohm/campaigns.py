@@ -16,6 +16,8 @@ import numpy as np
 
 from .airy import (
     AiryPacketParams,
+    _packet_field,
+    _packet_polar,
     airy_argument,
     airy_bohm_closed_form,
     airy_phase_time_derivative,
@@ -247,7 +249,9 @@ def run_airy(
     shrinks with the node drift rate so its O(dt^2) truncation stays
     below tolerance at large B t; wherever it equals the Euler step, the
     Euler check reuses the continuity pair.  The density peak is located
-    once per distinct time, t = 0 included.
+    once per distinct time, t = 0 included.  One Ai evaluation per time on
+    the residual grid serves both the finite-difference Bohm input and the
+    polar form at t itself, which the Hamilton-Jacobi check reads.
 
     Returns (report, rows); rows carry (t, displacement, expected).
     tolerance defaults to AIRY_TOL.
@@ -282,7 +286,10 @@ def run_airy(
             make_case(f"acceleration t={t:g}", mean_accel, a_exact, tolerance, metric="rel")
         )
 
-        hj = hj_residual(polar_at(t), 0.0, airy_phase_time_derivative(params, x, t), constants)
+        centre = _packet_polar(
+            params, x, t, _packet_field(params, x, t, envelope), AIRY_RESIDUAL_FLOOR
+        )
+        hj = hj_residual(centre, 0.0, airy_phase_time_derivative(params, x, t), constants)
         report.add(make_case(f"hj t={t:g}", hj, 0.0, tolerance, metric="abs"))
 
         drift_speed = 2.0 * params.beta * params.drift_rate * abs(t)

@@ -46,7 +46,6 @@ __all__ = [
     "CurrentField",
     "AMPLITUDE_FLOOR",
     "decompose",
-    "reconstruct",
     "coulomb_profile",
     "bohm_potential_analytic",
     "bohm_potential_fd",
@@ -129,14 +128,24 @@ def _worst(residual: np.ndarray, usable: np.ndarray) -> float:
     return float(np.abs(residual[usable]).max())
 
 
-def _central_first(values: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Second-order first derivative on a possibly nonuniform grid."""
-    out = np.full(values.shape, np.nan, dtype=np.result_type(values, coords, float))
+def _first_weights(coords: np.ndarray) -> tuple:
+    """Geometry of _central_first's stencil: h1^2, h2^2, h2^2 - h1^2, h1 h2 (h1 + h2)."""
     h1 = coords[1:-1] - coords[:-2]
     h2 = coords[2:] - coords[1:-1]
-    out[1:-1] = (
-        values[2:] * h1**2 - values[:-2] * h2**2 + values[1:-1] * (h2**2 - h1**2)
-    ) / (h1 * h2 * (h1 + h2))
+    h1_sq = h1**2
+    h2_sq = h2**2
+    return h1_sq, h2_sq, h2_sq - h1_sq, h1 * h2 * (h1 + h2)
+
+
+def _central_first(values: np.ndarray, coords: np.ndarray, weights: tuple | None = None) -> np.ndarray:
+    """Second-order first derivative on a possibly nonuniform grid.
+
+    A caller differentiating several fields on one grid passes
+    _first_weights(coords) once instead of having each call rebuild it.
+    """
+    out = np.full(values.shape, np.nan, dtype=np.result_type(values, coords, float))
+    h1_sq, h2_sq, h_diff, denominator = weights if weights is not None else _first_weights(coords)
+    out[1:-1] = (values[2:] * h1_sq - values[:-2] * h2_sq + values[1:-1] * h_diff) / denominator
     return out
 
 
@@ -191,11 +200,6 @@ def _runs(valid: np.ndarray):
     for start, stop in zip(bounds[:-1], bounds[1:]):
         if valid[start]:
             yield int(start), int(stop)
-
-
-def reconstruct(polar: PolarForm, constants: PhysicalConstants) -> np.ndarray:
-    """A e^{iS/hbar}; inverse of decompose wherever the form is valid."""
-    return polar.amplitude * np.exp(1j * polar.phase / float(constants.hbar))
 
 
 def coulomb_profile(constants: PhysicalConstants, grid) -> PotentialProfile:
@@ -407,8 +411,9 @@ def continuity_residual(
     valid = polar_a.valid & polar_b.valid
     density = 0.5 * (polar_a.amplitude**2 + polar_b.amplitude**2)
     phase = 0.5 * (polar_a.phase + polar_b.phase)
-    flux = density * _central_first(phase, coords) / mass
-    divergence = _central_first(flux, coords)
+    weights = _first_weights(coords)
+    flux = density * _central_first(phase, coords, weights) / mass
+    divergence = _central_first(flux, coords, weights)
     if polar_a.geometry == "radial":
         divergence = divergence + 2.0 * flux / coords
     density_rate = (polar_b.amplitude**2 - polar_a.amplitude**2) / dt
@@ -434,12 +439,13 @@ def euler_residual(
         raise ValueError("quantum profile lives on a different grid")
     mass = float(constants.mass)
     coords = polar_a.coords
-    p_a = _central_first(polar_a.phase, coords)
-    p_b = _central_first(polar_b.phase, coords)
+    weights = _first_weights(coords)
+    p_a = _central_first(polar_a.phase, coords, weights)
+    p_b = _central_first(polar_b.phase, coords, weights)
     p_mid = 0.5 * (p_a + p_b)
     dp_dt = (p_b - p_a) / dt
-    advection = (p_mid / mass) * _central_first(p_mid, coords)
-    grad_q = _central_first(quantum.values, coords)
+    advection = (p_mid / mass) * _central_first(p_mid, coords, weights)
+    grad_q = _central_first(quantum.values, coords, weights)
     valid = polar_a.valid & polar_b.valid & ~quantum.node_mask
     return _worst(dp_dt + advection + grad_q, _interior(_interior(valid)))
 

@@ -149,6 +149,15 @@ def spherical_harmonic(l: int, m: int, theta, phi):
 #                     and neutral on the oscillatory side.  A point finds its
 #                     station by arithmetic on the ladder; at an exact
 #                     midpoint it takes the outer station.
+#
+# Both series loops update their arrays in place, in the same operation order
+# as value = value * delta + row, so no term allocates a temporary.  The
+# Maclaurin loop stops when both terms fall below 1e-25 everywhere, and it
+# reads that off one point: the one with the largest |x|.  Rounding is
+# monotone, so each step maps a larger |x| (and a larger previous term) to a
+# term at least as large; by induction that point holds the array maximum of
+# |term_f| and |term_g| at every k, and the scalar test stops at the same k
+# as the two array maxima would.
 
 _AIRY_SUPPORTED = 20.0
 _AIRY_SERIES_EDGE = 1.8
@@ -170,12 +179,19 @@ def _airy_maclaurin(x, dtype):
     term_f = np.ones_like(x)
     term_g = x.copy()
     total = c_even * term_f + c_odd * term_g
+    contribution = np.empty_like(x)
+    odd_part = np.empty_like(x)
+    widest = int(np.argmax(np.abs(x)))
     for k in range(60):
-        term_f = term_f * x3 / ((3 * k + 2) * (3 * k + 3))
-        term_g = term_g * x3 / ((3 * k + 3) * (3 * k + 4))
-        contribution = c_even * term_f + c_odd * term_g
-        total = total + contribution
-        if np.max(np.abs(term_f)) < 1e-25 and np.max(np.abs(term_g)) < 1e-25:
+        term_f *= x3
+        term_f /= (3 * k + 2) * (3 * k + 3)
+        term_g *= x3
+        term_g /= (3 * k + 3) * (3 * k + 4)
+        np.multiply(c_even, term_f, out=contribution)
+        np.multiply(c_odd, term_g, out=odd_part)
+        contribution += odd_part
+        total += contribution
+        if abs(term_f[widest]) < 1e-25 and abs(term_g[widest]) < 1e-25:
             break
     return total
 
@@ -303,6 +319,8 @@ def airy_ai(x):
     local oscillation envelope rather than to the (vanishing) value itself.
     """
     x_arr = np.asarray(x)
+    if np.iscomplexobj(x_arr):
+        raise ValueError("airy_ai needs a real argument; got a complex one")
     dtype = x_arr.dtype if x_arr.dtype in (np.dtype(np.float64), np.dtype(np.longdouble)) else np.dtype(np.float64)
     flat = np.asarray(x_arr, dtype=dtype).reshape(-1)
     if not np.all(np.abs(flat) <= _AIRY_SUPPORTED):
@@ -331,7 +349,8 @@ def airy_ai(x):
         delta = xm - stations[idx]
         value = np.zeros_like(delta)
         for row in coeffs[::-1]:
-            value = value * delta + row[idx]
+            value *= delta
+            value += row[idx]
         out[mid] = value
     out = out.reshape(x_arr.shape)
     if x_arr.shape == ():

@@ -11,7 +11,6 @@ from hydrobohm import (
     airy_ai,
     airy_argument,
     airy_bohm_closed_form,
-    airy_peak_trajectory,
     airy_phase,
     airy_phase_time_derivative,
     airy_polar,
@@ -101,11 +100,6 @@ class TestClosedFormPotential:
     def test_uniform_acceleration_value(self):
         assert airy_quantum_acceleration(params(1.0)) == pytest.approx(0.5)
         assert airy_quantum_acceleration(params(2.0)) == pytest.approx(4.0)
-
-    def test_peak_trajectory_is_quadratic(self):
-        p = params(1.0)
-        t = np.array([0.0, 1.0, 2.0])
-        np.testing.assert_allclose(airy_peak_trajectory(p, t), 0.25 * t**2, rtol=1e-14)
 
 
 class TestPolarSection:

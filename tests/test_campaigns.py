@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import hydrobohm.airy as airy
 import hydrobohm.campaigns as campaigns
 import hydrobohm.hydrogen as hydrogen
 import hydrobohm.madelung as madelung
@@ -127,9 +128,13 @@ class TestSharedWork:
         assert 2 <= counts["_distribution_slope"] <= 1 + math.ceil(25 / hydrogen._PEAK_TREE_LEVELS)
 
     def test_airy_builds_each_polar_form_and_peak_once(self, monkeypatch):
-        counts = _count_calls(monkeypatch, "airy_polar", "_airy_peak", "airy_ai")
+        counts = _count_calls(
+            monkeypatch, "airy_polar", "_packet_polar", "_airy_peak", "airy_ai", modules=(campaigns, airy)
+        )
         run_airy(1.0, (0, 0.3, 1))
-        assert counts == {"airy_polar": 11, "_airy_peak": 3, "airy_ai": 3}
+        # 11 polar forms, 3 of them (one per time) on the envelope the Bohm
+        # check already evaluated; Ai once per polar form, envelope and peak.
+        assert counts == {"airy_polar": 8, "_packet_polar": 11, "_airy_peak": 3, "airy_ai": 14}
 
 
 class TestRunBohrRadii:

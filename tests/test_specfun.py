@@ -200,6 +200,12 @@ class TestAiryAi:
         with pytest.raises(ValueError, match="20"):
             airy_ai(np.array([0.0, np.nan]))
 
+    def test_rejects_complex_arguments(self):
+        # The imaginary part used to be dropped with only a ComplexWarning.
+        for bad in (np.array([1.0 + 2.0j]), 1.0 + 0.0j, np.array([0.5, 1.0], dtype=complex)):
+            with pytest.raises(ValueError, match="real"):
+                airy_ai(bad)
+
     def test_station_regime_boundaries_are_continuous(self):
         # Values straddling the series/stepped and stepped/asymptotic edges
         # must agree up to the function's own slope over the tiny interval;
