@@ -290,6 +290,7 @@ def run_airy(
             params, x, t, _packet_field(params, x, t, envelope), AIRY_RESIDUAL_FLOOR
         )
         hj = hj_residual(centre, 0.0, airy_phase_time_derivative(params, x, t), constants)
+        del centre, envelope  # not held while the bracketing forms are built
         report.add(make_case(f"hj t={t:g}", hj, 0.0, tolerance, metric="abs"))
 
         drift_speed = 2.0 * params.beta * params.drift_rate * abs(t)

@@ -132,9 +132,11 @@ def _first_weights(coords: np.ndarray) -> tuple:
     """Geometry of _central_first's stencil: h1^2, h2^2, h2^2 - h1^2, h1 h2 (h1 + h2)."""
     h1 = coords[1:-1] - coords[:-2]
     h2 = coords[2:] - coords[1:-1]
-    h1_sq = h1**2
-    h2_sq = h2**2
-    return h1_sq, h2_sq, h2_sq - h1_sq, h1 * h2 * (h1 + h2)
+    denominator = h1 * h2
+    denominator *= h1 + h2
+    h1 *= h1
+    h2 *= h2
+    return h1, h2, h2 - h1, denominator
 
 
 def _central_first(values: np.ndarray, coords: np.ndarray, weights: tuple | None = None) -> np.ndarray:
@@ -145,7 +147,12 @@ def _central_first(values: np.ndarray, coords: np.ndarray, weights: tuple | None
     """
     out = np.full(values.shape, np.nan, dtype=np.result_type(values, coords, float))
     h1_sq, h2_sq, h_diff, denominator = weights if weights is not None else _first_weights(coords)
-    out[1:-1] = (values[2:] * h1_sq - values[:-2] * h2_sq + values[1:-1] * h_diff) / denominator
+    # (v+ h1^2 - v- h2^2 + v0 (h2^2 - h1^2)) / (h1 h2 (h1 + h2)), left to right.
+    numerator = values[2:] * h1_sq
+    numerator -= values[:-2] * h2_sq
+    numerator += values[1:-1] * h_diff
+    numerator /= denominator
+    out[1:-1] = numerator
     return out
 
 
