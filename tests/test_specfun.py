@@ -201,7 +201,7 @@ class TestAiryAi:
             airy_ai(np.array([0.0, np.nan]))
 
     def test_rejects_complex_arguments(self):
-        # The imaginary part used to be dropped with only a ComplexWarning.
+        # A complex argument is an error, never silently cast to its real part.
         for bad in (np.array([1.0 + 2.0j]), 1.0 + 0.0j, np.array([0.5, 1.0], dtype=complex)):
             with pytest.raises(ValueError, match="real"):
                 airy_ai(bad)
