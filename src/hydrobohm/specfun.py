@@ -150,14 +150,14 @@ def spherical_harmonic(l: int, m: int, theta, phi):
 #                     station by arithmetic on the ladder; at an exact
 #                     midpoint it takes the outer station.
 #
-# Both series loops update their arrays in place, in the same operation order
-# as value = value * delta + row, so no term allocates a temporary.  The
-# Maclaurin loop stops when both terms fall below 1e-25 everywhere, and it
-# reads that off one point: the one with the largest |x|.  Rounding is
-# monotone, so each step maps a larger |x| (and a larger previous term) to a
-# term at least as large; by induction that point holds the array maximum of
-# |term_f| and |term_g| at every k, and the scalar test stops at the same k
-# as the two array maxima would.
+# Both series loops update their arrays in place; each in-place step keeps the
+# operation order of the plain expression (value * delta + row), so the bits
+# are those of the allocating form.  The Maclaurin loop stops when both terms
+# fall below 1e-25 everywhere, and it reads that off one point: the one with
+# the largest |x|.  Rounding is monotone, so each step maps a larger |x| (and
+# a larger previous term) to a term at least as large; by induction that
+# point holds the array maximum of |term_f| and |term_g| at every k, and the
+# scalar test stops at the same k as the two array maxima would.
 
 _AIRY_SUPPORTED = 20.0
 _AIRY_SERIES_EDGE = 1.8
