@@ -5,7 +5,8 @@ quadrature of defining integrals, dense-grid scans) so the package's
 recurrence- and series-based evaluators are checked against genuinely
 different arithmetic, not against themselves.  The exceptions are kept
 copies of loops the package ran before a rewrite (svg_polylines,
-airy_ai_reference): those check that the rewrite kept every bit.
+airy_ai_reference, laguerre_reference): those check that the rewrite kept
+every bit.
 """
 
 from __future__ import annotations
@@ -28,6 +29,24 @@ def laguerre_series(k: int, alpha: int, x: Fraction) -> Fraction:
         term = Fraction(math.comb(k + alpha, k - i), math.factorial(i)) * x**i
         total += -term if i % 2 else term
     return total
+
+
+def laguerre_reference(k: int, alpha: int, x):
+    """laguerre in the operation order of its first version, for float input.
+
+    Not independent arithmetic: it keeps the upward recurrence with fresh
+    temporaries per step, as it was before the loop was rewritten in place,
+    so the rewrite can be checked bit for bit.
+    """
+    x = np.asarray(x)
+    assert x.dtype.kind == "f"
+    prev = np.ones_like(x)
+    if k == 0:
+        return prev
+    current = 1 + alpha - x
+    for j in range(1, k):
+        prev, current = current, ((2 * j + 1 + alpha - x) * current - (j + alpha) * prev) / (j + 1)
+    return current
 
 
 def legendre_coefficients(l: int) -> list[Fraction]:

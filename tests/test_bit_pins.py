@@ -3,10 +3,12 @@
 The CLI golden digests see these values only through formatted reports, so
 each digest here is the SHA-256 of the float64 (or bool) bytes themselves:
 the run_flatness(20) deviations, the analytic Bohm potential and its node
-mask for three states, the run_bohr_radii(100) rows, every radial peak
-with n <= 30, the run_airy case values and rows for three strengths over
-four times, and the packet's density, current and Hamilton-Jacobi residual
-profiles at two times.  They were recorded once and are never regenerated
+mask for three states, the finite-difference Bohm potential and its mask
+on the radial flatness grids of three states, on one Airy residual grid
+and for one complex Cartesian field, the run_bohr_radii(100) rows, every
+radial peak with n <= 30, the run_airy case values and rows for three
+strengths over four times, and the packet's density, current and
+Hamilton-Jacobi residual profiles at two times.  They were recorded once and are never regenerated
 by the suite: a change to how these quantities are evaluated must keep
 every bit.
 """
@@ -16,8 +18,21 @@ import hashlib
 import numpy as np
 import pytest
 
-from hydrobohm import atomic_units, bohm_potential_analytic, radial_peaks, state
+from hydrobohm import (
+    AiryPacketParams,
+    airy_argument,
+    atomic_units,
+    bohm_potential_analytic,
+    bohm_potential_fd,
+    make_axis_grid,
+    radial_peaks,
+    specfun,
+    state,
+)
 from hydrobohm.campaigns import (
+    AIRY_RESIDUAL_FLOOR,
+    _airy_residual_grid,
+    _flatness_fd_bohm,
     default_hydrogen_grid,
     profile_curve,
     run_airy,
@@ -55,6 +70,45 @@ def test_bohm_potential_analytic_bits(n, l, digest):
     assert profile.values.dtype == np.float64
     assert profile.node_mask.dtype == np.bool_
     assert _digest(profile.values, profile.node_mask) == digest
+
+
+FD_RADIAL_BITS = [
+    (3, 0, 35001, "de54125c97e314d255d964d531480d6cd69c6dfd478be3376f350da6b903c20a"),
+    (6, 2, 143001, "fb43aee8504febebc7f91993e70360adfc0917d0f3fcd5d6757a40481d4d247e"),
+    (9, 8, 323001, "8438ddee3cb6acef7d3cb80b8b52468bced6a4e7613fa73f7e487f182a049782"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, l, size, digest", FD_RADIAL_BITS, ids=[f"n={n}-l={l}" for n, l, _, _ in FD_RADIAL_BITS]
+)
+def test_bohm_potential_fd_radial_bits(n, l, size, digest):
+    _, profile = _flatness_fd_bohm(state(n, l))
+    assert profile.values.dtype == np.float64
+    assert profile.values.size == size
+    assert _digest(profile.values, profile.node_mask) == digest
+
+
+def test_bohm_potential_fd_airy_bits():
+    params = AiryPacketParams(1.0, AU)
+    grid = _airy_residual_grid(params, 0.3)
+    envelope = specfun.airy_ai(airy_argument(params, grid.points, 0.3))
+    profile = bohm_potential_fd(envelope, grid, AU, amplitude_floor=AIRY_RESIDUAL_FLOOR)
+    assert profile.values.size == 32001
+    assert int(profile.node_mask.sum()) == 829
+    assert _digest(profile.values, profile.node_mask) == (
+        "86a0c86f2f6227791e1be980aa267ac27e7a27b0376a0e47f94080f19b66cba4"
+    )
+
+
+def test_bohm_potential_fd_complex_field_bits():
+    grid = make_axis_grid(-3.0, 3.0, 601)
+    field = np.exp(-grid.points**2).astype(complex) * np.exp(0.3j * grid.points)
+    profile = bohm_potential_fd(field, grid, AU)
+    assert profile.values.dtype == np.float64
+    assert _digest(profile.values, profile.node_mask) == (
+        "7d0fde733287f2f6ecb80229c196da48b43a511ebb913ba33ae25e57fe827b32"
+    )
 
 
 def test_bohr_radii_row_bits():

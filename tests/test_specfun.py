@@ -70,6 +70,15 @@ class TestLaguerre:
         fd = (laguerre(6, 1, x + h) - laguerre(6, 1, x - h)) / (2.0 * h)
         np.testing.assert_allclose(laguerre_derivative(6, 1, x), fd, rtol=1e-7, atol=1e-7)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_keeps_the_bits_and_dtype_of_the_reference_loop(self, dtype):
+        x = np.linspace(0.0, 80.0, 2001).astype(dtype)
+        for k in range(31):
+            for alpha in (0, 1, 7):
+                value = laguerre(k, alpha, x)
+                assert value.dtype == dtype
+                assert _same_bits(value, oracles.laguerre_reference(k, alpha, x)), (k, alpha)
+
     def test_spec_validation(self):
         x = np.array([0.5, 2.0])
         with pytest.raises(ValueError):
