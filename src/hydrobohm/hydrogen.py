@@ -44,12 +44,12 @@ __all__ = [
 NODE_MASK_FLOOR = 1e-12
 PEAK_SCAN_PER_DECADE = 1000
 PEAK_REL_TOL = 1e-10
-# Bisection steps of radial_peaks resolved per vector slope evaluation.  A
+# Bisection steps of radial_peaks resolved per vector sign evaluation.  A
 # scan bracket needs about 25 steps, so 7 levels (127 midpoints per tree)
 # take 4 slope calls.  On the flatness-sweep benchmark 6 levels (5 calls)
 # ran as fast and 8 levels slower: their trees cost more to build than the
 # one call they save.
-_PEAK_TREE_LEVELS = 7
+_PEAK_TREE_LEVELS = 5
 OVERLAP_RADIAL_POINTS = 240
 OVERLAP_THETA_POINTS = 32
 OVERLAP_PHI_POINTS = 32
@@ -194,12 +194,26 @@ def schrodinger_residual(spec: EigenstateSpec, grid, energy=None) -> float:
 
 
 def _distribution_slope(spec: EigenstateSpec, r) -> np.ndarray:
-    """dP/dr = 2 r R (R + r dR/dr) from R and R' alone, elementwise on any shape of r.
-
-    radial_peaks evaluates it on its scan and on its midpoint trees.
-    """
+    """dP/dr = 2 r R (R + r dR/dr) from R and R' alone, elementwise on any shape of r."""
     big_r, d1 = _radial_derivatives(spec, r, 1)
     return 2.0 * r * big_r * (big_r + r * d1)
+
+
+def _slope_sign(spec: EigenstateSpec, r) -> np.ndarray:
+    """sign(L) ((1 + l - rho/2) L + rho L'), which has the sign of dP/dr; any shape of r.
+
+    With R = N e^{-rho/2} rho^l L(rho), dP/dr = 2 r N^2 e^{-rho} rho^{2l}
+    L ((1 + l - rho/2) L + rho L'), and every factor before the first L is
+    positive.  radial_peaks evaluates it on its scan and midpoint trees.
+    """
+    rho = (2.0 / (spec.n * float(spec.constants.bohr_radius))) * np.asarray(r)
+    lag, lag1 = _laguerre_with_derivatives(spec, rho, 1)
+    value = (1 + spec.l) - rho / 2
+    value *= lag
+    lag1 *= rho
+    value += lag1
+    value *= np.sign(lag)
+    return value
 
 
 def radial_profile(spec: EigenstateSpec, grid, quantity: str = "P") -> RadialProfile:
@@ -258,29 +272,38 @@ def _bisect_in_tree(lo: float, hi: float, mids: list, slopes: list) -> tuple[flo
     return lo, hi
 
 
-def radial_peaks(spec: EigenstateSpec) -> np.ndarray:
-    """Locations of the strict local maxima of P_nl, in increasing order.
-
-    Sign changes of the analytic dP/dr are bracketed on a logarithmic scan
-    of [10^-3 a, 4 n^2 a] (PEAK_SCAN_PER_DECADE samples per decade) and
-    polished by bisection until the bracket is narrower than PEAK_REL_TOL
-    relative to the position.  The bisection of every open bracket takes
-    _PEAK_TREE_LEVELS steps per slope evaluation: the slope is evaluated
-    at once on all midpoints those steps can visit (the bisection's own
-    midpoints, bit for bit), then each bracket walks its tree.
-    """
+def _peak_scan(spec: EigenstateSpec) -> np.ndarray:
+    """The logarithmic scan on which radial_peaks brackets sign changes of dP/dr."""
     a = float(spec.constants.bohr_radius)
     r_lo = 1e-3 * a
     r_hi = 4.0 * spec.n**2 * a
     decades = math.log10(r_hi / r_lo)
-    scan = np.geomspace(r_lo, r_hi, max(int(decades * PEAK_SCAN_PER_DECADE), 16))
-    slope = _distribution_slope(spec, scan)
-    sign = np.sign(slope)
-    tops = np.nonzero((sign[:-1] > 0) & (sign[1:] < 0))[0]
+    return np.geomspace(r_lo, r_hi, max(int(decades * PEAK_SCAN_PER_DECADE), 16))
+
+
+def radial_peaks(spec: EigenstateSpec) -> np.ndarray:
+    """Locations of the strict local maxima of P_nl, in increasing order.
+
+    Sign changes of dP/dr from + to - are bracketed on a logarithmic scan
+    of [10^-3 a, 4 n^2 a] (PEAK_SCAN_PER_DECADE samples per decade) and
+    polished by bisection until the bracket is narrower than PEAK_REL_TOL
+    relative to the position.  Only the sign of dP/dr is read, and it is
+    the sign of sign(L) ((1 + l - rho/2) L + rho L') with L = L_{n-l-1}^{2l+1}
+    (the log-derivative 1 + l - rho/2 + rho L'/L, times L^2 >= 0).  The
+    factor 2 r N^2 e^{-rho} rho^{2l} dropped from dP/dr is positive, so no
+    normalization, power or exponential is evaluated, and nothing
+    overflows for large n.  The bisection of every open bracket takes
+    _PEAK_TREE_LEVELS steps per sign evaluation: the sign is evaluated at
+    once on all midpoints those steps can visit (the bisection's own
+    midpoints, bit for bit), then each bracket walks its tree.
+    """
+    scan = _peak_scan(spec)
+    slope = _slope_sign(spec, scan)
+    tops = np.nonzero((slope[:-1] > 0) & (slope[1:] < 0))[0]
     brackets = list(zip(scan[tops].tolist(), scan[tops + 1].tolist()))
     while open_ := [i for i, bracket in enumerate(brackets) if _wide(*bracket)]:
         trees = [_midpoint_tree(*brackets[i], _PEAK_TREE_LEVELS) for i in open_]
-        slopes = _distribution_slope(spec, np.array(trees)).tolist()
+        slopes = _slope_sign(spec, np.array(trees)).tolist()
         for i, mids, tree_slopes in zip(open_, trees, slopes):
             brackets[i] = _bisect_in_tree(*brackets[i], mids, tree_slopes)
     return np.asarray([0.5 * (lo + hi) for lo, hi in brackets])

@@ -287,26 +287,39 @@ def bohm_potential_fd(
     magnitude = np.abs(field)
     peak = magnitude.max()
     clear = magnitude >= amplitude_floor * peak if peak > 0.0 else np.zeros(field.shape, bool)
-    ok = _interior(clear)
+    masked = _interior(clear)
+    np.logical_not(masked, out=masked)
+    # Each term is built in one buffer, in the operation order of
+    # (f+ - 2 f0 + f-) / h^2 + 2 ((f+ - f-) / 2h) / r - l(l+1) f / r^2.
     lap = np.empty_like(field)
-    lap[1:-1] = (field[2:] - 2.0 * field[1:-1] + field[:-2]) / (h * h)
+    inner = lap[1:-1]
+    np.multiply(2.0, field[1:-1], out=inner)
+    np.subtract(field[2:], inner, out=inner)
+    inner += field[:-2]
+    inner /= h * h
     lap[0] = lap[-1] = np.nan
     if geometry == "radial":
-        d1 = np.empty_like(field)
-        d1[1:-1] = (field[2:] - field[:-2]) / (2.0 * h)
-        d1[0] = d1[-1] = np.nan
-        lap = lap + 2.0 * d1 / coords
+        term = np.empty_like(field)
+        inner = term[1:-1]
+        np.subtract(field[2:], field[:-2], out=inner)
+        inner /= 2.0 * h
+        term[0] = term[-1] = np.nan
+        term *= 2.0
+        term /= coords
+        lap += term
     elif geometry != "cartesian":
         raise ValueError(f"unknown geometry {geometry!r}")
     if angular_l is not None:
-        lap = lap - angular_l * (angular_l + 1) * field / coords**2
+        term = angular_l * (angular_l + 1) * field
+        term /= coords**2
+        lap -= term
     hb, mass = float(constants.hbar), float(constants.mass)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = lap / field
-    if np.iscomplexobj(ratio):
-        ratio = ratio.real
-    result = np.where(ok, -(hb * hb / (2.0 * mass)) * ratio, np.nan)
-    return PotentialProfile(coords=coords, values=result, node_mask=~ok, kind="bohm")
+        lap /= field
+    ratio = lap.real.copy() if np.iscomplexobj(lap) else lap
+    ratio *= -(hb * hb / (2.0 * mass))
+    ratio[masked] = np.nan
+    return PotentialProfile(coords=coords, values=ratio, node_mask=masked, kind="bohm")
 
 
 def quantum_potential(external: PotentialProfile, bohm: PotentialProfile) -> PotentialProfile:

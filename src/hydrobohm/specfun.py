@@ -63,17 +63,29 @@ def laguerre(k: int, alpha: int, x):
 
     started from L_0 = 1 and L_1 = 1 + alpha - x.  The upward recurrence is
     well conditioned for the degrees used here (documented to k = 30).
+    Each step updates one fresh array in place, in the operation order of
+    the formula above.  Non-float points are evaluated as float64.
     """
     _check_laguerre_args(k, alpha)
-    x = np.asarray(x)
-    one = np.ones_like(x, dtype=x.dtype if x.dtype.kind == "f" else float)
+    x = _float_points(x)
     if k == 0:
-        return one
-    prev = one
+        return np.ones_like(x)
+    prev = np.ones_like(x)
     current = 1 + alpha - x
     for j in range(1, k):
-        prev, current = current, ((2 * j + 1 + alpha - x) * current - (j + alpha) * prev) / (j + 1)
+        nxt = (2 * j + 1 + alpha) - x
+        nxt *= current
+        prev *= j + alpha
+        nxt -= prev
+        nxt /= j + 1
+        prev, current = current, nxt
     return current
+
+
+def _float_points(x) -> np.ndarray:
+    """x as an array, converted to float64 unless it is already floating or complex."""
+    x = np.asarray(x)
+    return x if x.dtype.kind in "fc" else x.astype(float)
 
 
 def laguerre_derivative(k: int, alpha: int, x, order: int = 1):
@@ -82,8 +94,7 @@ def laguerre_derivative(k: int, alpha: int, x, order: int = 1):
     if not isinstance(order, (int, np.integer)) or order < 1:
         raise ValueError(f"order must be a positive integer, got {order!r}")
     if k < order:
-        x = np.asarray(x)
-        return np.zeros_like(x, dtype=x.dtype if x.dtype.kind == "f" else float)
+        return np.zeros_like(_float_points(x))
     sign = -1 if order % 2 else 1
     return sign * laguerre(k - order, alpha + order, x)
 

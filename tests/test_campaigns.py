@@ -121,11 +121,13 @@ class TestSharedWork:
         assert counts == {"node_mask": 0, "radial_R": 0}
 
     def test_peak_bisection_evaluates_the_slope_once_per_midpoint_tree(self, monkeypatch):
-        counts = _count_calls(monkeypatch, "_distribution_slope", modules=(hydrogen,))
+        counts = _count_calls(monkeypatch, "_slope_sign", "_distribution_slope", modules=(hydrogen,))
         peaks = radial_peaks(state(100, 99))
         assert peaks.size == 1
-        # One scan, then 25 bisection steps in trees of _PEAK_TREE_LEVELS levels.
-        assert 2 <= counts["_distribution_slope"] <= 1 + math.ceil(25 / hydrogen._PEAK_TREE_LEVELS)
+        # One scan, then 25 bisection steps in trees of _PEAK_TREE_LEVELS
+        # levels, all on the sign of dP/dr: the normalized slope is not used.
+        assert 2 <= counts["_slope_sign"] <= 1 + math.ceil(25 / hydrogen._PEAK_TREE_LEVELS)
+        assert counts["_distribution_slope"] == 0
 
     def test_airy_builds_each_polar_form_and_peak_once(self, monkeypatch):
         counts = _count_calls(

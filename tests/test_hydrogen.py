@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +31,8 @@ from hydrobohm import (
     state,
     spherical_harmonic,
 )
+
+from hydrobohm.campaigns import BOHR_RADII_TOL
 
 import oracles
 
@@ -198,6 +201,26 @@ class TestRadialPeaks:
         np.testing.assert_allclose(
             radial_peaks(state(3, 0)), [0.740037, 4.18593, 13.074033], rtol=1e-5
         )
+
+    def test_sign_helper_agrees_with_the_normalized_slope_to_n_30(self):
+        for n in range(1, 31):
+            for l in range(n):
+                spec = state(n, l)
+                scan = hydrogen._peak_scan(spec)
+                with np.errstate(under="ignore"):
+                    slope = hydrogen._distribution_slope(spec, scan)
+                checked = np.isfinite(slope) & (slope != 0.0)
+                assert np.count_nonzero(checked) > scan.size // 2, (n, l)
+                sign = np.sign(hydrogen._slope_sign(spec, scan))
+                np.testing.assert_array_equal(sign[checked], np.sign(slope[checked]), err_msg=f"{(n, l)}")
+
+    @pytest.mark.parametrize("n", [140, 200, 500, 1000])
+    def test_circular_peaks_past_the_power_overflow(self, n):
+        # rho**l of the normalized slope overflows from n of about 130 on.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            peaks = radial_peaks(state(n, n - 1))
+        assert abs(peaks[-1] - n * n) / (n * n) <= BOHR_RADII_TOL
 
     def test_peaks_scale_with_bohr_radius(self):
         constants = PhysicalConstants(hbar=1.0, mass=1.0, coulomb=2.0)

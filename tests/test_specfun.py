@@ -79,6 +79,15 @@ class TestLaguerre:
                 assert value.dtype == dtype
                 assert _same_bits(value, oracles.laguerre_reference(k, alpha, x)), (k, alpha)
 
+    @pytest.mark.parametrize("k", range(7))
+    def test_integer_points_evaluate_as_float64(self, k):
+        points = np.arange(4)
+        as_floats = points.astype(np.float64)
+        assert _same_bits(laguerre(k, 1, points), laguerre(k, 1, as_floats))
+        for order in (1, 2):
+            derivative = laguerre_derivative(k, 1, points, order=order)
+            assert _same_bits(derivative, laguerre_derivative(k, 1, as_floats, order=order))
+
     def test_spec_validation(self):
         x = np.array([0.5, 2.0])
         with pytest.raises(ValueError):
