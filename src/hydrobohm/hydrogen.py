@@ -45,10 +45,10 @@ NODE_MASK_FLOOR = 1e-12
 PEAK_SCAN_PER_DECADE = 1000
 PEAK_REL_TOL = 1e-10
 # Bisection steps of radial_peaks resolved per vector sign evaluation.  A
-# scan bracket needs about 25 steps, so 7 levels (127 midpoints per tree)
-# take 4 slope calls.  On the flatness-sweep benchmark 6 levels (5 calls)
-# ran as fast and 8 levels slower: their trees cost more to build than the
-# one call they save.
+# scan bracket needs about 25 steps, so 5 levels (31 midpoints per tree)
+# take 5 sign calls.  The sign is cheap next to building a tree in Python:
+# run_bohr_radii(100) took 26 ms at 4 or 5 levels, 31 ms at 6 and 32 ms at
+# 7, and flatness-sweep ran faster at 5 levels than at 7.
 _PEAK_TREE_LEVELS = 5
 OVERLAP_RADIAL_POINTS = 240
 OVERLAP_THETA_POINTS = 32
@@ -258,11 +258,11 @@ def _wide(lo: float, hi: float) -> bool:
     return hi - lo > PEAK_REL_TOL * hi
 
 
-def _bisect_in_tree(lo: float, hi: float, mids: list, slopes: list) -> tuple[float, float]:
+def _bisect_in_tree(lo: float, hi: float, mids: list, signs: list) -> tuple[float, float]:
     """Bisect (lo, hi) along one midpoint tree until the bracket is narrow or leaves the tree."""
     j = 0
     while j < len(mids) and _wide(lo, hi):
-        mid, s = mids[j], slopes[j]
+        mid, s = mids[j], signs[j]
         if s > 0:
             lo, j = mid, 2 * j + 2
         elif s < 0:
@@ -298,14 +298,14 @@ def radial_peaks(spec: EigenstateSpec) -> np.ndarray:
     midpoints, bit for bit), then each bracket walks its tree.
     """
     scan = _peak_scan(spec)
-    slope = _slope_sign(spec, scan)
-    tops = np.nonzero((slope[:-1] > 0) & (slope[1:] < 0))[0]
+    sign = _slope_sign(spec, scan)
+    tops = np.nonzero((sign[:-1] > 0) & (sign[1:] < 0))[0]
     brackets = list(zip(scan[tops].tolist(), scan[tops + 1].tolist()))
     while open_ := [i for i, bracket in enumerate(brackets) if _wide(*bracket)]:
         trees = [_midpoint_tree(*brackets[i], _PEAK_TREE_LEVELS) for i in open_]
-        slopes = _slope_sign(spec, np.array(trees)).tolist()
-        for i, mids, tree_slopes in zip(open_, trees, slopes):
-            brackets[i] = _bisect_in_tree(*brackets[i], mids, tree_slopes)
+        signs = _slope_sign(spec, np.array(trees)).tolist()
+        for i, mids, tree_signs in zip(open_, trees, signs):
+            brackets[i] = _bisect_in_tree(*brackets[i], mids, tree_signs)
     return np.asarray([0.5 * (lo + hi) for lo, hi in brackets])
 
 

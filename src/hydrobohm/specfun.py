@@ -54,6 +54,12 @@ def _check_laguerre_args(k: int, alpha: int) -> None:
         raise ValueError(f"alpha must be a non-negative integer, got {alpha!r}")
 
 
+def _float_points(x) -> np.ndarray:
+    """x as an array, converted to float64 unless it is already floating or complex."""
+    x = np.asarray(x)
+    return x if x.dtype.kind in "fc" else x.astype(float)
+
+
 def laguerre(k: int, alpha: int, x):
     """Generalized Laguerre polynomial L_k^alpha(x).
 
@@ -64,13 +70,14 @@ def laguerre(k: int, alpha: int, x):
     started from L_0 = 1 and L_1 = 1 + alpha - x.  The upward recurrence is
     well conditioned for the degrees used here (documented to k = 30).
     Each step updates one fresh array in place, in the operation order of
-    the formula above.  Non-float points are evaluated as float64.
+    the formula above.  Points that are neither floating nor complex are
+    evaluated as float64.
     """
     _check_laguerre_args(k, alpha)
     x = _float_points(x)
-    if k == 0:
-        return np.ones_like(x)
     prev = np.ones_like(x)
+    if k == 0:
+        return prev
     current = 1 + alpha - x
     for j in range(1, k):
         nxt = (2 * j + 1 + alpha) - x
@@ -80,12 +87,6 @@ def laguerre(k: int, alpha: int, x):
         nxt /= j + 1
         prev, current = current, nxt
     return current
-
-
-def _float_points(x) -> np.ndarray:
-    """x as an array, converted to float64 unless it is already floating or complex."""
-    x = np.asarray(x)
-    return x if x.dtype.kind in "fc" else x.astype(float)
 
 
 def laguerre_derivative(k: int, alpha: int, x, order: int = 1):
