@@ -321,8 +321,8 @@ def bohm_potential_fd(
     # The returned array is allocated last, once the temporaries are freed.
     # Returning the work buffer itself made an airy-packet pass take about
     # 40% more page faults and run slower.
-    values = np.where(masked, np.nan, ratio)
-    return PotentialProfile(coords=coords, values=values, node_mask=masked, kind="bohm")
+    potential = np.where(masked, np.nan, ratio)
+    return PotentialProfile(coords=coords, values=potential, node_mask=masked, kind="bohm")
 
 
 def quantum_potential(external: PotentialProfile, bohm: PotentialProfile) -> PotentialProfile:

@@ -8,9 +8,9 @@ on the radial flatness grids of three states, on one Airy residual grid
 and for one complex Cartesian field, the run_bohr_radii(100) rows, every
 radial peak with n <= 30, the run_airy case values and rows for three
 strengths over four times, and the packet's density, current and
-Hamilton-Jacobi residual profiles at two times.  They were recorded once and are never regenerated
-by the suite: a change to how these quantities are evaluated must keep
-every bit.
+Hamilton-Jacobi residual profiles at two times.  They were recorded once
+and are never regenerated by the suite: a change to how these quantities
+are evaluated must keep every bit.
 """
 
 import hashlib

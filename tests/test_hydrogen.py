@@ -31,7 +31,6 @@ from hydrobohm import (
     state,
     spherical_harmonic,
 )
-
 from hydrobohm.campaigns import BOHR_RADII_TOL
 
 import oracles
