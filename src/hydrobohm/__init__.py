@@ -52,7 +52,6 @@ from .hydrogen import (
     state,
 )
 from .madelung import (
-    CurrentField,
     PolarForm,
     PotentialProfile,
     bohm_potential_analytic,
@@ -63,7 +62,6 @@ from .madelung import (
     euler_residual,
     hj_residual,
     hj_residual_field,
-    polar_section,
     probability_current,
     quantum_acceleration,
     quantum_potential,
@@ -77,7 +75,6 @@ __all__ = [
     "AiryPacketParams",
     "AxisGrid",
     "CaseRecord",
-    "CurrentField",
     "EigenstateSpec",
     "PhysicalConstants",
     "PolarForm",
@@ -109,7 +106,6 @@ __all__ = [
     "make_radial_grid",
     "node_mask",
     "overlap",
-    "polar_section",
     "probability_current",
     "profile_curve",
     "psi",

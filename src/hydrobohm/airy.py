@@ -112,9 +112,7 @@ def airy_polar(
 
 def _packet_polar(params: AiryPacketParams, x, t: float, field, amplitude_floor: float) -> PolarForm:
     """airy_polar's body for the packet samples field already in hand on x."""
-    polar = decompose(
-        field, x, params.constants, geometry="cartesian", amplitude_floor=amplitude_floor
-    )
+    polar = decompose(field, x, params.constants, amplitude_floor=amplitude_floor)
     curvature = params.beta**2 * airy_argument(params, x, t) * polar.amplitude
     return dataclasses.replace(polar, amplitude_d2=curvature)
 

@@ -13,17 +13,12 @@ equations.  For hydrogen eigenstates the full-field form is available in
 closed form (analytic radial derivatives plus the exact angular eigenvalue),
 which is what makes V_Q = E_n a numerically testable statement: the
 finite-difference path provides the independent oracle it is tested against.
-
-Fields sampled along one grid line cannot see transverse structure, so a
-PolarForm optionally carries analytically known transverse terms (the
-azimuthal kinetic term and the angular part of lap(A)/A) plus analytic
-amplitude derivatives.  Amplitude zeros are handled by a validity mask;
-difference stencils never straddle masked points.
+Amplitude zeros are handled by a validity mask; difference stencils never
+straddle masked points.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -35,15 +30,11 @@ from .hydrogen import (
     _amplitude_mask,
     _laguerre_with_derivatives,
     _radial_from_laguerre,
-    energy_level,
-    radial_R_derivatives,
 )
-from .specfun import spherical_harmonic
 
 __all__ = [
     "PolarForm",
     "PotentialProfile",
-    "CurrentField",
     "AMPLITUDE_FLOOR",
     "decompose",
     "coulomb_profile",
@@ -56,7 +47,6 @@ __all__ = [
     "hj_residual_field",
     "continuity_residual",
     "euler_residual",
-    "polar_section",
 ]
 
 AMPLITUDE_FLOOR = 1e-12
@@ -64,22 +54,16 @@ AMPLITUDE_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class PolarForm:
-    """Amplitude and unwrapped action phase along one grid line.
+    """Amplitude and unwrapped action phase along one Cartesian grid line.
 
-    geometry selects the Laplacian of the line coordinate: "cartesian" for
-    d2/dx2, "radial" for d2/dr2 + (2/r) d/dr.  The optional arrays supply
-    what a single line cannot capture: the transverse (grad S)^2, the
-    transverse part of lap(A)/A, and analytic d/dq, d2/dq2 of the amplitude.
+    amplitude_d2, when given, is the analytic d2A/dx2; the residuals then use
+    it in place of the second-difference stencil.
     """
 
     coords: np.ndarray
     amplitude: np.ndarray
     phase: np.ndarray
     valid: np.ndarray
-    geometry: str = "cartesian"
-    kinetic_transverse: np.ndarray | None = None
-    amp_laplacian_transverse: np.ndarray | None = None
-    amplitude_d1: np.ndarray | None = None
     amplitude_d2: np.ndarray | None = None
 
 
@@ -93,23 +77,22 @@ class PotentialProfile:
     kind: str
 
 
-@dataclass(frozen=True)
-class CurrentField:
-    """One component of the probability current along a grid line."""
-
-    coords: np.ndarray
-    values: np.ndarray
-    direction: str = "x"
-
-
 def _uniform_spacing(coords: np.ndarray) -> float:
-    steps = np.diff(coords)
-    h = float(steps.mean())
     if coords.size < 5:
         raise ValueError("need at least 5 grid points for interior stencils")
+    steps = np.diff(coords)
+    h = float(steps.mean())
     if np.max(np.abs(steps - h)) > 1e-9 * abs(h):
         raise ValueError("finite differences require a uniform grid")
     return h
+
+
+def _above_floor(magnitude: np.ndarray, floor: float) -> np.ndarray:
+    """|f| >= floor * max|f|; no point clears the floor when the peak is 0."""
+    peak = magnitude.max() if magnitude.size else 0.0
+    if peak > 0.0:
+        return magnitude >= floor * peak
+    return np.zeros(magnitude.shape, bool)
 
 
 def _interior(valid: np.ndarray) -> np.ndarray:
@@ -170,7 +153,6 @@ def decompose(
     values,
     grid,
     constants: PhysicalConstants,
-    geometry: str = "cartesian",
     amplitude_floor: float = AMPLITUDE_FLOOR,
 ) -> PolarForm:
     """Split complex samples into amplitude and unwrapped action phase.
@@ -187,8 +169,7 @@ def decompose(
     if values.shape != coords.shape:
         raise ValueError("field and grid shapes differ")
     amplitude = np.abs(values)
-    peak = amplitude.max() if amplitude.size else 0.0
-    valid = amplitude >= amplitude_floor * peak if peak > 0.0 else np.zeros_like(amplitude, bool)
+    valid = _above_floor(amplitude, amplitude_floor)
     hbar = float(constants.hbar)
     phase = np.zeros_like(amplitude)
     raw = np.angle(values)
@@ -198,7 +179,7 @@ def decompose(
     valid[:-1] &= ~jump
     valid[1:] &= ~jump
     phase = np.where(valid, phase, 0.0)
-    return PolarForm(coords=coords, amplitude=amplitude, phase=phase, valid=valid, geometry=geometry)
+    return PolarForm(coords=coords, amplitude=amplitude, phase=phase, valid=valid)
 
 
 def _runs(valid: np.ndarray):
@@ -216,19 +197,11 @@ def coulomb_profile(constants: PhysicalConstants, grid) -> PotentialProfile:
     return PotentialProfile(coords=r, values=values, node_mask=np.zeros(r.shape, bool), kind="external")
 
 
-def bohm_potential_analytic(
-    spec: EigenstateSpec,
-    grid,
-    form: str = "full",
-    theta: float = math.pi / 2,
-) -> PotentialProfile:
+def bohm_potential_analytic(spec: EigenstateSpec, grid) -> PotentialProfile:
     """Closed-form Bohm potential of a hydrogen eigenstate on the grid.
 
-    form="full" divides the whole eigenfunction (exact angular eigenvalue
-    -l(l+1)/r^2; independent of both theta and m).  form="amplitude" uses
-    the real amplitude |psi| instead, which for m != 0 differs by the
-    azimuthal kinetic term hbar^2 m^2 / (2 M r^2 sin^2 theta).
-
+    The whole eigenfunction is divided (exact angular eigenvalue
+    -l(l+1)/r^2), so the result is independent of both angles and of m.
     The radial part is assembled in the rho^l-factored form
 
         lap(psi)/psi = c^2 [ 2(l+1)/rho (L'/L - 1/2) + 1/4 - L'/L + L''/L ],
@@ -240,8 +213,6 @@ def bohm_potential_analytic(
     mask is node_mask's rule applied to R_nl assembled from the L already
     in hand, on the same rho, so it is the mask node_mask returns.
     """
-    if form not in ("full", "amplitude"):
-        raise ValueError(f"unknown form {form!r}")
     r = as_points(grid)
     constants = spec.constants
     hb, mass = float(constants.hbar), float(constants.mass)
@@ -257,8 +228,6 @@ def bohm_potential_analytic(
         2.0 * (spec.l + 1) / rho * (ratio1 - 0.5) + 0.25 - ratio1 + ratio2
     )
     values = -(hb * hb / (2.0 * mass)) * lap_ratio
-    if form == "amplitude":
-        values = values - (hb * spec.m) ** 2 / (2.0 * mass * (r * math.sin(theta)) ** 2)
     values = np.where(mask, np.nan, values)
     return PotentialProfile(coords=r, values=values, node_mask=mask, kind="bohm")
 
@@ -284,10 +253,7 @@ def bohm_potential_fd(
     if field.shape != coords.shape:
         raise ValueError("field and grid shapes differ")
     h = _uniform_spacing(coords)
-    magnitude = np.abs(field)
-    peak = magnitude.max()
-    clear = magnitude >= amplitude_floor * peak if peak > 0.0 else np.zeros(field.shape, bool)
-    masked = _interior(clear)
+    masked = _interior(_above_floor(np.abs(field), amplitude_floor))
     np.logical_not(masked, out=masked)
     # Each term is built in one buffer, in the operation order of
     # (f+ - 2 f0 + f-) / h^2 + 2 ((f+ - f-) / 2h) / r - l(l+1) f / r^2.
@@ -350,7 +316,7 @@ def quantum_acceleration(quantum: PotentialProfile, constants: PhysicalConstants
     return np.where(ok, accel, np.nan)
 
 
-def probability_current(values, grid, constants: PhysicalConstants, direction: str = "x") -> CurrentField:
+def probability_current(values, grid, constants: PhysicalConstants) -> np.ndarray:
     """j = (hbar/m) Im(conj(Psi) dPsi/dq) along the line; ends are NaN.
 
     The coordinate is treated as arc length, so for an azimuthal ring pass
@@ -361,33 +327,17 @@ def probability_current(values, grid, constants: PhysicalConstants, direction: s
     if field.shape != coords.shape:
         raise ValueError("field and grid shapes differ")
     derivative = _central_first(field, coords)
-    j = (float(constants.hbar) / float(constants.mass)) * np.imag(np.conj(field) * derivative)
-    return CurrentField(coords=coords, values=j, direction=direction)
+    return (float(constants.hbar) / float(constants.mass)) * np.imag(np.conj(field) * derivative)
 
 
 def _laplacian_ratio(polar: PolarForm) -> tuple[np.ndarray, np.ndarray]:
-    """lap(A)/A along the line plus transverse part; returns (ratio, ok)."""
-    amp = polar.amplitude
-    ok = _interior(polar.valid)
+    """A''/A along the line; returns (ratio, ok)."""
     if polar.amplitude_d2 is not None:
-        d1 = polar.amplitude_d1
-        d2 = polar.amplitude_d2
-        ok = polar.valid
+        d2, ok = polar.amplitude_d2, polar.valid
     else:
-        d1 = _central_first(amp, polar.coords)
-        d2 = _central_second(amp, polar.coords)
-    lap = d2.copy()
-    if polar.geometry == "radial":
-        if d1 is None:
-            raise ValueError("radial geometry requires the first derivative")
-        lap = lap + 2.0 * d1 / polar.coords
-    elif polar.geometry != "cartesian":
-        raise ValueError(f"unknown geometry {polar.geometry!r}")
+        d2, ok = _central_second(polar.amplitude, polar.coords), _interior(polar.valid)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = lap / amp
-    if polar.amp_laplacian_transverse is not None:
-        ratio = ratio + polar.amp_laplacian_transverse
-    return ratio, ok
+        return d2 / polar.amplitude, ok
 
 
 def hj_residual_field(
@@ -396,15 +346,13 @@ def hj_residual_field(
     """Pointwise (grad S)^2/2m - (hbar^2/2m) lap(A)/A + V + dS/dt.
 
     Returns the residual samples and the mask of points where every term
-    could be evaluated.  Stationary states supply dS/dt = -E_n analytically;
-    time-dependent packets pass closed-form or finite-differenced samples.
+    could be evaluated.  dS/dt is passed as closed-form or finite-differenced
+    samples.
     """
     hb, mass = float(constants.hbar), float(constants.mass)
     grad_s = _central_first(polar.phase, polar.coords)
     ok = _interior(polar.valid)
     kinetic = grad_s**2
-    if polar.kinetic_transverse is not None:
-        kinetic = kinetic + polar.kinetic_transverse
     lap_ratio, lap_ok = _laplacian_ratio(polar)
     residual = kinetic / (2.0 * mass) - (hb * hb / (2.0 * mass)) * lap_ratio + v_external + ds_dt
     usable = ok & lap_ok
@@ -437,8 +385,6 @@ def continuity_residual(
     weights = _first_weights(coords)
     flux = density * _central_first(phase, coords, weights) / mass
     divergence = _central_first(flux, coords, weights)
-    if polar_a.geometry == "radial":
-        divergence = divergence + 2.0 * flux / coords
     density_rate = (polar_b.amplitude**2 - polar_a.amplitude**2) / dt
     return _worst(divergence + density_rate, _interior(_interior(valid)))
 
@@ -471,42 +417,3 @@ def euler_residual(
     grad_q = _central_first(quantum.values, coords, weights)
     valid = polar_a.valid & polar_b.valid & ~quantum.node_mask
     return _worst(dp_dt + advection + grad_q, _interior(_interior(valid)))
-
-
-def polar_section(
-    spec: EigenstateSpec,
-    grid,
-    theta: float = math.pi / 2,
-    phi: float = 0.0,
-    time: float = 0.0,
-    amplitude_floor: float = AMPLITUDE_FLOOR,
-) -> PolarForm:
-    """Radial section of a hydrogen eigenstate as a PolarForm.
-
-    Samples Psi = psi_nlm e^{-i E_n t / hbar} along r at fixed angles and
-    attaches the analytically known pieces a radial line cannot see: the
-    azimuthal kinetic term (hbar m / (r sin theta))^2 and the angular part
-    (m^2/sin^2 theta - l(l+1)) / r^2 of lap(A)/A, plus analytic amplitude
-    derivatives (so residuals are limited by the closed forms, not by
-    stencil truncation).
-    """
-    r = as_points(grid)
-    constants = spec.constants
-    hb = float(constants.hbar)
-    e_n = float(energy_level(spec.n, constants))
-    harmonic = complex(spherical_harmonic(spec.l, spec.m, theta, phi))
-    big_r, d1, d2 = radial_R_derivatives(spec, r)
-    values = big_r * harmonic * np.exp(-1j * e_n * time / hb)
-    polar = decompose(values, r, constants, geometry="radial", amplitude_floor=amplitude_floor)
-    sign = np.where(big_r < 0.0, -1.0, 1.0)
-    y_abs = abs(harmonic)
-    sin_t = math.sin(theta)
-    kinetic = np.full(r.shape, (hb * spec.m / sin_t) ** 2) / r**2 if spec.m else np.zeros(r.shape)
-    angular = (spec.m**2 / sin_t**2 - spec.l * (spec.l + 1)) / r**2
-    return dataclasses.replace(
-        polar,
-        kinetic_transverse=kinetic,
-        amp_laplacian_transverse=angular,
-        amplitude_d1=sign * d1 * y_abs,
-        amplitude_d2=sign * d2 * y_abs,
-    )

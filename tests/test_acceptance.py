@@ -163,23 +163,20 @@ def test_criterion_08_stationary_currents():
                 r0 = 1.5 * n * n
                 rgrid = make_radial_grid(0.2, 40.0, 800)
                 radial = probability_current(
-                    np.asarray(psi(spec, rgrid.points, 1.0, 0.4), dtype=complex),
-                    rgrid, AU, direction="r",
-                ).values
+                    np.asarray(psi(spec, rgrid.points, 1.0, 0.4), dtype=complex), rgrid, AU
+                )
                 worst_zero = max(worst_zero, np.nanmax(np.abs(radial[np.isfinite(radial)])))
                 theta = np.linspace(0.2, math.pi - 0.2, 601)
                 arc = make_axis_grid(r0 * theta[0], r0 * theta[-1], theta.size)
                 polar = probability_current(
-                    np.asarray(psi(spec, r0, theta, 0.4), dtype=complex),
-                    arc, AU, direction="theta",
-                ).values
+                    np.asarray(psi(spec, r0, theta, 0.4), dtype=complex), arc, AU
+                )
                 worst_zero = max(worst_zero, np.nanmax(np.abs(polar[np.isfinite(polar)])))
                 phi = np.linspace(0.0, 2.0 * math.pi, 721)
                 ring = make_axis_grid(0.0, r0 * math.sin(1.0) * 2.0 * math.pi, phi.size)
                 azimuthal = probability_current(
-                    np.asarray(psi(spec, r0, 1.0, phi), dtype=complex),
-                    ring, AU, direction="phi",
-                ).values
+                    np.asarray(psi(spec, r0, 1.0, phi), dtype=complex), ring, AU
+                )
                 keep = np.isfinite(azimuthal)
                 if m == 0:
                     worst_zero = max(worst_zero, np.max(np.abs(azimuthal[keep])))

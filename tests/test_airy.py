@@ -20,6 +20,7 @@ from hydrobohm import (
     continuity_residual,
     euler_residual,
     hj_residual,
+    hj_residual_field,
     make_axis_grid,
 )
 
@@ -133,6 +134,23 @@ class TestHydrodynamicBalance:
         ds_dt = airy_phase_time_derivative(p, grid.points, 0.0)
         assert hj_residual(stripped, np.zeros(grid.count), ds_dt, AU) < 1e-5
 
+    def test_hamilton_jacobi_detects_wrong_phase_rate(self):
+        p = params(1.0)
+        grid = make_axis_grid(-6.0, 2.0, 2001)
+        polar = airy_polar(p, grid, 0.3, amplitude_floor=0.05)
+        wrong = 1.001 * airy_phase_time_derivative(p, grid.points, 0.3)
+        assert hj_residual(polar, np.zeros(grid.count), wrong, AU) > 1e-4
+
+    def test_residual_field_exposes_usable_mask(self):
+        p = params(1.0)
+        grid = make_axis_grid(-6.0, 2.0, 2001)
+        polar = airy_polar(p, grid, 0.3, amplitude_floor=0.05)
+        ds_dt = airy_phase_time_derivative(p, grid.points, 0.3)
+        field, usable = hj_residual_field(polar, np.zeros(grid.count), ds_dt, AU)
+        assert field.shape == usable.shape == grid.points.shape
+        assert usable.any() and not usable.all()
+        assert np.max(np.abs(field[usable])) < 1e-8
+
     def test_continuity_between_nearby_times(self):
         p = params(1.0)
         grid = make_axis_grid(-6.0, 2.0, 8001)
@@ -140,6 +158,13 @@ class TestHydrodynamicBalance:
         a = airy_polar(p, grid, 0.3 - 0.5 * dt, amplitude_floor=0.05)
         b = airy_polar(p, grid, 0.3 + 0.5 * dt, amplitude_floor=0.05)
         assert continuity_residual(a, b, dt, AU) < 1e-5
+
+    def test_continuity_rejects_forms_on_different_grids(self):
+        p = params(1.0)
+        a = airy_polar(p, make_axis_grid(-6.0, 2.0, 2001), 0.3)
+        b = airy_polar(p, make_axis_grid(-6.0, 2.0, 1001), 0.3)
+        with pytest.raises(ValueError):
+            continuity_residual(a, b, 1e-3, AU)
 
     def test_euler_balance_with_closed_form_quantum_potential(self):
         p = params(1.0)

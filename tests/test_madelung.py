@@ -10,16 +10,11 @@ from hydrobohm import (
     atomic_units,
     bohm_potential_analytic,
     bohm_potential_fd,
-    continuity_residual,
     coulomb_profile,
     decompose,
     energy_level,
-    euler_residual,
-    hj_residual,
-    hj_residual_field,
     make_axis_grid,
     make_radial_grid,
-    polar_section,
     probability_current,
     psi,
     quantum_acceleration,
@@ -116,19 +111,6 @@ class TestBohmPotential:
             deviation = np.max(np.abs(quantum.values[keep] - expected))
             assert deviation < 1e-8 * abs(expected)
 
-    def test_amplitude_form_offset_is_the_azimuthal_kinetic_term(self):
-        # full - amplitude = hbar^2 m^2 / (2 M r^2 sin^2 theta).
-        spec = state(3, 2, 2)
-        grid = make_radial_grid(0.5, 25.0, 500)
-        theta = 1.1
-        full = bohm_potential_analytic(spec, grid, form="full", theta=theta)
-        amp = bohm_potential_analytic(spec, grid, form="amplitude", theta=theta)
-        keep = ~(full.node_mask | amp.node_mask)
-        expected = 4.0 / (2.0 * grid.points**2 * math.sin(theta) ** 2)
-        np.testing.assert_allclose(
-            full.values[keep] - amp.values[keep], expected[keep], rtol=1e-10
-        )
-
     def test_full_form_is_independent_of_m(self):
         grid = make_radial_grid(0.5, 30.0, 400)
         base = bohm_potential_analytic(state(4, 2, 0), grid).values
@@ -139,14 +121,19 @@ class TestBohmPotential:
     def test_rejects_unknown_form_and_geometry(self):
         grid = make_radial_grid(0.5, 5.0, 50)
         with pytest.raises(ValueError):
-            bohm_potential_analytic(state(1, 0), grid, form="polar")
-        with pytest.raises(ValueError):
             bohm_potential_fd(np.ones(50, dtype=complex), grid, AU, geometry="spherical")
 
     def test_fd_requires_uniform_grid(self):
         grid = make_radial_grid(0.5, 5.0, 50, law="logarithmic")
         with pytest.raises(ValueError):
             bohm_potential_fd(np.ones(50, dtype=complex), grid, AU, geometry="radial")
+
+    def test_fd_rejects_a_one_point_grid_without_warning(self):
+        # The point count is checked before the spacing is averaged, so no
+        # empty-mean RuntimeWarning (an error under the suite's filter)
+        # precedes the ValueError.
+        with pytest.raises(ValueError, match="at least 5 grid points"):
+            bohm_potential_fd(np.ones(1, dtype=complex), np.array([1.0]), AU)
 
 
 class TestQuantumAcceleration:
@@ -167,83 +154,13 @@ class TestQuantumAcceleration:
         np.testing.assert_allclose(accel[inner], 4.0 * grid.points[inner], atol=5e-3)
 
 
-class TestHamiltonJacobi:
-    def test_ground_state_balances_exactly(self):
-        grid = make_radial_grid(0.1, 30.0, 2000)
-        polar = polar_section(state(1, 0), grid)
-        v = -1.0 / grid.points
-        ds_dt = np.full(grid.count, -energy_level(1, AU))
-        assert hj_residual(polar, v, ds_dt, AU) < 1e-9
-
-    def test_node_state_balances_after_jump_masking(self):
-        spec = state(4, 2, 1)
-        grid = make_radial_grid(0.2, 80.0, 4000)
-        polar = polar_section(spec, grid, time=0.7)
-        v = -1.0 / grid.points
-        ds_dt = np.full(grid.count, -energy_level(4, AU))
-        assert hj_residual(polar, v, ds_dt, AU) < 1e-8
-
-    def test_residual_field_exposes_usable_mask(self):
-        grid = make_radial_grid(0.2, 40.0, 1500)
-        polar = polar_section(state(2, 0), grid)
-        v = -1.0 / grid.points
-        ds_dt = np.full(grid.count, -energy_level(2, AU))
-        field, usable = hj_residual_field(polar, v, ds_dt, AU)
-        assert field.shape == usable.shape == grid.points.shape
-        assert usable.any() and not usable.all()
-        assert np.max(np.abs(field[usable])) < 1e-8
-
-    def test_fd_amplitude_branch(self):
-        # Strip the attached analytic curvature so the finite-difference
-        # laplacian path is exercised end to end.
-        grid = make_radial_grid(0.5, 20.0, 19501)
-        polar = polar_section(state(1, 0), grid)
-        stripped = dataclasses.replace(polar, amplitude_d1=None, amplitude_d2=None)
-        v = -1.0 / grid.points
-        ds_dt = np.full(grid.count, -energy_level(1, AU))
-        assert hj_residual(stripped, v, ds_dt, AU) < 1e-5
-
-    def test_detects_wrong_phase_rate(self):
-        grid = make_radial_grid(0.1, 30.0, 2000)
-        polar = polar_section(state(1, 0), grid)
-        v = -1.0 / grid.points
-        wrong = np.full(grid.count, -energy_level(1, AU) * 1.001)
-        assert hj_residual(polar, v, wrong, AU) > 1e-4
-
-
-class TestContinuityAndEuler:
-    def test_stationary_state_continuity(self):
-        grid = make_radial_grid(0.2, 40.0, 2000)
-        spec = state(3, 1)
-        a = polar_section(spec, grid, time=0.0)
-        b = polar_section(spec, grid, time=1e-3)
-        assert continuity_residual(a, b, 1e-3, AU) < 1e-10
-
-    def test_stationary_state_euler(self):
-        grid = make_radial_grid(0.2, 40.0, 2000)
-        spec = state(3, 1)
-        coulomb = coulomb_profile(AU, grid)
-        quantum = quantum_potential(coulomb, bohm_potential_analytic(spec, grid))
-        a = polar_section(spec, grid, time=0.0)
-        b = polar_section(spec, grid, time=1e-3)
-        assert euler_residual(a, b, 1e-3, quantum, AU) < 1e-9
-
-    def test_rejects_mismatched_sections(self):
-        grid_a = make_radial_grid(0.2, 40.0, 2000)
-        grid_b = make_radial_grid(0.2, 40.0, 1000)
-        a = polar_section(state(2, 1), grid_a)
-        b = polar_section(state(2, 1), grid_b)
-        with pytest.raises(ValueError):
-            continuity_residual(a, b, 1e-3, AU)
-
-
 class TestProbabilityCurrent:
     def test_real_field_carries_no_current(self):
         grid = make_radial_grid(0.1, 30.0, 500)
         values = np.asarray(psi(state(3, 2, 0), grid.points, 1.0, 0.0), dtype=complex)
-        current = probability_current(values, grid, AU, direction="r")
-        inner = np.isfinite(current.values)
-        assert np.max(np.abs(current.values[inner])) == 0.0
+        current = probability_current(values, grid, AU)
+        inner = np.isfinite(current)
+        assert np.max(np.abs(current[inner])) == 0.0
 
     def test_ring_current_matches_closed_form(self):
         # j_phi = hbar m |psi|^2 / (M r sin theta) on an azimuthal ring.
@@ -253,19 +170,19 @@ class TestProbabilityCurrent:
         arc = r0 * math.sin(theta) * phi
         values = np.asarray(psi(spec, r0, theta, phi))
         grid = make_axis_grid(arc[0], arc[-1], arc.size)
-        current = probability_current(values, grid, AU, direction="phi")
+        current = probability_current(values, grid, AU)
         density = np.abs(values) ** 2
         expected = 1.0 * density / (r0 * math.sin(theta))
-        inner = np.isfinite(current.values)
-        np.testing.assert_allclose(current.values[inner], expected[inner], rtol=1e-4)
+        inner = np.isfinite(current)
+        np.testing.assert_allclose(current[inner], expected[inner], rtol=1e-4)
 
     def test_plane_wave_current(self):
         grid = make_axis_grid(-5.0, 5.0, 20001)
         k = 2.0
         current = probability_current(np.exp(1j * k * grid.points), grid, AU)
-        inner = np.isfinite(current.values)
+        inner = np.isfinite(current)
         # Central differencing leaves O((kh)^2 / 6) relative truncation.
-        np.testing.assert_allclose(current.values[inner], k, rtol=1e-6)
+        np.testing.assert_allclose(current[inner], k, rtol=1e-6)
 
 
 class TestProfilesAndConstants:
