@@ -25,6 +25,7 @@ into the given directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -37,10 +38,10 @@ from .reports import (
     REPORT_HEADER,
     VerificationReport,
     format_number,
-    profile_rows,
     report_rows,
     write_csv,
     write_json,
+    write_profile_csv,
     write_profile_json,
     write_svg,
 )
@@ -235,12 +236,14 @@ def cmd_profile(args: argparse.Namespace) -> int:
     elif args.format == "json":
         write_profile_json(path, coord_name, curve)
     else:
-        write_csv(path, [coord_name, "value", "masked"], profile_rows(curve))
+        write_profile_csv(path, coord_name, curve)
     print(f"wrote {path}")
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="hydrobohm",
         description=__doc__,

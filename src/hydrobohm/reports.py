@@ -23,9 +23,9 @@ __all__ = [
     "format_number",
     "REPORT_HEADER",
     "report_rows",
-    "profile_rows",
     "write_csv",
     "write_json",
+    "write_profile_csv",
     "write_profile_json",
     "write_svg",
 ]
@@ -191,32 +191,32 @@ def write_json(path, payload: dict) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _flag_column(flags: np.ndarray) -> list[str]:
-    """The JSON/CSV literals "true"/"false" of a boolean array (two shared strings)."""
-    return list(map(("false", "true").__getitem__, flags.tolist()))
+def _fill_rows(curve, templates: tuple[str, str, str], separator: str, value_first: bool = False) -> str:
+    """Every row of a profile curve, rendered by one printf-style %.
 
-
-def _value_column(curve, to_text, missing: str) -> list[str]:
-    """to_text of each curve value; missing where it is masked or not finite."""
-    cells = list(map(to_text, curve.values.tolist()))
-    for index in np.flatnonzero(curve.masked | ~np.isfinite(curve.values)).tolist():
-        cells[index] = missing
-    return cells
-
-
-def profile_rows(curve) -> list[tuple[str, str, str]]:
-    """CSV rows (coordinate, value, masked) of a profile curve.
-
-    Numbers use format_number; the value cell is blank where the sample is
-    masked or not finite.
+    Row i takes templates[kind]: kind 0 shows the value, 1 leaves it blank
+    because it is not finite, 2 because the sample is masked.  The picked
+    templates are joined by separator and filled from one flat tuple of
+    Python floats: the coordinate and, in kind 0 rows, the value (value
+    first with value_first).
     """
-    return list(
-        zip(
-            map(format_number, curve.coords.tolist()),
-            _value_column(curve, format_number, ""),
-            _flag_column(curve.masked),
-        )
-    )
+    kinds = np.where(curve.masked, 2, ~np.isfinite(curve.values))
+    columns = np.column_stack((curve.coords, curve.values))
+    keep = np.column_stack((np.ones(len(kinds), dtype=bool), kinds == 0))
+    if value_first:
+        columns, keep = columns[:, ::-1], keep[:, ::-1]
+    return separator.join(map(templates.__getitem__, kinds.tolist())) % tuple(columns[keep].tolist())
+
+
+def write_profile_csv(path, coord_name: str, curve) -> None:
+    """A profile curve as CSV rows coord_name,value,masked.
+
+    The value cell is blank where the sample is masked or not finite.  One
+    template per row kind is filled by one %; its %.12g gives the text of
+    format_number, as both format a Python float with the same 'g' rules.
+    """
+    templates = ("%.12g,%.12g,false\n", "%.12g,,false\n", "%.12g,,true\n")
+    _write_text(path, f"{coord_name},value,masked\n" + _fill_rows(curve, templates, ""))
 
 
 def write_profile_json(path, coord_name: str, curve) -> None:
@@ -224,20 +224,23 @@ def write_profile_json(path, coord_name: str, curve) -> None:
 
     The payload is {"title", "x_label", "y_label", "rows"}, one row
     {coord_name: c, "value": v, "masked": flag} per sample, and the bytes
-    equal json.dumps(payload, indent=2, sort_keys=True) + "\n".  The rows
-    are filled into one per-row template from three string columns instead
-    of going through the pure-Python indenting encoder.  The value is null
-    where the sample is masked or not finite (NaN and Infinity are not
+    equal json.dumps(payload, indent=2, sort_keys=True) + "\n".  One
+    template per row kind, its keys in sorted order, is filled by one %
+    instead of the pure-Python indenting encoder; %r of a Python float is
+    float.__repr__, which json.dumps writes for finite floats.  The value is
+    null where the sample is masked or not finite (NaN and Infinity are not
     JSON); the coordinates are finite grid points.
     """
-    columns = {
-        coord_name: list(map(float.__repr__, curve.coords.tolist())),
-        "value": _value_column(curve, float.__repr__, "null"),
-        "masked": _flag_column(curve.masked),
-    }
-    names = sorted(columns)
-    row = "    {\n" + ",\n".join(f"      {json.dumps(name)}: %s" for name in names) + "\n    }"
-    rows = ",\n".join(map(row.__mod__, zip(*(columns[name] for name in names))))
+    names = sorted((coord_name, "value", "masked"))
+    templates = tuple(
+        "    {\n" + ",\n".join(f"      {json.dumps(name)}: {cells[name]}" for name in names) + "\n    }"
+        for cells in (
+            {coord_name: "%r", "value": "%r", "masked": "false"},
+            {coord_name: "%r", "value": "null", "masked": "false"},
+            {coord_name: "%r", "value": "null", "masked": "true"},
+        )
+    )
+    rows = _fill_rows(curve, templates, ",\n", value_first="value" < coord_name)
     lines = [
         "{",
         f'  "rows": [\n{rows}\n  ],' if rows else '  "rows": [],',
@@ -248,6 +251,10 @@ def write_profile_json(path, coord_name: str, curve) -> None:
     ]
     _write_text(path, "\n".join(lines) + "\n")
 
+
+# The escapes of xml.sax.saxutils.escape for SVG text, without that
+# module's import of urllib.request (tens of ms and several MB at start-up).
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 _SVG_WIDTH = 640
 _SVG_HEIGHT = 420
@@ -271,6 +278,7 @@ def write_svg(path, x: np.ndarray, y: np.ndarray, title: str, x_label: str, y_la
     """Single-panel line plot with axes and ticks; no external assets.
 
     Masked or non-finite samples split the curve into separate segments.
+    The title and axis labels are XML-escaped (&, <, >).
     The output is deterministic: fixed canvas, fixed formatting, content
     derived only from the data.
     """
@@ -292,7 +300,7 @@ def write_svg(path, x: np.ndarray, y: np.ndarray, title: str, x_label: str, y_la
         f'viewBox="0 0 {_SVG_WIDTH} {_SVG_HEIGHT}">',
         f'<rect x="0" y="0" width="{_SVG_WIDTH}" height="{_SVG_HEIGHT}" fill="white"/>',
         f'<text x="{_SVG_WIDTH / 2:.1f}" y="22" text-anchor="middle" '
-        f'font-family="monospace" font-size="14">{title}</text>',
+        f'font-family="monospace" font-size="14">{title.translate(_XML_TEXT)}</text>',
     ]
     axis_y = _SVG_HEIGHT - _SVG_MARGIN_BOTTOM
     parts.append(
@@ -321,12 +329,12 @@ def write_svg(path, x: np.ndarray, y: np.ndarray, title: str, x_label: str, y_la
         )
     parts.append(
         f'<text x="{_SVG_MARGIN_LEFT + plot_w / 2:.1f}" y="{_SVG_HEIGHT - 14}" text-anchor="middle" '
-        f'font-family="monospace" font-size="12">{x_label}</text>'
+        f'font-family="monospace" font-size="12">{x_label.translate(_XML_TEXT)}</text>'
     )
     parts.append(
         f'<text x="16" y="{_SVG_MARGIN_TOP + plot_h / 2:.1f}" text-anchor="middle" '
         f'font-family="monospace" font-size="12" '
-        f'transform="rotate(-90 16 {_SVG_MARGIN_TOP + plot_h / 2:.1f})">{y_label}</text>'
+        f'transform="rotate(-90 16 {_SVG_MARGIN_TOP + plot_h / 2:.1f})">{y_label.translate(_XML_TEXT)}</text>'
     )
     # Same operation order as the scalar margin + (v - lo) / (hi - lo) * size
     # (hi - v for y), so every pixel coordinate is bit-identical to a
@@ -334,10 +342,11 @@ def write_svg(path, x: np.ndarray, y: np.ndarray, title: str, x_label: str, y_la
     px = _SVG_MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
     py = _SVG_MARGIN_TOP + (y_hi - np.minimum(np.maximum(y, y_lo), y_hi)) / (y_hi - y_lo) * plot_h
     # Each run of kept samples is one polyline; a lone sample draws nothing.
+    pixels = np.column_stack((px, py))
     edges = np.diff(keep.astype(np.int8), prepend=0, append=0)
     for start, stop in zip(np.flatnonzero(edges == 1).tolist(), np.flatnonzero(edges == -1).tolist()):
         if stop - start > 1:
-            points = " ".join(map("%.2f,%.2f".__mod__, zip(px[start:stop].tolist(), py[start:stop].tolist())))
+            points = ("%.2f,%.2f " * (stop - start))[:-1] % tuple(pixels[start:stop].ravel().tolist())
             parts.append(f'<polyline points="{points}" fill="none" stroke="#1f6fb4" stroke-width="1.5"/>')
     parts.append("</svg>")
     _write_text(path, "\n".join(parts) + "\n")

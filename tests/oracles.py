@@ -5,8 +5,8 @@ quadrature of defining integrals, dense-grid scans) so the package's
 recurrence- and series-based evaluators are checked against genuinely
 different arithmetic, not against themselves.  The exceptions are kept
 copies of loops the package ran before a rewrite (svg_polylines,
-airy_ai_reference, laguerre_reference): those check that the rewrite kept
-every bit.
+profile_rows, airy_ai_reference, laguerre_reference): those check that the
+rewrite kept every bit.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from fractions import Fraction
 import numpy as np
 
 from hydrobohm import specfun
+from hydrobohm.reports import format_number
 
 
 def laguerre_series(k: int, alpha: int, x: Fraction) -> Fraction:
@@ -151,6 +152,19 @@ def svg_polylines(x: np.ndarray, y: np.ndarray, mask=None) -> list[str]:
         polylines.append(" ".join(segment))
     return polylines
 
+
+def profile_rows(curve) -> list[tuple[str, str, str]]:
+    """CSV rows (coordinate, value, masked) of a profile curve, one row at a time.
+
+    The per-row cells the profile CSV writer built before it filled every
+    row from one format call: numbers through format_number, the value cell
+    blank where the sample is masked or not finite.
+    """
+    rows = []
+    for coord, value, masked in zip(curve.coords.tolist(), curve.values.tolist(), curve.masked.tolist()):
+        shown = not masked and math.isfinite(value)
+        rows.append((format_number(coord), format_number(value) if shown else "", "true" if masked else "false"))
+    return rows
 
 
 def airy_ai_reference(x):

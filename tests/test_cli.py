@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import hydrobohm.campaigns as campaigns
+from hydrobohm import cli
 from hydrobohm.cli import AIRY_B_MAX, OUT_DIR_ENV, main
 from hydrobohm.reports import VerificationReport
 
@@ -287,6 +288,27 @@ class TestNonFiniteNumbers:
             main(argv)
         assert excinfo.value.code == 2
         assert f"argument {option}: must be finite" in capsys.readouterr().err
+
+
+class TestSharedParser:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_valid_call_after_a_usage_error_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["profile", "--state", "1,0,0", "--quantity", "nope", "--out", "x.csv"])
+        assert excinfo.value.code == 2
+        code, out, _ = run(capsys, "levels", "--n-max", "3")
+        assert code == 0
+        assert out.startswith("n,energy,ratio,expected\n")
+
+    def test_no_default_leaks_between_subcommands(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "profile", "--state", "2,1,1", "--format", "svg", "--out", str(tmp_path / "p.svg"))
+        assert code == 0
+        target = tmp_path / "x.csv"
+        code, _, _ = run(capsys, "levels", "--n-max", "3", "--out", str(target))
+        assert code == 0
+        assert target.read_text(encoding="utf-8").startswith("n,energy,ratio,expected,rel_error,pass\n")
 
 
 class TestOutputDirectoryRedirect:

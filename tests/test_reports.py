@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
@@ -12,10 +13,10 @@ from hydrobohm.reports import (
     VerificationReport,
     format_number,
     make_case,
-    profile_rows,
     report_rows,
     write_csv,
     write_json,
+    write_profile_csv,
     write_profile_json,
     write_svg,
 )
@@ -143,6 +144,13 @@ class TestWriters:
         with pytest.raises(ValueError):
             write_svg(path, x, np.full(5, np.nan), title="t", x_label="x", y_label="y")
 
+    def test_svg_escapes_title_and_labels(self, tmp_path):
+        path = tmp_path / "escaped.svg"
+        x = np.linspace(0.0, 1.0, 5)
+        write_svg(path, x, x * x, title="P & V <r>", x_label="r > 0 & r < 1", y_label="<P>")
+        texts = [element.text for element in ET.parse(path).getroot() if element.tag.endswith("text")]
+        assert {"P & V <r>", "r > 0 & r < 1", "<P>"} <= set(texts)
+
     def test_deterministic_output(self, tmp_path):
         first, second = tmp_path / "a.svg", tmp_path / "b.svg"
         x = np.linspace(0.0, 2.0, 64)
@@ -170,7 +178,7 @@ def _row_dict_json(coord_name, curve):
         "x_label": curve.x_label,
         "y_label": curve.y_label,
         "rows": [
-            {coord_name: float(c), "value": None if bad else float(v), "masked": bool(bad)}
+            {coord_name: float(c), "value": None if bad or not math.isfinite(v) else float(v), "masked": bool(bad)}
             for c, v, bad in zip(curve.coords, curve.values, curve.masked)
         ],
     }
@@ -190,12 +198,19 @@ def _oracle_curves():
     masked_ends[:2] = masked_ends[-2:] = True
     rng = np.random.default_rng(7)
     wide = rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500)
+    spread = np.random.default_rng(3)
+    non_finite = spread.standard_normal(200) * 10.0 ** spread.integers(-20, 20, 200)
+    non_finite[[0, 50, 100, 199]] = [math.nan, math.inf, math.nan, -math.inf]
+    non_finite_masked = spread.random(200) < 0.2
+    non_finite_masked[:3] = non_finite_masked[-3:] = True
+    non_finite_masked[[50, 100, 199]] = False
     return {
         "edge values, masked at both ends": _curve(np.linspace(0.0, 1.0, n), [7.0, 8.0] + _EDGE_VALUES + [9.0, 10.0], masked_ends),
         "single row": _curve([0.25], [-0.0], [False]),
         "single masked row": _curve([0.25], [1.5], [True]),
         "no rows": _curve([], [], []),
         "wide magnitudes, random mask": _curve(np.sort(rng.random(500)) * 40.0, wide, rng.random(500) < 0.3),
+        "unmasked NaN and infinities": _curve(np.linspace(0.0, 30.0, 200), non_finite, non_finite_masked),
         "escaped title": _curve([0.0, 1.0], [0.1, 0.2], [False, True], title='packet "t=0" \\ \u03c8 \u2207\u00b2'),
     }
 
@@ -219,19 +234,15 @@ class TestProfileJson:
         assert [row["masked"] for row in rows] == masked
 
 
-class TestProfileRows:
-    def test_cells_match_per_row_formatting(self):
-        rng = np.random.default_rng(3)
-        values = rng.standard_normal(200) * 10.0 ** rng.integers(-20, 20, 200)
-        values[[0, 50, 199]] = [math.nan, math.inf, -math.inf]
-        masked = rng.random(200) < 0.2
-        masked[:3] = masked[-3:] = True
-        curve = _curve(np.linspace(0.0, 30.0, 200), values, masked)
-        expected = [
-            (format_number(c), "" if bad or not np.isfinite(v) else format_number(v), "true" if bad else "false")
-            for c, v, bad in zip(curve.coords, curve.values, curve.masked)
-        ]
-        assert profile_rows(curve) == expected
+class TestProfileCsv:
+    @pytest.mark.parametrize("coord_name", ["r", "x"])
+    @pytest.mark.parametrize("name", list(_oracle_curves()))
+    def test_bytes_equal_per_row_reference(self, name, coord_name, tmp_path):
+        curve = _oracle_curves()[name]
+        path, reference = tmp_path / "profile.csv", tmp_path / "reference.csv"
+        write_profile_csv(path, coord_name, curve)
+        write_csv(reference, [coord_name, "value", "masked"], oracles.profile_rows(curve))
+        assert path.read_bytes() == reference.read_bytes()
 
 
 def _written_polylines(path):
