@@ -40,6 +40,7 @@ from .madelung import (
     bohm_potential_fd,
     continuity_residual,
     coulomb_profile,
+    decompose,
     euler_residual,
     hj_residual,
     hj_residual_field,
@@ -47,9 +48,10 @@ from .madelung import (
     quantum_potential,
 )
 from .reports import VerificationReport, make_case
-from .specfun import airy_ai
+from .specfun import _AIRY_SUPPORTED, airy_ai
 
 __all__ = [
+    "AiryRangeError",
     "ProfileCurve",
     "default_hydrogen_grid",
     "default_airy_grid",
@@ -210,6 +212,50 @@ def run_bohr_radii(
     return report, rows
 
 
+class AiryRangeError(ValueError):
+    """A packet check would read Ai past the |u| <= 20 that airy_ai supports.
+
+    Raised before any evaluation.  strength and time name the first
+    requested instant that reaches too far; reach is the largest |u| it
+    would read.
+    """
+
+    limit = _AIRY_SUPPORTED
+
+    def __init__(self, strength: float, time: float, reach: float):
+        super().__init__(
+            f"B={strength:g} at t={time:g} reads Ai at |u| up to {reach:.4g}, "
+            f"past the |u| <= {self.limit:g} that airy_ai supports"
+        )
+        self.strength = strength
+        self.time = time
+        self.reach = reach
+
+
+def _check_airy_reach(params: AiryPacketParams, spans) -> None:
+    """Raise AiryRangeError unless every span keeps u within airy_ai's range.
+
+    A span (t, time, x_lo, x_hi) stands for an evaluation of Ai(u(x, time))
+    on a grid from x_lo to x_hi that serves the requested instant t.  u is
+    monotone in x, also after rounding, so its two ends bound every grid
+    point, and the check accepts exactly the inputs airy_ai accepts.
+    """
+    for t, time, x_lo, x_hi in spans:
+        reach = float(np.abs(airy_argument(params, np.array([x_lo, x_hi]), time)).max())
+        if not reach <= _AIRY_SUPPORTED:
+            raise AiryRangeError(params.strength, t, reach)
+
+
+def _airy_residual_window(params: AiryPacketParams, t: float) -> tuple[float, float, int]:
+    """Ends and point count of the residual grid at t (see _airy_residual_grid)."""
+    beta = params.beta
+    drift = params.drift_rate * t * t
+    h = AIRY_RESIDUAL_STEP / beta
+    lo = AIRY_RESIDUAL_WINDOW[0] / beta + drift
+    hi = AIRY_RESIDUAL_WINDOW[1] / beta + drift
+    return lo, hi, int(round((hi - lo) / h)) + 1
+
+
 def _airy_residual_grid(params: AiryPacketParams, t: float):
     """Uniform grid covering u in [-6, 2] at a profile-scaled step.
 
@@ -218,13 +264,43 @@ def _airy_residual_grid(params: AiryPacketParams, t: float):
     with the 0.05 amplitude floor it keeps every finite-difference check an
     order of magnitude under the 1e-5 tolerance.
     """
-    beta = params.beta
-    drift = params.drift_rate * t * t
-    h = AIRY_RESIDUAL_STEP / beta
-    lo = AIRY_RESIDUAL_WINDOW[0] / beta + drift
-    hi = AIRY_RESIDUAL_WINDOW[1] / beta + drift
-    count = int(round((hi - lo) / h)) + 1
-    return make_axis_grid(lo, hi, count)
+    return make_axis_grid(*_airy_residual_window(params, t))
+
+
+def _continuity_step(params: AiryPacketParams, t: float) -> float:
+    """Continuity time step: AIRY_EULER_STEP, shrunk as the nodes drift faster."""
+    drift_speed = 2.0 * params.beta * params.drift_rate * abs(t)
+    return min(AIRY_EULER_STEP, AIRY_RESIDUAL_STEP / drift_speed) if drift_speed > 0 else AIRY_EULER_STEP
+
+
+def _residual_spans(params: AiryPacketParams, t: float):
+    """Spans of run_airy's Ai evaluations on the residual grid of t."""
+    lo, hi, _ = _airy_residual_window(params, t)
+    steps = {_continuity_step(params, t), AIRY_EULER_STEP}
+    times = [t, *(t + sign * 0.5 * dt for dt in steps for sign in (-1.0, 1.0))]
+    return [(t, time, lo, hi) for time in times]
+
+
+def _bracketing_pair(params: AiryPacketParams, x, t: float, dt: float):
+    """Polar forms at t -+ dt/2 for the two-time residuals, without curvature.
+
+    Neither continuity_residual nor euler_residual reads amplitude_d2, so
+    the forms come from decompose alone.  airy_argument reads the time only
+    through drift_rate * t * t, so when both times give the same drift (at
+    t = 0) they share one Ai evaluation and only the phase differs.
+    """
+    early, late = t - 0.5 * dt, t + 0.5 * dt
+    envelope = airy_ai(airy_argument(params, x, early))
+    early_field = _packet_field(params, x, early, envelope)
+    if params.drift_rate * late * late != params.drift_rate * early * early:
+        envelope = airy_ai(airy_argument(params, x, late))
+    late_field = _packet_field(params, x, late, envelope)
+    del envelope  # both fields exist; the envelope is not held through decompose
+    constants = params.constants
+    return (
+        decompose(early_field, x, constants, amplitude_floor=AIRY_RESIDUAL_FLOOR),
+        decompose(late_field, x, constants, amplitude_floor=AIRY_RESIDUAL_FLOOR),
+    )
 
 
 def _airy_peak(params: AiryPacketParams, grid, t: float) -> float:
@@ -251,7 +327,14 @@ def run_airy(
     Euler check reuses the continuity pair.  The density peak is located
     once per distinct time, t = 0 included.  One Ai evaluation per time on
     the residual grid serves both the finite-difference Bohm input and the
-    polar form at t itself, which the Hamilton-Jacobi check reads.
+    polar form at t itself, which the Hamilton-Jacobi check reads; only
+    that form carries the exact amplitude curvature.  The forms bracketing
+    t come without it, and share one Ai evaluation when their times have
+    the same t^2 (the pair around t = 0).
+
+    Raises ValueError when times is empty or repeats an instant (0 and -0
+    are one instant), and AiryRangeError, before any evaluation, when some
+    grid would read Ai past |u| = 20.
 
     Returns (report, rows); rows carry (t, displacement, expected).
     tolerance defaults to AIRY_TOL.
@@ -259,12 +342,20 @@ def run_airy(
     times = tuple(float(t) for t in times)
     if not times:
         raise ValueError("times must contain at least one instant")
+    for i, t in enumerate(times):
+        if t in times[:i]:
+            raise ValueError(f"times repeat the instant {t:g}")
     constants = constants or atomic_units()
     if tolerance is None:
         tolerance = AIRY_TOL
     params = AiryPacketParams(strength, constants)
-    report = VerificationReport(command="airy", tolerance=tolerance)
     trajectory_grid = default_airy_grid(params)
+    _check_airy_reach(
+        params,
+        [(t, t, trajectory_grid.x_min, trajectory_grid.x_max) for t in (0.0, *times)]
+        + [span for t in times for span in _residual_spans(params, t)],
+    )
+    report = VerificationReport(command="airy", tolerance=tolerance)
     trajectory_tol = 2.0 * trajectory_grid.spacing
     a_exact = airy_quantum_acceleration(params)
     peaks = {t: _airy_peak(params, trajectory_grid, t) for t in {0.0, *times}}
@@ -272,10 +363,6 @@ def run_airy(
     for t in times:
         grid = _airy_residual_grid(params, t)
         x = grid.points
-
-        def polar_at(time: float):
-            return airy_polar(params, grid, time, amplitude_floor=AIRY_RESIDUAL_FLOOR)
-
         envelope = airy_ai(airy_argument(params, x, t))
         bohm_fd = bohm_potential_fd(
             envelope, grid, constants, amplitude_floor=AIRY_RESIDUAL_FLOOR
@@ -293,14 +380,13 @@ def run_airy(
         del centre, envelope  # not held while the bracketing forms are built
         report.add(make_case(f"hj t={t:g}", hj, 0.0, tolerance, metric="abs"))
 
-        drift_speed = 2.0 * params.beta * params.drift_rate * abs(t)
-        dt = min(AIRY_EULER_STEP, AIRY_RESIDUAL_STEP / drift_speed) if drift_speed > 0 else AIRY_EULER_STEP
-        pair = polar_at(t - 0.5 * dt), polar_at(t + 0.5 * dt)
+        dt = _continuity_step(params, t)
+        pair = _bracketing_pair(params, x, t, dt)
         cont = continuity_residual(*pair, dt, constants)
         report.add(make_case(f"continuity t={t:g}", cont, 0.0, tolerance, metric="abs"))
 
         if dt != AIRY_EULER_STEP:
-            pair = polar_at(t - 0.5 * AIRY_EULER_STEP), polar_at(t + 0.5 * AIRY_EULER_STEP)
+            pair = _bracketing_pair(params, x, t, AIRY_EULER_STEP)
         closed_form = airy_bohm_closed_form(params, grid, t)
         euler = euler_residual(*pair, AIRY_EULER_STEP, closed_form, constants)
         report.add(make_case(f"euler t={t:g}", euler, 0.0, tolerance, metric="abs"))
@@ -387,6 +473,8 @@ def _airy_curve(quantity: str, constants: PhysicalConstants, strength: float, ti
     x = grid.points
     none = np.zeros(x.shape, bool)
     label = f"airy packet (B={strength:g}, t={time:g})"
+    if quantity in ("P", "j", "residual"):
+        _check_airy_reach(params, [(time, time, grid.x_min, grid.x_max)])
     if quantity == "P":
         values = np.abs(airy_psi(params, x, time)) ** 2
         return ProfileCurve(x, values, none, f"{label}: relative density", "x [bohr]", "|Psi|^2 [relative]")

@@ -32,7 +32,14 @@ import re
 import sys
 import time as _time
 
-from .campaigns import profile_curve, run_airy, run_bohr_radii, run_flatness, run_levels
+from .campaigns import (
+    AiryRangeError,
+    profile_curve,
+    run_airy,
+    run_bohr_radii,
+    run_flatness,
+    run_levels,
+)
 from .core import atomic_units
 from .reports import (
     REPORT_HEADER,
@@ -134,6 +141,9 @@ def _parse_times(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad time list {text!r}") from exc
     if not times:
         raise argparse.ArgumentTypeError("at least one time is required")
+    for i, t in enumerate(times):
+        if t in times[:i]:
+            raise argparse.ArgumentTypeError(f"time {t:g} is given more than once")
     return times
 
 
@@ -212,15 +222,30 @@ def cmd_bohr_radii(args: argparse.Namespace) -> int:
     return _finish(args, report, table, table)
 
 
+def _airy_range_usage(exc: AiryRangeError, time_option: str) -> ValueError:
+    """The usage error for a packet that leaves airy_ai's range, in option names."""
+    return ValueError(
+        f"--B {exc.strength:g} with {time_option} {exc.time:g} reads Ai at |u| up to "
+        f"{exc.reach:.4g}, past the |u| <= {exc.limit:g} that airy_ai supports; "
+        f"use a smaller --B or a time nearer 0"
+    )
+
+
 def cmd_airy(args: argparse.Namespace) -> int:
-    report, rows = run_airy(args.strength, args.times, atomic_units(), args.tol)
+    try:
+        report, rows = run_airy(args.strength, args.times, atomic_units(), args.tol)
+    except AiryRangeError as exc:
+        raise _airy_range_usage(exc, "--times") from exc
     return _finish(args, report, (["t", "x_peak", "expected"], rows))
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    curve = profile_curve(
-        args.state, args.quantity, atomic_units(), strength=args.strength, time=args.time
-    )
+    try:
+        curve = profile_curve(
+            args.state, args.quantity, atomic_units(), strength=args.strength, time=args.time
+        )
+    except AiryRangeError as exc:
+        raise _airy_range_usage(exc, "--time") from exc
     path = _resolve_out(args.out)
     coord_name = "x" if args.state == "airy" else "r"
     if args.format == "svg":

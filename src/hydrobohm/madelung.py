@@ -158,11 +158,13 @@ def decompose(
     """Split complex samples into amplitude and unwrapped action phase.
 
     The phase is unwrapped independently on each contiguous run of points
-    whose amplitude clears the floor; below the floor the phase is undefined
-    and the point is flagged invalid.  A phase step larger than pi hbar/2
-    between neighbouring valid points is an unwrap failure (a sign-flip node
-    crossed above the floor, or an under-resolved grid): both endpoints are
-    flagged invalid so the jump splits the run.
+    whose amplitude clears the floor (by _unwrap, np.unwrap bit for bit);
+    below the floor the phase is undefined and the point is flagged invalid.
+    A phase step larger than pi hbar/2 between neighbouring valid points is
+    an unwrap failure (a sign-flip node crossed above the floor, or an
+    under-resolved grid): both endpoints are flagged invalid so the jump
+    splits the run.  No amplitude curvature is attached; amplitude_d2 stays
+    None.
     """
     coords = as_points(grid)
     values = np.asarray(values, dtype=complex)
@@ -174,12 +176,34 @@ def decompose(
     phase = np.zeros_like(amplitude)
     raw = np.angle(values)
     for start, stop in _runs(valid):
-        phase[start:stop] = hbar * np.unwrap(raw[start:stop])
+        phase[start:stop] = hbar * _unwrap(raw[start:stop])
     jump = (valid[:-1] & valid[1:]) & (np.abs(np.diff(phase)) > 0.5 * math.pi * hbar)
     valid[:-1] &= ~jump
     valid[1:] &= ~jump
     phase = np.where(valid, phase, 0.0)
     return PolarForm(coords=coords, amplitude=amplitude, phase=phase, valid=valid)
+
+
+def _unwrap(angles: np.ndarray) -> np.ndarray:
+    """np.unwrap(angles) bit for bit, wrapping only the steps that need it.
+
+    np.unwrap reduces every step into [-pi, pi) and then zeroes the
+    correction wherever |step| < pi.  Here the reduction, the +pi tie fix
+    and the correction run only on the other steps, selected as
+    ~(|step| < pi) so that a NaN step stays NaN as in np.unwrap.  The
+    running sum and the final add stay dense.
+    """
+    steps = np.diff(angles)
+    jumps = np.flatnonzero(~(np.abs(steps) < math.pi))
+    correction = np.zeros_like(steps)
+    if jumps.size:
+        step = steps[jumps]
+        wrapped = np.mod(step + math.pi, 2.0 * math.pi) - math.pi
+        wrapped[(wrapped == -math.pi) & (step > 0)] = math.pi
+        correction[jumps] = wrapped - step
+    out = angles.copy()
+    out[1:] = angles[1:] + correction.cumsum()
+    return out
 
 
 def _runs(valid: np.ndarray):

@@ -12,6 +12,7 @@ import hydrobohm.madelung as madelung
 from hydrobohm import energy_level, radial_distribution, radial_peaks, state
 from hydrobohm.campaigns import (
     AIRY_TOL,
+    AiryRangeError,
     FLATNESS_ANALYTIC_TOL,
     LEVELS_TOL,
     default_airy_grid,
@@ -131,12 +132,27 @@ class TestSharedWork:
 
     def test_airy_builds_each_polar_form_and_peak_once(self, monkeypatch):
         counts = _count_calls(
-            monkeypatch, "airy_polar", "_packet_polar", "_airy_peak", "airy_ai", modules=(campaigns, airy)
+            monkeypatch,
+            "airy_polar",
+            "_packet_polar",
+            "decompose",
+            "_airy_peak",
+            "airy_ai",
+            modules=(campaigns, airy),
         )
         run_airy(1.0, (0, 0.3, 1))
-        # 11 polar forms, 3 of them (one per time) on the envelope the Bohm
-        # check already evaluated; Ai once per polar form, envelope and peak.
-        assert counts == {"airy_polar": 8, "_packet_polar": 11, "_airy_peak": 3, "airy_ai": 14}
+        # 11 polar forms: 3 centre forms (one per time, with curvature) on the
+        # envelope the Bohm check already evaluated, and 8 bracketing forms
+        # straight from decompose.  Ai runs once per peak, once per centre and
+        # once per distinct t^2 of a bracketing pair: the pair around t = 0
+        # shares one evaluation, so 3 + 3 + (1 + 2 + 4) = 13 (14 before).
+        assert counts == {
+            "airy_polar": 0,
+            "_packet_polar": 3,
+            "decompose": 11,
+            "_airy_peak": 3,
+            "airy_ai": 13,
+        }
 
 
 class TestRunBohrRadii:
@@ -166,6 +182,62 @@ class TestRunAiry:
             run_airy(-1.0, (0.0,))
         with pytest.raises(ValueError):
             run_airy(1.0, ())
+
+    @pytest.mark.parametrize("times", [(0.3, 0.3), (0.1, 1e-1), (0.0, 1.0, -0.0)])
+    def test_rejects_repeated_instants(self, times, monkeypatch):
+        counts = _count_calls(monkeypatch, "airy_ai", modules=(campaigns, airy))
+        with pytest.raises(ValueError, match="repeat the instant"):
+            run_airy(1.0, times)
+        assert counts == {"airy_ai": 0}
+
+    def test_bracketing_forms_carry_no_curvature(self, monkeypatch):
+        seen = {"hj": [], "continuity": [], "euler": []}
+
+        def spy(kind, polars):
+            original = getattr(campaigns, f"{kind}_residual")
+
+            def wrapped(*args, **kwargs):
+                seen[kind].extend(args[:polars])
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(campaigns, f"{kind}_residual", wrapped)
+
+        spy("hj", 1)
+        spy("continuity", 2)
+        spy("euler", 2)
+        run_airy(1.0, (0.0, 0.3, 1.0))
+        assert len(seen["hj"]) == 3 and all(p.amplitude_d2 is not None for p in seen["hj"])
+        assert len(seen["continuity"]) == 6 and len(seen["euler"]) == 6
+        assert all(p.amplitude_d2 is None for p in seen["continuity"] + seen["euler"])
+
+    @pytest.mark.parametrize("strength, times", [(1.0, (0.0, 10.0)), (100.0, (0.5,)), (2.0, (-2.0,))])
+    def test_out_of_range_is_refused_before_any_evaluation(self, strength, times, monkeypatch):
+        counts = _count_calls(monkeypatch, "airy_ai", modules=(campaigns, airy))
+        with pytest.raises(AiryRangeError) as excinfo:
+            run_airy(strength, times)
+        assert counts == {"airy_ai": 0}
+        assert (excinfo.value.strength, excinfo.value.time) == (strength, times[-1])
+        assert excinfo.value.reach > excinfo.value.limit == 20.0
+
+    # Last accepted input and the next float up: the trajectory grid sets the
+    # edge in t at B = 1, the bracketing forms set the edge in B at t = 0.
+    @pytest.mark.parametrize(
+        "strength, t, moved",
+        [(1.0, 4.47213595499958, "t"), (122.33817698125047, 0.0, "B")],
+        ids=["t-edge", "B-edge"],
+    )
+    def test_range_edge_is_the_edge_of_airy_ai(self, strength, t, moved, monkeypatch):
+        report, _ = run_airy(strength, (t,))
+        assert report.case_count == 5
+        if moved == "t":
+            t = math.nextafter(t, math.inf)
+        else:
+            strength = math.nextafter(strength, math.inf)
+        with pytest.raises(AiryRangeError):
+            run_airy(strength, (t,))
+        monkeypatch.setattr(campaigns, "_check_airy_reach", lambda params, spans: None)
+        with pytest.raises(ValueError, match="airy_ai supports"):
+            run_airy(strength, (t,))
 
 
 class TestProfileCurve:
@@ -199,6 +271,17 @@ class TestProfileCurve:
         np.testing.assert_allclose(
             curve.values[keep], density_curve.values[keep] * 0.5 * 0.8, rtol=1e-12
         )
+
+    @pytest.mark.parametrize("quantity", ["P", "j", "residual", "V", "V_bohm", "V_q"])
+    def test_airy_range_is_checked_only_where_ai_is_read(self, quantity, monkeypatch):
+        counts = _count_calls(monkeypatch, "airy_ai", modules=(campaigns, airy))
+        if quantity in ("P", "j", "residual"):
+            with pytest.raises(AiryRangeError) as excinfo:
+                profile_curve("airy", quantity, strength=1.0, time=10.0)
+            assert excinfo.value.time == 10.0
+            assert counts == {"airy_ai": 0}
+        else:
+            assert profile_curve("airy", quantity, strength=1.0, time=10.0).values.size == 8000
 
     def test_unknown_selection_and_quantity(self):
         with pytest.raises(ValueError):

@@ -224,6 +224,44 @@ class TestStateNMax:
         assert "cases: 101  passes: 101" in out
 
 
+class TestAiryTimes:
+    @pytest.mark.parametrize(
+        "times, repeated", [("0.3,0.3", "0.3"), ("0.1,1e-1", "0.1"), ("0,1,-0", "-0")]
+    )
+    def test_repeated_instant_is_a_usage_error_naming_times(self, times, repeated, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["airy", "--times", times])
+        assert excinfo.value.code == 2
+        assert f"argument --times: time {repeated} is given more than once" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, time_option",
+        [
+            (["airy", "--B", "1", "--times", "10"], "--times 10"),
+            (["airy", "--B", "100", "--times", "0.5"], "--times 0.5"),
+            (["airy", "--B", "2", "--times", "0,-2"], "--times -2"),
+            (["profile", "--state", "airy", "--time", "10", "--out", "x.csv"], "--time 10"),
+            (["profile", "--state", "airy", "--quantity", "residual", "--time", "10", "--out", "x.csv"], "--time 10"),
+        ],
+    )
+    def test_packet_past_the_airy_range_is_a_usage_error_naming_the_options(
+        self, argv, time_option, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv(OUT_DIR_ENV, str(tmp_path))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --B ")
+        assert f" with {time_option} reads Ai at |u| up to " in err
+        assert not list(tmp_path.iterdir())
+
+    def test_profile_without_ai_keeps_accepting_any_time(self, capsys, tmp_path):
+        target = tmp_path / "x.csv"
+        argv = ["profile", "--state", "airy", "--quantity", "V_q", "--time", "10", "--out", str(target)]
+        assert run(capsys, *argv)[0] == 0
+        assert target.exists()
+
+
 class TestAiryStrengthLimit:
     def test_airy_at_the_limit_runs(self, capsys):
         code, out, _ = run(capsys, "airy", "--B", repr(AIRY_B_MAX), "--times", "0")

@@ -21,7 +21,7 @@ from hydrobohm import (
     quantum_potential,
     state,
 )
-from hydrobohm.madelung import AMPLITUDE_FLOOR
+from hydrobohm.madelung import AMPLITUDE_FLOOR, _unwrap
 
 AU = atomic_units()
 
@@ -75,6 +75,59 @@ class TestDecompose:
         grid = make_axis_grid(-1.0, 1.0, 11)
         with pytest.raises(ValueError):
             decompose(np.ones(10, dtype=complex), grid, AU)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# Steps where the wrap decision or the +pi tie fix is on a knife edge.
+_EDGE_STEPS = (
+    math.pi,
+    -math.pi,
+    math.nextafter(math.pi, 0.0),
+    math.nextafter(math.pi, 4.0),
+    -math.nextafter(math.pi, 0.0),
+    -math.nextafter(math.pi, 4.0),
+    2.0 * math.pi,
+    -3.0 * math.pi,
+)
+
+
+class TestUnwrap:
+    """madelung._unwrap is np.unwrap bit for bit, NaN and ties included."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_phase_walks(self, seed):
+        rng = np.random.default_rng(seed)
+        for length in (3, 8, 40, 1000):
+            angles = np.angle(np.exp(1j * np.cumsum(rng.normal(0.0, 2.0, length))))
+            # Splice exact steps in after a 0: the step is then the value itself.
+            for step in _EDGE_STEPS:
+                k = int(rng.integers(0, length - 1))
+                angles[k], angles[k + 1] = 0.0, step
+            if seed % 2:
+                angles[rng.integers(0, length, 2)] = np.nan
+            assert _same_bits(_unwrap(angles), np.unwrap(angles))
+
+    @pytest.mark.parametrize("step", _EDGE_STEPS)
+    def test_each_edge_step_alone(self, step):
+        angles = np.array([0.0, step, step])
+        assert _same_bits(_unwrap(angles), np.unwrap(angles))
+
+    def test_exact_pi_step_keeps_its_sign(self):
+        # mod(pi + pi, 2 pi) - pi is -pi; the tie fix turns a +pi step back
+        # into +pi, so no correction is made.
+        assert _same_bits(_unwrap(np.array([0.0, math.pi])), np.array([0.0, math.pi]))
+
+    @pytest.mark.parametrize(
+        "angles",
+        [[], [1.5], [0.0, 3.5], [np.nan, 1.0], [1.0, np.nan], [np.nan], [0.0, 1.0, np.nan, 1.0]],
+        ids=["len0", "len1", "len2", "nan-first", "nan-last", "nan-alone", "nan-inside"],
+    )
+    def test_short_and_nan_inputs(self, angles):
+        angles = np.array(angles, dtype=float)
+        assert _same_bits(_unwrap(angles), np.unwrap(angles))
 
 
 class TestBohmPotential:
