@@ -45,7 +45,6 @@ from .hydrogen import (
     psi,
     radial_distribution,
     radial_peaks,
-    radial_profile,
     radial_R,
     radial_R_derivatives,
     schrodinger_residual,
@@ -116,7 +115,6 @@ __all__ = [
     "radial_R_derivatives",
     "radial_distribution",
     "radial_peaks",
-    "radial_profile",
     "run_airy",
     "run_bohr_radii",
     "run_flatness",

@@ -27,6 +27,7 @@ from .airy import (
 )
 from .core import PhysicalConstants, atomic_units, make_axis_grid, make_radial_grid
 from .hydrogen import (
+    _radial_values,
     energy_level,
     psi,
     radial_distribution,
@@ -35,6 +36,9 @@ from .hydrogen import (
     state,
 )
 from .madelung import (
+    _bohm_fd,
+    _bohm_shell,
+    _uniform_spacing,
     _worst,
     bohm_potential_analytic,
     bohm_potential_fd,
@@ -47,7 +51,7 @@ from .madelung import (
     quantum_acceleration,
     quantum_potential,
 )
-from .reports import VerificationReport, make_case
+from .reports import CaseRecord, VerificationReport, make_case
 from .specfun import _AIRY_SUPPORTED, airy_ai
 
 __all__ = [
@@ -116,12 +120,25 @@ def run_levels(n_max: int, constants: PhysicalConstants | None = None, tolerance
     return report, rows
 
 
-def _flatness_deviation(spec, grid, bohm) -> float:
-    """max |V_Q - E_n| / |E_n| over the points the Bohm potential keeps."""
-    constants = spec.constants
-    v_q = quantum_potential(coulomb_profile(constants, grid), bohm)
-    e_n = float(energy_level(spec.n, constants))
-    return _worst(v_q.values - e_n, ~v_q.node_mask) / abs(e_n)
+def _flatness_deviation(external: np.ndarray, bohm: np.ndarray, mask: np.ndarray, e_n: float) -> float:
+    """max |V + V_Bohm - E_n| / |E_n| over the points the Bohm mask keeps.
+
+    bohm and mask are overwritten: the sum is built in bohm's buffer and
+    mask is inverted in place.
+    """
+    bohm += external
+    bohm -= e_n
+    np.logical_not(mask, out=mask)
+    return _worst(bohm, mask) / abs(e_n)
+
+
+def _flatness_fd_grid(n: int, constants: PhysicalConstants):
+    """The uniform grid of shell n for the fd flatness check."""
+    a = float(constants.bohr_radius)
+    r_hi = max(30.0, 4.0 * n * n) * a
+    h = FD_FLATNESS_STEP * a
+    count = int(round((r_hi - a) / h)) + 1
+    return make_radial_grid(a, r_hi, count, law="uniform")
 
 
 def _flatness_fd_bohm(spec):
@@ -132,18 +149,34 @@ def _flatness_fd_bohm(spec):
     10^-12 floor would drown the comparison in stencil error, not physics.
     The grid starts at one bohr radius: below that the centrifugal r^l
     growth makes h^2 R'''/(3r) stencil error (through the 2R'/r term)
-    the dominant contribution for high-n, low-l states.
+    the dominant contribution for high-n, low-l states.  run_flatness
+    builds and checks the grid once per shell and calls the stencil
+    kernel per l (_fd_shell); this per-state form computes the same bits.
     """
     constants = spec.constants
-    a = float(constants.bohr_radius)
-    r_hi = max(30.0, 4.0 * spec.n * spec.n) * a
-    h = FD_FLATNESS_STEP * a
-    count = int(round((r_hi - a) / h)) + 1
-    grid = make_radial_grid(a, r_hi, count, law="uniform")
+    grid = _flatness_fd_grid(spec.n, constants)
     values = radial_R(spec, grid.points)
     return grid, bohm_potential_fd(
         values, grid, constants, geometry="radial", angular_l=spec.l, amplitude_floor=FD_FLATNESS_FLOOR
     )
+
+
+def _fd_shell(n: int, ls, constants: PhysicalConstants, e_n: float):
+    """Flatness deviations of (n, l), l in ls, on the fd grid of shell n."""
+    r = _flatness_fd_grid(n, constants).points
+    h = _uniform_spacing(r)
+    return [_fd_deviation(n, l, constants, r, h, e_n) for l in ls]
+
+
+def _fd_deviation(n: int, l: int, constants: PhysicalConstants, r: np.ndarray, h: float, e_n: float) -> float:
+    """_flatness_fd_bohm's deviation of (n, l) on the checked grid r of step h.
+
+    Every array made here is freed on return, before the next l starts.
+    """
+    values = _radial_values(n, l, float(constants.bohr_radius), r)
+    bohm = _bohm_fd(values, r, h, constants, True, l, FD_FLATNESS_FLOOR)
+    del values
+    return _flatness_deviation(coulomb_profile(constants, r).values, bohm.values, bohm.node_mask, e_n)
 
 
 def run_flatness(
@@ -155,9 +188,15 @@ def run_flatness(
 ) -> VerificationReport:
     """Check max |V_Q - E_n| / |E_n| per eigenstate.
 
-    The full-wavefunction Bohm potential is independent of m, so the
-    deviation is computed once per (n, l) and reported for every m the
-    policy selects.
+    The work goes one shell n at a time.  The full-wavefunction Bohm
+    potential is independent of m, so the deviation is computed once per
+    (n, l), and one case record per (n, l) is copied for every m the
+    policy selects.  On the analytic path the l of a shell are walked
+    downward through madelung._bohm_shell, which shares rho, e^{-rho/2},
+    E_n and one Laguerre chain between neighbouring l (L'' of (n, l) is
+    the step before L of (n, l + 1)); the Coulomb term is built once per
+    grid.  On the fd path the uniform grid is built and checked once per
+    shell.  Cases are reported in (n, l, m) order.
     """
     if policy not in ("all-lm", "circular"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -169,17 +208,25 @@ def run_flatness(
     if tolerance is None:
         tolerance = FLATNESS_ANALYTIC_TOL if method == "analytic" else FLATNESS_FD_TOL
     report = VerificationReport(command="flatness", tolerance=tolerance)
-    grid = default_hydrogen_grid(n_max, constants) if method == "analytic" else None
+    if method == "analytic":
+        r = default_hydrogen_grid(n_max, constants).points
+        external = coulomb_profile(constants, r).values
     for n in range(1, n_max + 1):
-        for l in range(n) if policy == "all-lm" else [n - 1]:
-            spec = state(n, l, 0, constants)
-            if method == "analytic":
-                deviation = _flatness_deviation(spec, grid, bohm_potential_analytic(spec, grid))
-            else:
-                deviation = _flatness_deviation(spec, *_flatness_fd_bohm(spec))
-            for m in range(-l, l + 1):
-                case_id = f"n={n:02d} l={l:02d} m={m:+03d}"
-                report.add(make_case(case_id, deviation, 0.0, tolerance, metric="abs"))
+        ls = range(n - 1, -1, -1) if policy == "all-lm" else (n - 1,)
+        e_n = float(energy_level(n, constants))
+        if method == "analytic":
+            deviations = [
+                _flatness_deviation(external, values, mask, e_n)
+                for values, mask in _bohm_shell(n, ls, constants, r)
+            ]
+        else:
+            deviations = _fd_shell(n, ls, constants, e_n)
+        for l, deviation in sorted(zip(ls, deviations)):
+            case = make_case(f"n={n:02d} l={l:02d} m={-l:+03d}", deviation, 0.0, tolerance, metric="abs")
+            numbers = (case.computed, case.expected, case.abs_error, case.rel_error, case.passed)
+            report.add(case)
+            for m in range(1 - l, l + 1):
+                report.add(CaseRecord(f"n={n:02d} l={l:02d} m={m:+03d}", *numbers))
     return report
 
 
@@ -303,6 +350,21 @@ def _bracketing_pair(params: AiryPacketParams, x, t: float, dt: float):
     )
 
 
+def _check_time_ids(times) -> None:
+    """Raise ValueError when two different instants print as one t= case id.
+
+    run_airy labels its cases with t formatted by :g (six significant
+    digits), so 0.1234567 and 0.1234568 would give rows that cannot be
+    told apart.  Equal instants are not checked here.
+    """
+    seen = {}
+    for t in times:
+        label = f"{t:g}"
+        if seen.get(label, t) != t:
+            raise ValueError(f"instants {seen[label]!r} and {t!r} both give the case id t={label}")
+        seen[label] = t
+
+
 def _airy_peak(params: AiryPacketParams, grid, t: float) -> float:
     """Grid position of the density maximum at time t."""
     density = np.abs(airy_psi(params, grid.points, t)) ** 2
@@ -332,8 +394,9 @@ def run_airy(
     t come without it, and share one Ai evaluation when their times have
     the same t^2 (the pair around t = 0).
 
-    Raises ValueError when times is empty or repeats an instant (0 and -0
-    are one instant), and AiryRangeError, before any evaluation, when some
+    Raises ValueError when times is empty, repeats an instant (0 and -0
+    are one instant) or holds two instants whose case ids read alike
+    (_check_time_ids), and AiryRangeError, before any evaluation, when some
     grid would read Ai past |u| = 20.
 
     Returns (report, rows); rows carry (t, displacement, expected).
@@ -345,6 +408,7 @@ def run_airy(
     for i, t in enumerate(times):
         if t in times[:i]:
             raise ValueError(f"times repeat the instant {t:g}")
+    _check_time_ids(times)
     constants = constants or atomic_units()
     if tolerance is None:
         tolerance = AIRY_TOL
@@ -447,7 +511,7 @@ def _hydrogen_curve(n: int, l: int, m: int, quantity: str, constants: PhysicalCo
     none = np.zeros(r.shape, bool)
     label = f"hydrogen (n={n}, l={l}, m={m})"
     if quantity == "P":
-        return ProfileCurve(r, radial_distribution(spec, grid).values, none, f"{label}: radial distribution", "r [bohr]", "P [1/bohr]")
+        return ProfileCurve(r, radial_distribution(spec, grid), none, f"{label}: radial distribution", "r [bohr]", "P [1/bohr]")
     if quantity == "V":
         profile = coulomb_profile(constants, grid)
         return ProfileCurve(r, profile.values, profile.node_mask, f"{label}: external potential", "r [bohr]", "V [hartree]")

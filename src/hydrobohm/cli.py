@@ -34,6 +34,7 @@ import time as _time
 
 from .campaigns import (
     AiryRangeError,
+    _check_time_ids,
     profile_curve,
     run_airy,
     run_bohr_radii,
@@ -144,6 +145,10 @@ def _parse_times(text: str) -> tuple[float, ...]:
     for i, t in enumerate(times):
         if t in times[:i]:
             raise argparse.ArgumentTypeError(f"time {t:g} is given more than once")
+    try:
+        _check_time_ids(times)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return times
 
 

@@ -27,7 +27,6 @@ from .specfun import laguerre, laguerre_derivative, ln_factorial, spherical_harm
 
 __all__ = [
     "EigenstateSpec",
-    "RadialProfile",
     "state",
     "energy_level",
     "radial_R",
@@ -35,7 +34,6 @@ __all__ = [
     "psi",
     "node_mask",
     "schrodinger_residual",
-    "radial_profile",
     "radial_distribution",
     "radial_peaks",
     "overlap",
@@ -75,15 +73,6 @@ class EigenstateSpec:
         return self.qn.m
 
 
-@dataclass(frozen=True)
-class RadialProfile:
-    """Samples of a radial quantity; meaning is one of R, P, dP_dr."""
-
-    coords: np.ndarray
-    values: np.ndarray
-    meaning: str
-
-
 def state(n: int, l: int, m: int = 0, constants: PhysicalConstants | None = None) -> EigenstateSpec:
     return EigenstateSpec(QuantumNumbers(n, l, m), constants or atomic_units())
 
@@ -109,9 +98,18 @@ def _laguerre_with_derivatives(spec: EigenstateSpec, rho, order: int = 2):
     )
 
 
-def _radial_from_laguerre(n: int, l: int, a: float, rho: np.ndarray, lag: np.ndarray) -> np.ndarray:
-    """R_nl at rho = 2 r / (n a), given L_{n-l-1}^{2l+1}(rho)."""
-    return _radial_norm(n, l, a) * np.exp(-rho / 2) * rho**l * lag
+def _radial_from_laguerre(
+    n: int, l: int, a: float, rho: np.ndarray, lag: np.ndarray, envelope: np.ndarray | None = None
+) -> np.ndarray:
+    """R_nl at rho = 2 r / (n a), given L_{n-l-1}^{2l+1}(rho).
+
+    envelope is e^{-rho/2} when the caller already holds it; otherwise it
+    is evaluated here into the buffer of the result.
+    """
+    values = _radial_norm(n, l, a) * (np.exp(-rho / 2) if envelope is None else envelope)
+    values *= rho**l
+    values *= lag
+    return values
 
 
 def _radial_values(n: int, l: int, a: float, r: np.ndarray) -> np.ndarray:
@@ -125,33 +123,25 @@ def radial_R(spec: EigenstateSpec, r) -> np.ndarray:
     return _radial_values(spec.n, spec.l, float(spec.constants.bohr_radius), np.asarray(r))
 
 
-def _radial_derivatives(spec: EigenstateSpec, r, order: int) -> tuple[np.ndarray, ...]:
-    """R and its first `order` (1 or 2) r-derivatives by the product rule on e^{-rho/2} rho^l L(rho)."""
+def radial_R_derivatives(spec: EigenstateSpec, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R, dR/dr, d2R/dr2) by the product rule on e^{-rho/2} rho^l L(rho)."""
     r = np.asarray(r)
     n, l = spec.n, spec.l
     a = float(spec.constants.bohr_radius)
     c = 2.0 / (n * a)
     rho = c * r
-    lags = _laguerre_with_derivatives(spec, rho, order)
-    lag, lag1 = lags[0], lags[1]
+    lag, lag1, lag2 = _laguerre_with_derivatives(spec, rho)
     envelope = np.exp(-rho / 2)
     p_l = rho**l
     p_lm1 = l * rho ** (l - 1) if l >= 1 else np.zeros_like(rho)
+    p_lm2 = l * (l - 1) * rho ** (l - 2) if l >= 2 else np.zeros_like(rho)
     f0 = envelope * p_l * lag
     f1 = envelope * ((p_lm1 - p_l / 2) * lag + p_l * lag1)
-    norm = _radial_norm(n, l, a)
-    if order == 1:
-        return norm * f0, norm * c * f1
-    p_lm2 = l * (l - 1) * rho ** (l - 2) if l >= 2 else np.zeros_like(rho)
     f2 = envelope * (
-        (p_l / 4 - p_lm1 + p_lm2) * lag + (2 * p_lm1 - p_l) * lag1 + p_l * lags[2]
+        (p_l / 4 - p_lm1 + p_lm2) * lag + (2 * p_lm1 - p_l) * lag1 + p_l * lag2
     )
+    norm = _radial_norm(n, l, a)
     return norm * f0, norm * c * f1, norm * c * c * f2
-
-
-def radial_R_derivatives(spec: EigenstateSpec, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(R, dR/dr, d2R/dr2) by the product rule on e^{-rho/2} rho^l L(rho)."""
-    return _radial_derivatives(spec, r, 2)
 
 
 def psi(spec: EigenstateSpec, r, theta, phi) -> np.ndarray:
@@ -193,12 +183,6 @@ def schrodinger_residual(spec: EigenstateSpec, grid, energy=None) -> float:
     return float(np.abs(residual[keep]).max() / scale)
 
 
-def _distribution_slope(spec: EigenstateSpec, r) -> np.ndarray:
-    """dP/dr = 2 r R (R + r dR/dr) from R and R' alone, elementwise on any shape of r."""
-    big_r, d1 = _radial_derivatives(spec, r, 1)
-    return 2.0 * r * big_r * (big_r + r * d1)
-
-
 def _slope_sign(spec: EigenstateSpec, r) -> np.ndarray:
     """sign(L) ((1 + l - rho/2) L + rho L'), which has the sign of dP/dr; any shape of r.
 
@@ -216,23 +200,10 @@ def _slope_sign(spec: EigenstateSpec, r) -> np.ndarray:
     return value
 
 
-def radial_profile(spec: EigenstateSpec, grid, quantity: str = "P") -> RadialProfile:
-    """Radial curve for one state: R, the distribution P = r^2 R^2, or dP/dr."""
+def radial_distribution(spec: EigenstateSpec, grid) -> np.ndarray:
+    """P_nl(r) = r^2 R_nl(r)^2 at the grid points."""
     r = as_points(grid)
-    if quantity == "R":
-        values = radial_R(spec, r)
-    elif quantity == "P":
-        values = r**2 * radial_R(spec, r) ** 2
-    elif quantity == "dP_dr":
-        values = _distribution_slope(spec, r)
-    else:
-        raise ValueError(f"unknown quantity {quantity!r}")
-    return RadialProfile(coords=r, values=np.asarray(values), meaning=quantity)
-
-
-def radial_distribution(spec: EigenstateSpec, grid) -> RadialProfile:
-    """P_nl(r) = r^2 R_nl(r)^2 on the grid."""
-    return radial_profile(spec, grid, "P")
+    return r**2 * radial_R(spec, r) ** 2
 
 
 def _midpoint_tree(lo: float, hi: float, levels: int) -> list[float]:

@@ -25,12 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PhysicalConstants, as_points
-from .hydrogen import (
-    EigenstateSpec,
-    _amplitude_mask,
-    _laguerre_with_derivatives,
-    _radial_from_laguerre,
-)
+from .hydrogen import EigenstateSpec, _amplitude_mask, _radial_from_laguerre
+from .specfun import _laguerre_pair
 
 __all__ = [
     "PolarForm",
@@ -226,34 +222,75 @@ def bohm_potential_analytic(spec: EigenstateSpec, grid) -> PotentialProfile:
 
     The whole eigenfunction is divided (exact angular eigenvalue
     -l(l+1)/r^2), so the result is independent of both angles and of m.
-    The radial part is assembled in the rho^l-factored form
+    This is the single-l call of _bohm_shell, which documents the
+    assembly.  Alone, a state runs all three of its recurrences: the L''
+    chain it shares with (n, l + 1) in a shell walk is run for it here.
+    """
+    r = as_points(grid)
+    ((values, mask),) = _bohm_shell(spec.n, (spec.l,), spec.constants, r)
+    return PotentialProfile(coords=r, values=values, node_mask=mask, kind="bohm")
+
+
+def _bohm_shell(n: int, ls, constants: PhysicalConstants, r: np.ndarray):
+    """Analytic Bohm potential and node mask of (n, l) at r, for each l in ls.
+
+    Yields (values, node_mask) in the order of ls.  The radial part is
+    assembled in the rho^l-factored form
 
         lap(psi)/psi = c^2 [ 2(l+1)/rho (L'/L - 1/2) + 1/4 - L'/L + L''/L ],
 
     c = 2/(n a), which cancels the l/r^2 growth symbolically and keeps the
-    evaluation well conditioned down to small r.  L, L' and L'' come from
-    three separate recurrence evaluations, so the identity V_Q = E_n stays
-    a nontrivial numerical statement about those recurrences.  The node
-    mask is node_mask's rule applied to R_nl assembled from the L already
-    in hand, on the same rho, so it is the mask node_mask returns.
+    evaluation well conditioned down to small r.  With k = n - l - 1, L,
+    L' and L'' are L_k^{2l+1}, -L_{k-1}^{2l+2} and L_{k-2}^{2l+3}: three
+    separate recurrences per state, none of them the Laguerre ODE, so the
+    identity V_Q = E_n stays a nontrivial numerical statement about them.
+    All l of one shell share rho and e^{-rho/2}.  The chain that
+    gives L_{k-1}^{2l+3}, the L of (n, l + 1), passes L_{k-2}^{2l+3} on
+    its way (_laguerre_pair), so when l follows l + 1 in ls its L'' costs
+    no recurrence: all n values of l, walked downward, take 2n - 1
+    recurrences.  The node mask is node_mask's rule applied to R_nl
+    assembled from the L already in hand, on the same rho, so it is the
+    mask node_mask returns.
     """
-    r = as_points(grid)
-    constants = spec.constants
     hb, mass = float(constants.hbar), float(constants.mass)
     a = float(constants.bohr_radius)
-    c = 2.0 / (spec.n * a)
+    c = 2.0 / (n * a)
     rho = c * r
-    lag, lag1, lag2 = _laguerre_with_derivatives(spec, rho)
-    mask = _amplitude_mask(_radial_from_laguerre(spec.n, spec.l, a, rho, lag))
-    safe_lag = np.where(mask, 1.0, lag)
-    ratio1 = lag1 / safe_lag
-    ratio2 = lag2 / safe_lag
-    lap_ratio = c * c * (
-        2.0 * (spec.l + 1) / rho * (ratio1 - 0.5) + 0.25 - ratio1 + ratio2
-    )
-    values = -(hb * hb / (2.0 * mass)) * lap_ratio
-    values = np.where(mask, np.nan, values)
-    return PotentialProfile(coords=r, values=values, node_mask=mask, kind="bohm")
+    envelope = np.exp(-rho / 2)
+    zeros = np.zeros_like(rho)
+    scale = c * c
+    coefficient = -(hb * hb / (2.0 * mass))
+    shared_l, shared = None, None  # l of the last chain and its L_{k-1}
+    for l in ls:
+        k = n - l - 1
+        if k < 2:
+            lag2 = zeros
+        elif shared_l == l + 1:
+            lag2 = shared
+        else:
+            lag2 = _laguerre_pair(k - 2, 2 * l + 3, rho)[0]
+        lag, shared = _laguerre_pair(k, 2 * l + 1, rho)
+        shared_l = l
+        if k >= 1:
+            lag1 = _laguerre_pair(k - 1, 2 * l + 2, rho)[0]
+            lag1 *= -1
+        else:
+            lag1 = zeros
+        mask = _amplitude_mask(_radial_from_laguerre(n, l, a, rho, lag, envelope))
+        safe_lag = np.where(mask, 1.0, lag)
+        ratio1 = lag1 / safe_lag
+        # In place, in the operation order of
+        # c^2 (2(l+1)/rho (ratio1 - 1/2) + 1/4 - ratio1 + ratio2) times -hbar^2/2m.
+        values = (2.0 * (l + 1)) / rho
+        values *= ratio1 - 0.5
+        values += 0.25
+        values -= ratio1
+        np.divide(lag2, safe_lag, out=ratio1)
+        values += ratio1
+        values *= scale
+        values *= coefficient
+        values[mask] = np.nan
+        yield values, mask
 
 
 def bohm_potential_fd(
@@ -270,13 +307,30 @@ def bohm_potential_fd(
     term -l(l+1)/r^2 added analytically (pass angular_l); for Cartesian
     fields it is the plain 1D Laplacian.  Points below the amplitude floor,
     and points whose stencil touches one, are masked: the 0/0 at amplitude
-    zeros is analytically finite but numerically ill conditioned.
+    zeros is analytically finite but numerically ill conditioned.  The
+    checks run here; _bohm_fd is the stencil itself, for callers that
+    reuse one checked grid.
     """
     coords = as_points(grid)
     field = np.asarray(values)
     if field.shape != coords.shape:
         raise ValueError("field and grid shapes differ")
+    if geometry not in ("cartesian", "radial"):
+        raise ValueError(f"unknown geometry {geometry!r}")
     h = _uniform_spacing(coords)
+    return _bohm_fd(field, coords, h, constants, geometry == "radial", angular_l, amplitude_floor)
+
+
+def _bohm_fd(
+    field: np.ndarray,
+    coords: np.ndarray,
+    h: float,
+    constants: PhysicalConstants,
+    radial: bool,
+    angular_l: int | None,
+    amplitude_floor: float,
+) -> PotentialProfile:
+    """bohm_potential_fd on a grid already checked to be uniform with step h."""
     masked = _interior(_above_floor(np.abs(field), amplitude_floor))
     np.logical_not(masked, out=masked)
     # Each term is built in one buffer, in the operation order of
@@ -288,7 +342,7 @@ def bohm_potential_fd(
     inner += field[:-2]
     inner /= h * h
     lap[0] = lap[-1] = np.nan
-    if geometry == "radial":
+    if radial:
         term = np.empty_like(field)
         d1 = term[1:-1]
         np.subtract(field[2:], field[:-2], out=d1)
@@ -297,12 +351,12 @@ def bohm_potential_fd(
         term *= 2.0
         term /= coords
         lap += term
-    elif geometry != "cartesian":
-        raise ValueError(f"unknown geometry {geometry!r}")
+        del d1, term  # freed before the centrifugal term is built
     if angular_l is not None:
         term = angular_l * (angular_l + 1) * field
         term /= coords**2
         lap -= term
+        del term
     hb, mass = float(constants.hbar), float(constants.mass)
     with np.errstate(divide="ignore", invalid="ignore"):
         lap /= field

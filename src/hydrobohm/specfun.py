@@ -71,13 +71,25 @@ def laguerre(k: int, alpha: int, x):
     well conditioned for the degrees used here (documented to k = 30).
     Each step updates one fresh array in place, in the operation order of
     the formula above.  Points that are neither floating nor complex are
-    evaluated as float64.
+    evaluated as float64.  The recurrence is _laguerre_pair, which also
+    hands back L_{k-1}: the flatness shell of madelung reads L'' of (n, l)
+    off the chain that gives L of (n, l + 1).
     """
     _check_laguerre_args(k, alpha)
-    x = _float_points(x)
+    return _laguerre_pair(k, alpha, _float_points(x))[0]
+
+
+def _laguerre_pair(k: int, alpha: int, x: np.ndarray):
+    """(L_k^alpha(x), L_{k-1}^alpha(x)) from one upward recurrence.
+
+    x must be a floating or complex array.  The second value is the
+    recurrence's own previous term, which no in-place update touches after
+    its last step, so it equals laguerre(k - 1, alpha, x) bit for bit.  At
+    k = 0 there is no previous term, and the second value is None.
+    """
     prev = np.ones_like(x)
     if k == 0:
-        return prev
+        return prev, None
     current = 1 + alpha - x
     for j in range(1, k):
         nxt = (2 * j + 1 + alpha) - x
@@ -86,7 +98,7 @@ def laguerre(k: int, alpha: int, x):
         nxt -= prev
         nxt /= j + 1
         prev, current = current, nxt
-    return current
+    return current, prev
 
 
 def laguerre_derivative(k: int, alpha: int, x, order: int = 1):

@@ -6,7 +6,9 @@ recurrence- and series-based evaluators are checked against genuinely
 different arithmetic, not against themselves.  The exceptions are kept
 copies of loops the package ran before a rewrite (svg_polylines,
 profile_rows, airy_ai_reference, laguerre_reference): those check that the
-rewrite kept every bit.
+rewrite kept every bit.  distribution_slope is also not independent: it is
+the normalized dP/dr, by the product rule on radial_R_derivatives, that
+radial_peaks read before it switched to a sign helper.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from hydrobohm import specfun
+from hydrobohm import radial_R_derivatives, specfun
 from hydrobohm.reports import format_number
 
 
@@ -48,6 +50,17 @@ def laguerre_reference(k: int, alpha: int, x):
     for j in range(1, k):
         prev, current = current, ((2 * j + 1 + alpha - x) * current - (j + alpha) * prev) / (j + 1)
     return current
+
+
+def distribution_slope(spec, r) -> np.ndarray:
+    """dP/dr = 2 r R (R + r dR/dr) of P = r^2 R^2, from the normalized R and R'.
+
+    Elementwise on any shape of r.  It overflows where rho^l does (from n of
+    about 130 on), which the package's sign helper avoids; below that it is
+    the slope the sign helper must agree with.
+    """
+    big_r, d1, _ = radial_R_derivatives(spec, r)
+    return 2.0 * r * big_r * (big_r + r * d1)
 
 
 def legendre_coefficients(l: int) -> list[Fraction]:

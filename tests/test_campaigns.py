@@ -1,5 +1,6 @@
 """Verification campaign drivers and profile curves."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,16 @@ import hydrobohm.airy as airy
 import hydrobohm.campaigns as campaigns
 import hydrobohm.hydrogen as hydrogen
 import hydrobohm.madelung as madelung
-from hydrobohm import energy_level, radial_distribution, radial_peaks, state
+import hydrobohm.specfun as specfun
+from hydrobohm import (
+    bohm_potential_analytic,
+    coulomb_profile,
+    energy_level,
+    quantum_potential,
+    radial_distribution,
+    radial_peaks,
+    state,
+)
 from hydrobohm.campaigns import (
     AIRY_TOL,
     AiryRangeError,
@@ -85,6 +95,21 @@ class TestRunFlatness:
         assert report.all_passed
         assert report.max_abs_error < 1e-4
 
+    def test_fd_shells_match_the_per_state_path(self):
+        # The largest n_max the CLI accepts with --method fd.  Each (n, l)
+        # rebuilt and checked on its own grid, through the public
+        # bohm_potential_fd, quantum_potential and coulomb_profile.
+        report = run_flatness(7, method="fd")
+        assert report.all_passed
+        computed = {case.case_id[:9]: case.computed for case in report.cases}
+        for n in range(1, 8):
+            e_n = float(energy_level(n, AU))
+            for l in range(n):
+                grid, bohm = campaigns._flatness_fd_bohm(state(n, l))
+                v_q = quantum_potential(coulomb_profile(AU, grid), bohm)
+                deviation = float(np.abs(v_q.values - e_n)[~v_q.node_mask].max()) / abs(e_n)
+                assert computed[f"n={n:02d} l={l:02d}"] == deviation, (n, l)
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             run_flatness(2, policy="everything")
@@ -110,11 +135,33 @@ def _count_calls(monkeypatch, *names, modules=(campaigns,)):
 
 
 class TestSharedWork:
-    def test_flatness_evaluates_one_bohm_potential_per_n_l(self, monkeypatch):
-        counts = _count_calls(monkeypatch, "bohm_potential_analytic")
+    @pytest.mark.parametrize("n_max", [1, 2, 6])
+    def test_flatness_runs_2n_minus_1_recurrences_per_shell(self, n_max, monkeypatch):
+        # Shell n: one chain per l for L and one per l < n - 1 for L'; L''
+        # of (n, l) is read off the L chain of (n, l + 1).  Sum of 2n - 1.
+        counts = _count_calls(monkeypatch, "_laguerre_pair", modules=(madelung, specfun))
+        report = run_flatness(n_max)
+        assert report.case_count == sum(n * n for n in range(1, n_max + 1))
+        assert counts == {"_laguerre_pair": n_max * n_max}
+
+    @pytest.mark.parametrize("n, l, chains", [(6, 5, 1), (6, 4, 2), (6, 3, 3), (6, 0, 3)])
+    def test_one_state_reads_three_recurrences(self, n, l, chains, monkeypatch):
+        # Alone, a state with k = n - l - 1 >= 2 runs its own L'' chain.
+        counts = _count_calls(monkeypatch, "_laguerre_pair", modules=(madelung, specfun))
+        bohm_potential_analytic(state(n, l), default_hydrogen_grid(n, AU))
+        assert counts == {"_laguerre_pair": chains}
+
+    def test_flatness_makes_one_case_record_per_n_l(self, monkeypatch):
+        counts = _count_calls(monkeypatch, "make_case")
         report = run_flatness(6)
-        assert report.case_count == 91  # sum of n^2 for n <= 6
-        assert counts == {"bohm_potential_analytic": 21}
+        assert counts == {"make_case": 21}
+        assert [case.case_id for case in report.cases] == [
+            f"n={n:02d} l={l:02d} m={m:+03d}" for n in range(1, 7) for l in range(n) for m in range(-l, l + 1)
+        ]
+        by_n_l = {}
+        for case in report.cases:
+            by_n_l.setdefault(case.case_id[:9], set()).add(dataclasses.astuple(case)[1:])
+        assert len(by_n_l) == 21 and all(len(numbers) == 1 for numbers in by_n_l.values())
 
     def test_flatness_masks_nodes_from_the_laguerre_values_in_hand(self, monkeypatch):
         counts = _count_calls(monkeypatch, "node_mask", "radial_R", modules=(hydrogen, madelung, campaigns))
@@ -122,13 +169,13 @@ class TestSharedWork:
         assert counts == {"node_mask": 0, "radial_R": 0}
 
     def test_peak_bisection_evaluates_the_slope_once_per_midpoint_tree(self, monkeypatch):
-        counts = _count_calls(monkeypatch, "_slope_sign", "_distribution_slope", modules=(hydrogen,))
+        counts = _count_calls(monkeypatch, "_slope_sign", "radial_R_derivatives", modules=(hydrogen,))
         peaks = radial_peaks(state(100, 99))
         assert peaks.size == 1
         # One scan, then 25 bisection steps in trees of _PEAK_TREE_LEVELS
         # levels, all on the sign of dP/dr: the normalized slope is not used.
         assert 2 <= counts["_slope_sign"] <= 1 + math.ceil(25 / hydrogen._PEAK_TREE_LEVELS)
-        assert counts["_distribution_slope"] == 0
+        assert counts["radial_R_derivatives"] == 0
 
     def test_airy_builds_each_polar_form_and_peak_once(self, monkeypatch):
         counts = _count_calls(
@@ -190,6 +237,18 @@ class TestRunAiry:
             run_airy(1.0, times)
         assert counts == {"airy_ai": 0}
 
+    @pytest.mark.parametrize("times", [(0.1234567, 0.1234568), (0.0, 1e-7, 1.0000001e-7)])
+    def test_rejects_instants_that_share_a_case_id(self, times, monkeypatch):
+        counts = _count_calls(monkeypatch, "airy_ai", modules=(campaigns, airy))
+        with pytest.raises(ValueError, match=rf"{times[-2]!r} and {times[-1]!r} both give the case id t="):
+            run_airy(1.0, times)
+        assert counts == {"airy_ai": 0}
+
+    def test_case_ids_of_accepted_times_are_distinct(self):
+        report, _ = run_airy(1.0, (0.1234567, 0.123456, -0.0))
+        ids = [case.case_id for case in report.cases]
+        assert len(ids) == len(set(ids)) == 15
+
     def test_bracketing_forms_carry_no_curvature(self, monkeypatch):
         seen = {"hj": [], "continuity": [], "euler": []}
 
@@ -244,7 +303,7 @@ class TestProfileCurve:
     def test_hydrogen_distribution_curve(self):
         curve = profile_curve((3, 2, 0), "P")
         grid = default_hydrogen_grid(3, AU)
-        expected = radial_distribution(state(3, 2), grid).values
+        expected = radial_distribution(state(3, 2), grid)
         np.testing.assert_allclose(curve.values, expected, rtol=1e-13)
         assert curve.x_label.startswith("r")
         assert not curve.masked.any()

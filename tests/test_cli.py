@@ -234,6 +234,13 @@ class TestAiryTimes:
         assert excinfo.value.code == 2
         assert f"argument --times: time {repeated} is given more than once" in capsys.readouterr().err
 
+    def test_instants_with_one_case_id_are_a_usage_error_naming_both(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["airy", "--times", "0.1234567,0.1234568"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --times: instants 0.1234567 and 0.1234568 both give the case id t=0.123457" in err
+
     @pytest.mark.parametrize(
         "argv, time_option",
         [

@@ -25,7 +25,6 @@ from hydrobohm import (
     radial_R_derivatives,
     radial_distribution,
     radial_peaks,
-    radial_profile,
     schrodinger_residual,
     si_units,
     state,
@@ -161,23 +160,18 @@ class TestRadialDistribution:
     def test_distribution_is_r2_R2(self):
         grid = make_radial_grid(0.1, 30.0, 200)
         spec = state(3, 2)
-        profile = radial_distribution(spec, grid)
+        values = radial_distribution(spec, grid)
         expected = grid.points**2 * np.asarray(radial_R(spec, grid.points)) ** 2
-        np.testing.assert_allclose(profile.values, expected, rtol=1e-14)
-        assert profile.meaning == "P"
+        np.testing.assert_allclose(values, expected, rtol=1e-14)
 
     def test_dP_dr_matches_difference_quotient(self):
         grid = make_radial_grid(0.5, 20.0, 100)
         spec = state(3, 1)
-        slope = radial_profile(spec, grid, quantity="dP_dr").values
+        slope = oracles.distribution_slope(spec, grid.points)
         h = 1e-6
         plus = (grid.points + h) ** 2 * np.asarray(radial_R(spec, grid.points + h)) ** 2
         minus = (grid.points - h) ** 2 * np.asarray(radial_R(spec, grid.points - h)) ** 2
         np.testing.assert_allclose(slope, (plus - minus) / (2.0 * h), rtol=1e-7, atol=1e-9)
-
-    def test_unknown_quantity_rejected(self):
-        with pytest.raises(ValueError):
-            radial_profile(state(1, 0), make_radial_grid(0.1, 5.0, 10), quantity="Q")
 
 
 class TestRadialPeaks:
@@ -207,7 +201,7 @@ class TestRadialPeaks:
                 spec = state(n, l)
                 scan = hydrogen._peak_scan(spec)
                 with np.errstate(under="ignore"):
-                    slope = hydrogen._distribution_slope(spec, scan)
+                    slope = oracles.distribution_slope(spec, scan)
                 checked = np.isfinite(slope) & (slope != 0.0)
                 assert np.count_nonzero(checked) > scan.size // 2, (n, l)
                 sign = np.sign(hydrogen._slope_sign(spec, scan))

@@ -15,13 +15,16 @@ from hydrobohm import (
     energy_level,
     make_axis_grid,
     make_radial_grid,
+    node_mask,
     probability_current,
     psi,
     quantum_acceleration,
     quantum_potential,
+    si_units,
     state,
 )
-from hydrobohm.madelung import AMPLITUDE_FLOOR, _unwrap
+from hydrobohm.campaigns import default_hydrogen_grid
+from hydrobohm.madelung import AMPLITUDE_FLOOR, _bohm_shell, _unwrap
 
 AU = atomic_units()
 
@@ -187,6 +190,33 @@ class TestBohmPotential:
         # precedes the ValueError.
         with pytest.raises(ValueError, match="at least 5 grid points"):
             bohm_potential_fd(np.ones(1, dtype=complex), np.array([1.0]), AU)
+
+
+def _bits(values: np.ndarray) -> bytes:
+    return np.ascontiguousarray(values).tobytes()
+
+
+class TestBohmShell:
+    """_bohm_shell walks the l of a shell downward and shares one Laguerre
+    chain between neighbours; each state must keep the bits it has alone."""
+
+    @pytest.mark.parametrize(
+        "constants, n_max", [(AU, 20), (si_units(), 8)], ids=["atomic-n20", "si-n8"]
+    )
+    def test_shell_equals_single_state_bit_for_bit(self, constants, n_max):
+        r = default_hydrogen_grid(n_max, constants).points
+        for n in range(1, n_max + 1):
+            ls = range(n - 1, -1, -1)
+            for l, (values, mask) in zip(ls, _bohm_shell(n, ls, constants, r)):
+                alone = bohm_potential_analytic(state(n, l, 0, constants), r)
+                assert _bits(values) == _bits(alone.values), (n, l)
+                assert _bits(mask) == _bits(alone.node_mask), (n, l)
+
+    def test_single_state_mask_is_node_mask(self):
+        r = default_hydrogen_grid(12, AU).points
+        for n, l in [(12, 0), (12, 5), (9, 2), (3, 2)]:
+            spec = state(n, l)
+            np.testing.assert_array_equal(bohm_potential_analytic(spec, r).node_mask, node_mask(spec, r))
 
 
 class TestQuantumAcceleration:

@@ -14,6 +14,7 @@ from hydrobohm import (
     atomic_units,
     laguerre,
     laguerre_derivative,
+    specfun,
     spherical_harmonic,
 )
 from hydrobohm.campaigns import _airy_residual_grid
@@ -72,12 +73,20 @@ class TestLaguerre:
 
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     def test_keeps_the_bits_and_dtype_of_the_reference_loop(self, dtype):
+        # The pair's second value, the chain's previous term, is the
+        # reference loop one degree lower.
         x = np.linspace(0.0, 80.0, 2001).astype(dtype)
         for k in range(31):
             for alpha in (0, 1, 7):
                 value = laguerre(k, alpha, x)
                 assert value.dtype == dtype
                 assert _same_bits(value, oracles.laguerre_reference(k, alpha, x)), (k, alpha)
+                current, previous = specfun._laguerre_pair(k, alpha, x)
+                assert _same_bits(current, value), (k, alpha)
+                if k == 0:
+                    assert previous is None
+                else:
+                    assert _same_bits(previous, oracles.laguerre_reference(k - 1, alpha, x)), (k, alpha)
 
     @pytest.mark.parametrize("k", range(7))
     def test_integer_points_evaluate_as_float64(self, k):
