@@ -279,18 +279,9 @@ def _bohm_shell(n: int, ls, constants: PhysicalConstants, r: np.ndarray):
         mask = _amplitude_mask(_radial_from_laguerre(n, l, a, rho, lag, envelope))
         safe_lag = np.where(mask, 1.0, lag)
         ratio1 = lag1 / safe_lag
-        # In place, in the operation order of
-        # c^2 (2(l+1)/rho (ratio1 - 1/2) + 1/4 - ratio1 + ratio2) times -hbar^2/2m.
-        values = (2.0 * (l + 1)) / rho
-        values *= ratio1 - 0.5
-        values += 0.25
-        values -= ratio1
-        np.divide(lag2, safe_lag, out=ratio1)
-        values += ratio1
-        values *= scale
-        values *= coefficient
-        values[mask] = np.nan
-        yield values, mask
+        ratio2 = lag2 / safe_lag
+        lap_ratio = scale * (2.0 * (l + 1) / rho * (ratio1 - 0.5) + 0.25 - ratio1 + ratio2)
+        yield np.where(mask, np.nan, coefficient * lap_ratio), mask
 
 
 def bohm_potential_fd(

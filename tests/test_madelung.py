@@ -212,6 +212,14 @@ class TestBohmShell:
                 assert _bits(values) == _bits(alone.values), (n, l)
                 assert _bits(mask) == _bits(alone.node_mask), (n, l)
 
+    def test_one_point_is_the_grid_value(self):
+        spec = state(3, 1)
+        point = bohm_potential_analytic(spec, 2.0)
+        grid = bohm_potential_analytic(spec, np.array([1.0, 2.0, 3.0]))
+        assert point.values.shape == ()
+        assert _bits(point.values) == _bits(grid.values[1])
+        assert not point.node_mask
+
     def test_single_state_mask_is_node_mask(self):
         r = default_hydrogen_grid(12, AU).points
         for n, l in [(12, 0), (12, 5), (9, 2), (3, 2)]:
