@@ -27,7 +27,7 @@ from .airy import (
 )
 from .core import PhysicalConstants, atomic_units, make_axis_grid, make_radial_grid
 from .hydrogen import (
-    _radial_values,
+    _radial_from_laguerre,
     energy_level,
     psi,
     radial_distribution,
@@ -36,8 +36,10 @@ from .hydrogen import (
     state,
 )
 from .madelung import (
-    _bohm_fd,
+    _above_floor,
     _bohm_shell,
+    _fd_stencil,
+    _interior,
     _uniform_spacing,
     _worst,
     bohm_potential_analytic,
@@ -52,7 +54,7 @@ from .madelung import (
     quantum_potential,
 )
 from .reports import CaseRecord, VerificationReport, make_case
-from .specfun import _AIRY_SUPPORTED, airy_ai
+from .specfun import _AIRY_SUPPORTED, _laguerre_pair, airy_ai
 
 __all__ = [
     "AiryRangeError",
@@ -79,6 +81,11 @@ AIRY_TOL = 1e-5
 
 FD_FLATNESS_STEP = 1e-3
 FD_FLATNESS_FLOOR = 0.05
+# Points per block of the fd flatness shell (_fd_shell).  A float64 block
+# is 64 KB, under glibc's default 128 KB mmap threshold, so the block
+# temporaries are reused from the heap instead of being mapped and faulted
+# in afresh.  Chosen by measurement, see CHANGES.md.
+FD_BLOCK_POINTS = 8192
 AIRY_RESIDUAL_STEP = 2.5e-4
 AIRY_EULER_STEP = 1e-3
 AIRY_RESIDUAL_FLOOR = 0.05
@@ -149,9 +156,10 @@ def _flatness_fd_bohm(spec):
     10^-12 floor would drown the comparison in stencil error, not physics.
     The grid starts at one bohr radius: below that the centrifugal r^l
     growth makes h^2 R'''/(3r) stencil error (through the 2R'/r term)
-    the dominant contribution for high-n, low-l states.  run_flatness
-    builds and checks the grid once per shell and calls the stencil
-    kernel per l (_fd_shell); this per-state form computes the same bits.
+    the dominant contribution for high-n, low-l states.  This per-state
+    form runs the stencil as one window over the whole interior, through
+    the public bohm_potential_fd; run_flatness runs the same stencil in
+    blocks of a shell (_fd_shell) and gets the same bits.
     """
     constants = spec.constants
     grid = _flatness_fd_grid(spec.n, constants)
@@ -161,22 +169,53 @@ def _flatness_fd_bohm(spec):
     )
 
 
-def _fd_shell(n: int, ls, constants: PhysicalConstants, e_n: float):
-    """Flatness deviations of (n, l), l in ls, on the fd grid of shell n."""
+def _fd_shell(n: int, ls, constants: PhysicalConstants, e_n: float) -> list[float]:
+    """_flatness_fd_bohm's deviations of (n, l), l in ls, in FD_BLOCK_POINTS blocks.
+
+    The grid of shell n is built and checked once, and so are rho,
+    e^{-rho/2} and -coulomb/r.  Per l, R_nl is assembled block by block
+    into one grid-sized buffer, keeping the running max |R|.  Then
+    madelung._fd_stencil runs block by block, each block reading one point
+    of its neighbours (the halo), and each block's |V + V_Bohm - E_n| is
+    reduced over the points that the 0.05 floor of the global max |R| and
+    the interior rule keep.  A block with no such point is skipped.  Every
+    value is computed by the per-state operations, so the deviations are
+    its bits; no temporary is larger than a block.
+    """
     r = _flatness_fd_grid(n, constants).points
     h = _uniform_spacing(r)
-    return [_fd_deviation(n, l, constants, r, h, e_n) for l in ls]
-
-
-def _fd_deviation(n: int, l: int, constants: PhysicalConstants, r: np.ndarray, h: float, e_n: float) -> float:
-    """_flatness_fd_bohm's deviation of (n, l) on the checked grid r of step h.
-
-    Every array made here is freed on return, before the next l starts.
-    """
-    values = _radial_values(n, l, float(constants.bohr_radius), r)
-    bohm = _bohm_fd(values, r, h, constants, True, l, FD_FLATNESS_FLOOR)
-    del values
-    return _flatness_deviation(coulomb_profile(constants, r).values, bohm.values, bohm.node_mask, e_n)
+    a = float(constants.bohr_radius)
+    rho = (2.0 / (n * a)) * r
+    envelope = np.exp(-rho / 2)
+    external = coulomb_profile(constants, r).values
+    size = r.size
+    blocks = [(lo, min(lo + FD_BLOCK_POINTS, size)) for lo in range(0, size, FD_BLOCK_POINTS)]
+    # Stencil windows: the blocks cut to the interior [1, size - 1).
+    windows = [(max(lo, 1), min(hi, size - 1)) for lo, hi in blocks if max(lo, 1) < min(hi, size - 1)]
+    values = np.empty_like(r)
+    work = np.empty(FD_BLOCK_POINTS)
+    deviations = []
+    for l in ls:
+        peak = 0.0
+        for lo, hi in blocks:
+            part = rho[lo:hi]
+            lag = _laguerre_pair(n - l - 1, 2 * l + 1, part)[0]
+            values[lo:hi] = _radial_from_laguerre(n, l, a, part, lag, envelope[lo:hi])
+            peak = max(peak, np.abs(values[lo:hi]).max())
+        worst, found = 0.0, False
+        for lo, hi in windows:
+            valid = _above_floor(np.abs(values[lo - 1 : hi + 1]), FD_FLATNESS_FLOOR, peak)
+            usable = _interior(valid)[1:-1]
+            if not usable.any():
+                continue
+            bohm = _fd_stencil(values, r, h, constants, True, l, lo, hi, work[: hi - lo])
+            bohm += external[lo:hi]
+            bohm -= e_n
+            worst, found = max(worst, _worst(bohm, usable)), True
+        if not found:
+            raise ValueError("no usable interior points")
+        deviations.append(worst / abs(e_n))
+    return deviations
 
 
 def run_flatness(
@@ -195,8 +234,11 @@ def run_flatness(
     downward through madelung._bohm_shell, which shares rho, e^{-rho/2},
     E_n and one Laguerre chain between neighbouring l (L'' of (n, l) is
     the step before L of (n, l + 1)); the Coulomb term is built once per
-    grid.  On the fd path the uniform grid is built and checked once per
-    shell.  Cases are reported in (n, l, m) order.
+    grid.  On the fd path the uniform grid, rho, e^{-rho/2} and the
+    Coulomb term are built once per shell, and each l runs the stencil in
+    blocks of FD_BLOCK_POINTS (_fd_shell), with the bits of the per-state
+    bohm_potential_fd.  The m copies of an (n, l) share one case-id
+    prefix.  Cases are reported in (n, l, m) order.
     """
     if policy not in ("all-lm", "circular"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -222,11 +264,12 @@ def run_flatness(
         else:
             deviations = _fd_shell(n, ls, constants, e_n)
         for l, deviation in sorted(zip(ls, deviations)):
-            case = make_case(f"n={n:02d} l={l:02d} m={-l:+03d}", deviation, 0.0, tolerance, metric="abs")
+            prefix = f"n={n:02d} l={l:02d} m="
+            case = make_case(f"{prefix}{-l:+03d}", deviation, 0.0, tolerance, metric="abs")
             numbers = (case.computed, case.expected, case.abs_error, case.rel_error, case.passed)
             report.add(case)
             for m in range(1 - l, l + 1):
-                report.add(CaseRecord(f"n={n:02d} l={l:02d} m={m:+03d}", *numbers))
+                report.add(CaseRecord(f"{prefix}{m:+03d}", *numbers))
     return report
 
 

@@ -58,10 +58,16 @@ __all__ = ["main"]
 
 OUT_DIR_ENV = "HYDROBOHM_OUT_DIR"
 
-# Largest --n-max of flatness and bohr-radii and largest n of profile --state:
-# the normalization of the state (n, n - 1) needs ln((2n - 1)!), and
+# Largest --n-max of flatness and largest n of profile --state: the
+# normalization of the state (n, n - 1) needs ln((2n - 1)!), and
 # ln_factorial covers k <= 200.
 STATE_N_MAX = 100
+
+# Largest --n-max of bohr-radii.  The peak search reads only the sign of
+# dP/dr and no normalization.  With warnings and numpy floating-point errors
+# raised, run_bohr_radii(10000) passes every case (worst relative error
+# 3.44e-11) in 3.3 s and 34 MB.
+BOHR_RADII_N_MAX = 10000
 
 # Largest --n-max of flatness --method fd.  Past it the stencil error at the
 # fixed h = 10^-3 a outgrows the 1e-4 tolerance: (8, 0) reads 1.01e-4 and
@@ -174,11 +180,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _state_n_max(text: str) -> int:
+def _capped_int(text: str, limit: int) -> int:
     value = _positive_int(text)
-    if value > STATE_N_MAX:
-        raise argparse.ArgumentTypeError(f"must be <= {STATE_N_MAX}, got {value}")
+    if value > limit:
+        raise argparse.ArgumentTypeError(f"must be <= {limit}, got {value}")
     return value
+
+
+def _state_n_max(text: str) -> int:
+    return _capped_int(text, STATE_N_MAX)
+
+
+def _bohr_radii_n_max(text: str) -> int:
+    return _capped_int(text, BOHR_RADII_N_MAX)
 
 
 def _join_signed_values(argv: list[str]) -> list[str]:
@@ -299,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_flat.set_defaults(policy="all-lm", run=cmd_flatness)
 
     p_bohr = sub.add_parser("bohr-radii", parents=[output], help="P_{n,n-1} peak against n^2 a")
-    p_bohr.add_argument("--n-max", type=_state_n_max, required=True)
+    p_bohr.add_argument("--n-max", type=_bohr_radii_n_max, required=True)
     p_bohr.set_defaults(run=cmd_bohr_radii)
 
     p_airy = sub.add_parser("airy", parents=[output], help="accelerating-packet checks")

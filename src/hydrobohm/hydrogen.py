@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import PhysicalConstants, QuantumNumbers, as_points, atomic_units
-from .specfun import laguerre, laguerre_derivative, ln_factorial, spherical_harmonic
+from .specfun import _laguerre_pair, laguerre, laguerre_derivative, ln_factorial, spherical_harmonic
 
 __all__ = [
     "EigenstateSpec",
@@ -89,12 +89,11 @@ def _radial_norm(n: int, l: int, a: float) -> float:
     return (2.0 / (n * a)) ** 1.5 * math.exp(0.5 * log_ratio)
 
 
-def _laguerre_with_derivatives(spec: EigenstateSpec, rho, order: int = 2):
-    """L and its first `order` derivatives of L_{n-l-1}^{2l+1} at rho, one recurrence each."""
+def _laguerre_with_derivatives(spec: EigenstateSpec, rho):
+    """L, L' and L'' of L_{n-l-1}^{2l+1} at rho, one recurrence each."""
     k, alpha = spec.n - spec.l - 1, 2 * spec.l + 1
     return (laguerre(k, alpha, rho),) + tuple(
-        laguerre_derivative(k, alpha, rho, order=j) if k >= j else np.zeros_like(rho)
-        for j in range(1, order + 1)
+        laguerre_derivative(k, alpha, rho, order=j) if k >= j else np.zeros_like(rho) for j in (1, 2)
     )
 
 
@@ -188,14 +187,23 @@ def _slope_sign(spec: EigenstateSpec, r) -> np.ndarray:
 
     With R = N e^{-rho/2} rho^l L(rho), dP/dr = 2 r N^2 e^{-rho} rho^{2l}
     L ((1 + l - rho/2) L + rho L'), and every factor before the first L is
-    positive.  radial_peaks evaluates it on its scan and midpoint trees.
+    positive.  radial_peaks evaluates it on its scan and midpoint trees,
+    which are float arrays, so the recurrences run on them unchecked:
+    L = L_k^{2l+1} and L' = -L_{k-1}^{2l+2}, k = n - l - 1.  At k = 0
+    (every circular state) L = 1 and L' = 0, and the value is
+    1 + l - rho/2 itself: the skipped x1, +0 and x sign(1) steps are exact
+    no-ops for finite rho, so the bits are those of the full expression.
     """
     rho = (2.0 / (spec.n * float(spec.constants.bohr_radius))) * np.asarray(r)
-    lag, lag1 = _laguerre_with_derivatives(spec, rho, 1)
-    value = (1 + spec.l) - rho / 2
+    k, l = spec.n - spec.l - 1, spec.l
+    value = (1 + l) - rho / 2
+    if k == 0:
+        return value
+    lag = _laguerre_pair(k, 2 * l + 1, rho)[0]
+    minus_lag1 = _laguerre_pair(k - 1, 2 * l + 2, rho)[0]
     value *= lag
-    lag1 *= rho
-    value += lag1
+    minus_lag1 *= rho
+    value -= minus_lag1
     value *= np.sign(lag)
     return value
 
@@ -263,7 +271,9 @@ def radial_peaks(spec: EigenstateSpec) -> np.ndarray:
     (the log-derivative 1 + l - rho/2 + rho L'/L, times L^2 >= 0).  The
     factor 2 r N^2 e^{-rho} rho^{2l} dropped from dP/dr is positive, so no
     normalization, power or exponential is evaluated, and nothing
-    overflows for large n.  The bisection of every open bracket takes
+    overflows for large n.  The sign kernel (_slope_sign) runs the two
+    Laguerre recurrences directly, and none for a circular state, whose
+    L is 1.  The bisection of every open bracket takes
     _PEAK_TREE_LEVELS steps per sign evaluation: the sign is evaluated at
     once on all midpoints those steps can visit (the bisection's own
     midpoints, bit for bit), then each bracket walks its tree.

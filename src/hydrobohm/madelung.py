@@ -83,9 +83,14 @@ def _uniform_spacing(coords: np.ndarray) -> float:
     return h
 
 
-def _above_floor(magnitude: np.ndarray, floor: float) -> np.ndarray:
-    """|f| >= floor * max|f|; no point clears the floor when the peak is 0."""
-    peak = magnitude.max() if magnitude.size else 0.0
+def _above_floor(magnitude: np.ndarray, floor: float, peak=None) -> np.ndarray:
+    """|f| >= floor * peak, peak = max|f| unless given; none clears when the peak is 0.
+
+    A caller that works through a field in windows passes the peak of the
+    whole field, so every window is cut at the same level.
+    """
+    if peak is None:
+        peak = magnitude.max() if magnitude.size else 0.0
     if peak > 0.0:
         return magnitude >= floor * peak
     return np.zeros(magnitude.shape, bool)
@@ -299,8 +304,9 @@ def bohm_potential_fd(
     fields it is the plain 1D Laplacian.  Points below the amplitude floor,
     and points whose stencil touches one, are masked: the 0/0 at amplitude
     zeros is analytically finite but numerically ill conditioned.  The
-    checks run here; _bohm_fd is the stencil itself, for callers that
-    reuse one checked grid.
+    checks run here, then _bohm_fd runs the stencil (_fd_stencil) over the
+    whole interior as one window; the fd flatness campaign runs the same
+    stencil window by window on a grid it has checked once.
     """
     coords = as_points(grid)
     field = np.asarray(values)
@@ -324,40 +330,62 @@ def _bohm_fd(
     """bohm_potential_fd on a grid already checked to be uniform with step h."""
     masked = _interior(_above_floor(np.abs(field), amplitude_floor))
     np.logical_not(masked, out=masked)
+    lap = np.empty_like(field)
+    _fd_stencil(field, coords, h, constants, radial, angular_l, 1, field.size - 1, lap[1:-1])
+    # The two ends have no stencil and are always masked.  The returned
+    # array is allocated last, once the temporaries are freed.  Returning
+    # the work buffer itself made an airy-packet pass take about 40% more
+    # page faults and run slower.
+    potential = np.where(masked, np.nan, lap.real)
+    return PotentialProfile(coords=coords, values=potential, node_mask=masked, kind="bohm")
+
+
+def _fd_stencil(
+    field: np.ndarray,
+    coords: np.ndarray,
+    h: float,
+    constants: PhysicalConstants,
+    radial: bool,
+    angular_l: int | None,
+    lo: int,
+    hi: int,
+    out: np.ndarray,
+) -> np.ndarray:
+    """-(hbar^2/2m) lap(f)/f at the points [lo, hi) of a uniform grid of step h.
+
+    The window reads one point beyond each end, so 1 <= lo and
+    hi <= field.size - 1.  out is the work buffer, of hi - lo points and
+    field's dtype; the potential is returned as out.real.  Each point is
+    computed by the same operations whatever window holds it, so a field
+    run window by window gets the bits of one window over the interior.
+    Nothing is masked here: at points below the amplitude floor the value
+    is whatever the division gives.
+    """
+    center, plus, minus, r = field[lo:hi], field[lo + 1 : hi + 1], field[lo - 1 : hi - 1], coords[lo:hi]
     # Each term is built in one buffer, in the operation order of
     # (f+ - 2 f0 + f-) / h^2 + 2 ((f+ - f-) / 2h) / r - l(l+1) f / r^2.
-    lap = np.empty_like(field)
-    inner = lap[1:-1]
-    np.multiply(2.0, field[1:-1], out=inner)
-    np.subtract(field[2:], inner, out=inner)
-    inner += field[:-2]
-    inner /= h * h
-    lap[0] = lap[-1] = np.nan
+    np.multiply(2.0, center, out=out)
+    np.subtract(plus, out, out=out)
+    out += minus
+    out /= h * h
     if radial:
-        term = np.empty_like(field)
-        d1 = term[1:-1]
-        np.subtract(field[2:], field[:-2], out=d1)
-        d1 /= 2.0 * h
-        term[0] = term[-1] = np.nan
+        term = np.subtract(plus, minus)
+        term /= 2.0 * h
         term *= 2.0
-        term /= coords
-        lap += term
-        del d1, term  # freed before the centrifugal term is built
+        term /= r
+        out += term
+        del term  # freed before the centrifugal term is built
     if angular_l is not None:
-        term = angular_l * (angular_l + 1) * field
-        term /= coords**2
-        lap -= term
+        term = angular_l * (angular_l + 1) * center
+        term /= r**2
+        out -= term
         del term
     hb, mass = float(constants.hbar), float(constants.mass)
     with np.errstate(divide="ignore", invalid="ignore"):
-        lap /= field
-    ratio = lap.real
+        out /= center
+    ratio = out.real
     ratio *= -(hb * hb / (2.0 * mass))
-    # The returned array is allocated last, once the temporaries are freed.
-    # Returning the work buffer itself made an airy-packet pass take about
-    # 40% more page faults and run slower.
-    potential = np.where(masked, np.nan, ratio)
-    return PotentialProfile(coords=coords, values=potential, node_mask=masked, kind="bohm")
+    return ratio
 
 
 def quantum_potential(external: PotentialProfile, bohm: PotentialProfile) -> PotentialProfile:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,83 @@ class TestRunFlatness:
             run_flatness(2, policy="everything")
         with pytest.raises(ValueError):
             run_flatness(2, method="spectral")
+
+
+def _per_state_fd(n_max):
+    """Deviation and usable mask of every (n, l), n <= n_max, each on its own fd grid."""
+    out = {}
+    for n in range(1, n_max + 1):
+        e_n = float(energy_level(n, AU))
+        for l in range(n):
+            grid, bohm = campaigns._flatness_fd_bohm(state(n, l))
+            v_q = quantum_potential(coulomb_profile(AU, grid), bohm)
+            usable = ~v_q.node_mask
+            out[n, l] = float(np.abs(v_q.values - e_n)[usable].max()) / abs(e_n), usable
+    return out
+
+
+def _last_window(size, block):
+    """Points in the last stencil window of a grid of size points cut into blocks."""
+    return size - 1 - max(1, (size - 2) // block * block)
+
+
+class TestBlockedFdShell:
+    def test_small_blocks_keep_the_per_state_bits(self, monkeypatch):
+        # Blocks of a few thousand points, chosen so that a block edge sits
+        # on each side of a mask boundary, and that some shell ends in a
+        # stencil window of 1 point, of 2 points, and in an assembly block
+        # of 1 point whose window is empty.  Every shell ends in its masked
+        # tail, so those last windows check the cutting and the mask; the
+        # stencil on short windows is checked on its own below.
+        reference = _per_state_fd(7)
+        sizes = [campaigns._flatness_fd_grid(n, AU).count for n in range(1, 8)]
+        candidates = range(1024, campaigns.FD_BLOCK_POINTS)
+        blocks = {
+            next(b for b in candidates if any(_last_window(size, b) == 1 for size in sizes)),
+            next(b for b in candidates if any(_last_window(size, b) == 2 for size in sizes)),
+            next(b for b in candidates if any(size % b == 1 for size in sizes)),
+        }
+        edges = {}
+        for (n, l), (_, usable) in reference.items():
+            for t in np.flatnonzero(usable[1:] != usable[:-1]) + 1:
+                if t in candidates:
+                    edges.setdefault(bool(usable[t]), t)
+        assert set(edges) == {False, True}  # usable -> masked, masked -> usable
+        blocks |= set(edges.values())
+        for block in sorted(blocks):
+            monkeypatch.setattr(campaigns, "FD_BLOCK_POINTS", block)
+            report = run_flatness(7, method="fd")
+            computed = {case.case_id[:9]: case.computed for case in report.cases}
+            for (n, l), (deviation, _) in reference.items():
+                assert computed[f"n={n:02d} l={l:02d}"] == deviation, (block, n, l)
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stencil_windows_tile_the_one_window_bits(self, dtype):
+        rng = np.random.default_rng(7)
+        coords = 1.0 + 0.01 * np.arange(40)
+        field = (1.0 + rng.random(40)).astype(dtype)
+        whole = madelung._fd_stencil(field, coords, 0.01, AU, True, 2, 1, 39, np.empty(38, dtype)).copy()
+        for cuts in ([1, 20, 37, 38, 39], [1, 2, 4, 36, 39], [1, 39]):
+            tiled = np.concatenate([
+                madelung._fd_stencil(field, coords, 0.01, AU, True, 2, lo, hi, np.empty(hi - lo, dtype)).copy()
+                for lo, hi in zip(cuts[:-1], cuts[1:])
+            ])
+            assert tiled.tobytes() == whole.tobytes(), cuts
+
+    def test_no_full_grid_temporaries(self):
+        # The fd shell holds five arrays of its grid (r, rho, e^{-rho/2},
+        # -coulomb/r and R) and otherwise only blocks.  Measured at shell 7
+        # (195,001 points): a traced peak of 5.23 grids (8.16 MB); the path
+        # that ran each l on whole-grid arrays read 5.14, and one more
+        # grid-sized temporary would read above 6.
+        grid_bytes = campaigns._flatness_fd_grid(7, AU).points.nbytes
+        tracemalloc.start()
+        try:
+            run_flatness(7, method="fd")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5.5 * grid_bytes, peak / grid_bytes
 
 
 def _count_calls(monkeypatch, *names, modules=(campaigns,)):

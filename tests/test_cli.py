@@ -181,7 +181,7 @@ class TestProfile:
 
 
 class TestStateNMax:
-    @pytest.mark.parametrize("command", ["flatness", "bohr-radii"])
+    @pytest.mark.parametrize("command", ["flatness"])
     def test_above_100_is_a_usage_error_naming_the_limit(self, command, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([command, "--n-max", "101"])
@@ -192,6 +192,18 @@ class TestStateNMax:
         code, out, _ = run(capsys, "bohr-radii", "--n-max", "100")
         assert code == 0
         assert "cases: 100  passes: 100" in out
+
+    def test_bohr_radii_has_its_own_limit(self, capsys):
+        # Only the parser runs here: the full run_bohr_radii(BOHR_RADII_N_MAX)
+        # takes seconds, and CI runs it through the installed entry point.
+        assert cli.BOHR_RADII_N_MAX == 10000
+        parser = cli._build_parser()
+        args = parser.parse_args(["bohr-radii", "--n-max", str(cli.BOHR_RADII_N_MAX)])
+        assert args.n_max == cli.BOHR_RADII_N_MAX and args.run is cli.cmd_bohr_radii
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(["bohr-radii", "--n-max", "10001"])
+        assert excinfo.value.code == 2
+        assert "argument --n-max: must be <= 10000, got 10001" in capsys.readouterr().err
 
     def test_profile_state_above_100_is_a_usage_error_naming_the_limit(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
