@@ -42,11 +42,12 @@ __all__ = [
 NODE_MASK_FLOOR = 1e-12
 PEAK_SCAN_PER_DECADE = 1000
 PEAK_REL_TOL = 1e-10
-# Bisection steps of radial_peaks resolved per vector sign evaluation.  A
-# scan bracket needs about 25 steps, so 5 levels (31 midpoints per tree)
-# take 5 sign calls.  The sign is cheap next to building a tree in Python:
-# run_bohr_radii(100) took 26 ms at 4 or 5 levels, 31 ms at 6 and 32 ms at
-# 7, and flatness-sweep ran faster at 5 levels than at 7.
+# Bisection steps of radial_peaks resolved per vector sign evaluation, for
+# states with n - l - 1 >= 1 (circular states build no trees).  A scan
+# bracket needs about 25 steps, so 5 levels (31 midpoints per tree) take 5
+# sign calls.  The sign is cheap next to building a tree in Python: the
+# peaks of the 190 such states with n <= 20 took, best of 15, 210 ms at 3
+# levels, 194 ms at 4 or 5, 258 ms at 6 and 356 ms at 7.
 _PEAK_TREE_LEVELS = 5
 OVERLAP_RADIAL_POINTS = 240
 OVERLAP_THETA_POINTS = 32
@@ -187,12 +188,13 @@ def _slope_sign(spec: EigenstateSpec, r) -> np.ndarray:
 
     With R = N e^{-rho/2} rho^l L(rho), dP/dr = 2 r N^2 e^{-rho} rho^{2l}
     L ((1 + l - rho/2) L + rho L'), and every factor before the first L is
-    positive.  radial_peaks evaluates it on its scan and midpoint trees,
+    positive.  _scan_peaks evaluates it on its scan and midpoint trees,
     which are float arrays, so the recurrences run on them unchecked:
     L = L_k^{2l+1} and L' = -L_{k-1}^{2l+2}, k = n - l - 1.  At k = 0
     (every circular state) L = 1 and L' = 0, and the value is
     1 + l - rho/2 itself: the skipped x1, +0 and x sign(1) steps are exact
-    no-ops for finite rho, so the bits are those of the full expression.
+    no-ops for finite rho, so the bits are those of the full expression,
+    and _circular_peak repeats it in Python floats.
     """
     rho = (2.0 / (spec.n * float(spec.constants.bohr_radius))) * np.asarray(r)
     k, l = spec.n - spec.l - 1, spec.l
@@ -251,13 +253,99 @@ def _bisect_in_tree(lo: float, hi: float, mids: list, signs: list) -> tuple[floa
     return lo, hi
 
 
-def _peak_scan(spec: EigenstateSpec) -> np.ndarray:
-    """The logarithmic scan on which radial_peaks brackets sign changes of dP/dr."""
+def _peak_scan_range(spec: EigenstateSpec) -> tuple[float, float, int]:
+    """(r_lo, r_hi, num) of the logarithmic scan on which radial_peaks brackets sign changes."""
     a = float(spec.constants.bohr_radius)
     r_lo = 1e-3 * a
     r_hi = 4.0 * spec.n**2 * a
     decades = math.log10(r_hi / r_lo)
-    return np.geomspace(r_lo, r_hi, max(int(decades * PEAK_SCAN_PER_DECADE), 16))
+    return r_lo, r_hi, max(int(decades * PEAK_SCAN_PER_DECADE), 16)
+
+
+def _peak_scan_window(r_lo: float, r_hi: float, num: int, lo: int, hi: int) -> np.ndarray:
+    """Points [lo, hi) of np.geomspace(r_lo, r_hi, num), 0 <= lo < hi <= num, r_lo and r_hi > 0.
+
+    This is geomspace's own arithmetic: log10 of both ends, index times
+    step plus start, 10 to that power, and the exact ends in the first and
+    last place.  Every point depends on its index alone, so a window holds
+    the same floats as the same slice of the full scan.
+    """
+    log_lo, log_hi = np.log10([r_lo, r_hi])
+    step = (log_hi - log_lo) / (num - 1)
+    exponents = np.arange(lo, hi, dtype=float)
+    exponents *= step
+    exponents += log_lo
+    points = np.power(10.0, exponents)
+    if lo == 0:
+        points[0] = r_lo
+    if hi == num:
+        points[-1] = r_hi
+    return points
+
+
+def _peak_scan(spec: EigenstateSpec) -> np.ndarray:
+    """The full logarithmic scan of radial_peaks, equal to np.geomspace(r_lo, r_hi, num)."""
+    r_lo, r_hi, num = _peak_scan_range(spec)
+    return _peak_scan_window(r_lo, r_hi, num, 0, num)
+
+
+def _nearest_scan_index(r_lo: float, r_hi: float, num: int, r: float) -> int:
+    """About the index of the scan point nearest r, clipped to the scan."""
+    step = math.log10(r_hi / r_lo) / (num - 1)
+    return min(max(round(math.log10(r / r_lo) / step), 0), num - 1)
+
+
+def _scan_peaks(spec: EigenstateSpec) -> np.ndarray:
+    """radial_peaks from the full scan and batched midpoint trees; valid for every state."""
+    scan = _peak_scan(spec)
+    sign = _slope_sign(spec, scan)
+    tops = np.nonzero((sign[:-1] > 0) & (sign[1:] < 0))[0]
+    brackets = list(zip(scan[tops].tolist(), scan[tops + 1].tolist()))
+    while open_ := [i for i, bracket in enumerate(brackets) if _wide(*bracket)]:
+        trees = [_midpoint_tree(*brackets[i], _PEAK_TREE_LEVELS) for i in open_]
+        signs = _slope_sign(spec, np.array(trees)).tolist()
+        for i, mids, tree_signs in zip(open_, trees, signs):
+            brackets[i] = _bisect_in_tree(*brackets[i], mids, tree_signs)
+    return np.asarray([0.5 * (lo + hi) for lo, hi in brackets])
+
+
+def _circular_peak(spec: EigenstateSpec) -> np.ndarray:
+    """radial_peaks of a state with n - l - 1 = 0, from a few scan points around n (l + 1) a.
+
+    Here the slope sign is (1 + l) - rho/2 (_slope_sign at k = 0), linear
+    in r, and rounding is monotone, so it never increases along the scan
+    and has at most one + -> - pair.  A window centred on the zero widens
+    until its first sign is positive and its last negative, or it meets an
+    end of the scan; no pair then lies outside it.  The bisection is
+    _scan_peaks' own in Python floats: the same midpoints, stop and IEEE
+    operations, so the peak has the same bits.
+    """
+    r_lo, r_hi, num = _peak_scan_range(spec)
+    c = 2.0 / (spec.n * float(spec.constants.bohr_radius))
+    top = 1 + spec.l
+    centre = _nearest_scan_index(r_lo, r_hi, num, 2 * top / c)
+    half = 2
+    while True:
+        lo, hi = max(centre - half, 0), min(centre + half + 1, num)
+        scan = _peak_scan_window(r_lo, r_hi, num, lo, hi).tolist()
+        signs = [top - c * r / 2 for r in scan]
+        if (lo == 0 or signs[0] > 0) and (hi == num or signs[-1] < 0):
+            break
+        half *= 2
+    top_i = next((i for i in range(len(scan) - 1) if signs[i] > 0 and signs[i + 1] < 0), None)
+    if top_i is None:
+        return np.asarray([])
+    lo_r, hi_r = scan[top_i], scan[top_i + 1]
+    while _wide(lo_r, hi_r):
+        mid = 0.5 * (lo_r + hi_r)
+        sign = top - c * mid / 2
+        if sign > 0:
+            lo_r = mid
+        elif sign < 0:
+            hi_r = mid
+        else:
+            lo_r = hi_r = mid
+    return np.asarray([0.5 * (lo_r + hi_r)])
 
 
 def radial_peaks(spec: EigenstateSpec) -> np.ndarray:
@@ -271,23 +359,20 @@ def radial_peaks(spec: EigenstateSpec) -> np.ndarray:
     (the log-derivative 1 + l - rho/2 + rho L'/L, times L^2 >= 0).  The
     factor 2 r N^2 e^{-rho} rho^{2l} dropped from dP/dr is positive, so no
     normalization, power or exponential is evaluated, and nothing
-    overflows for large n.  The sign kernel (_slope_sign) runs the two
-    Laguerre recurrences directly, and none for a circular state, whose
-    L is 1.  The bisection of every open bracket takes
-    _PEAK_TREE_LEVELS steps per sign evaluation: the sign is evaluated at
-    once on all midpoints those steps can visit (the bisection's own
-    midpoints, bit for bit), then each bracket walks its tree.
+    overflows for large n.
+
+    A circular state (n - l - 1 = 0, L = 1) has a sign linear in r: its one
+    bracket is found on a short window of the scan around n (l + 1) a and
+    bisected in Python floats (_circular_peak).  Every other state runs
+    the two Laguerre recurrences on the whole scan, and each open bracket
+    takes _PEAK_TREE_LEVELS bisection steps per sign evaluation: the sign
+    is evaluated at once on all midpoints those steps can visit (the
+    bisection's own midpoints, bit for bit), then each bracket walks its
+    tree (_scan_peaks).  Both give the same bits on a circular state.
     """
-    scan = _peak_scan(spec)
-    sign = _slope_sign(spec, scan)
-    tops = np.nonzero((sign[:-1] > 0) & (sign[1:] < 0))[0]
-    brackets = list(zip(scan[tops].tolist(), scan[tops + 1].tolist()))
-    while open_ := [i for i, bracket in enumerate(brackets) if _wide(*bracket)]:
-        trees = [_midpoint_tree(*brackets[i], _PEAK_TREE_LEVELS) for i in open_]
-        signs = _slope_sign(spec, np.array(trees)).tolist()
-        for i, mids, tree_signs in zip(open_, trees, signs):
-            brackets[i] = _bisect_in_tree(*brackets[i], mids, tree_signs)
-    return np.asarray([0.5 * (lo + hi) for lo, hi in brackets])
+    if spec.n - spec.l - 1 == 0:
+        return _circular_peak(spec)
+    return _scan_peaks(spec)
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:

@@ -248,12 +248,28 @@ class TestSharedWork:
 
     def test_peak_bisection_evaluates_the_slope_once_per_midpoint_tree(self, monkeypatch):
         counts = _count_calls(monkeypatch, "_slope_sign", "radial_R_derivatives", modules=(hydrogen,))
-        peaks = radial_peaks(state(100, 99))
-        assert peaks.size == 1
+        peaks = radial_peaks(state(100, 98))
+        assert peaks.size == 2
         # One scan, then 25 bisection steps in trees of _PEAK_TREE_LEVELS
         # levels, all on the sign of dP/dr: the normalized slope is not used.
         assert 2 <= counts["_slope_sign"] <= 1 + math.ceil(25 / hydrogen._PEAK_TREE_LEVELS)
         assert counts["radial_R_derivatives"] == 0
+
+    def test_circular_peak_reads_a_short_window_of_the_scan(self, monkeypatch):
+        counts = _count_calls(
+            monkeypatch, "_laguerre_pair", "_midpoint_tree", "_slope_sign", modules=(hydrogen, specfun)
+        )
+        points = []
+        window = hydrogen._peak_scan_window
+
+        def counted_window(r_lo, r_hi, num, lo, hi):
+            points.append(hi - lo)
+            return window(r_lo, r_hi, num, lo, hi)
+
+        monkeypatch.setattr(hydrogen, "_peak_scan_window", counted_window)
+        assert radial_peaks(state(100, 99)).size == 1
+        assert counts == {"_laguerre_pair": 0, "_midpoint_tree": 0, "_slope_sign": 0}
+        assert 0 < sum(points) < 64
 
     def test_airy_builds_each_polar_form_and_peak_once(self, monkeypatch):
         counts = _count_calls(

@@ -205,6 +205,17 @@ class TestStateNMax:
         assert excinfo.value.code == 2
         assert "argument --n-max: must be <= 10000, got 10001" in capsys.readouterr().err
 
+    def test_levels_has_its_own_limit(self, capsys):
+        # Only the parser runs here; CI runs the edge through the entry point.
+        assert cli.LEVELS_N_MAX == 10000
+        parser = cli._build_parser()
+        args = parser.parse_args(["levels", "--n-max", str(cli.LEVELS_N_MAX)])
+        assert args.n_max == cli.LEVELS_N_MAX and args.run is cli.cmd_levels
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(["levels", "--n-max", "10001"])
+        assert excinfo.value.code == 2
+        assert "argument --n-max: must be <= 10000, got 10001" in capsys.readouterr().err
+
     def test_profile_state_above_100_is_a_usage_error_naming_the_limit(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["profile", "--state", "101,100,0", "--out", str(tmp_path / "x.csv")])

@@ -220,6 +220,52 @@ class TestRadialPeaks:
         scaled = radial_peaks(state(4, 3, constants=constants))
         assert scaled[0] == pytest.approx(16.0 * constants.bohr_radius, rel=1e-8)
 
+    def test_circular_path_keeps_the_bits_of_the_full_scan(self):
+        # _scan_peaks, the full scan with midpoint trees, is the oracle.
+        scaled = PhysicalConstants(hbar=1.3, mass=0.7, coulomb=2.9)
+        specs = [state(n, n - 1) for n in [*range(1, 1001), 2000, 5000, 10000]]
+        specs += [state(37, 36, constants=scaled)]
+        for spec in specs:
+            circular = radial_peaks(spec)
+            assert circular.dtype == np.float64 and circular.size == 1, spec.n
+            assert circular.tobytes() == hydrogen._scan_peaks(spec).tobytes(), (spec.n, spec.constants)
+
+    @pytest.mark.parametrize("shift", ["first", -37, -3, 3, 37, "last"])
+    def test_circular_window_widens_from_a_wrong_centre(self, shift, monkeypatch):
+        nearest = hydrogen._nearest_scan_index
+
+        def wrong(r_lo, r_hi, num, r):
+            if shift == "first":
+                return 0
+            if shift == "last":
+                return num - 1
+            return nearest(r_lo, r_hi, num, r) + shift
+
+        monkeypatch.setattr(hydrogen, "_nearest_scan_index", wrong)
+        for n in (1, 2, 100):
+            spec = state(n, n - 1)
+            assert radial_peaks(spec).tobytes() == hydrogen._scan_peaks(spec).tobytes(), n
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 100, 10000])
+    @pytest.mark.parametrize("constants", [AU, PhysicalConstants(hbar=1.3, mass=0.7, coulomb=2.9)])
+    def test_peak_scan_is_geomspace(self, n, constants):
+        spec = state(n, 0, constants=constants)
+        r_lo, r_hi, num = hydrogen._peak_scan_range(spec)
+        assert hydrogen._peak_scan(spec).tobytes() == np.geomspace(r_lo, r_hi, num).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 100, 10000])
+    def test_scan_window_is_a_slice_of_the_full_scan(self, n):
+        r_lo, r_hi, num = hydrogen._peak_scan_range(state(n, n - 1))
+        full = hydrogen._peak_scan_window(r_lo, r_hi, num, 0, num)
+        rng = np.random.default_rng(n)
+        windows = [(0, 1), (0, 2), (num - 1, num), (num - 2, num), (1, num - 1), (0, num)]
+        for _ in range(200):
+            lo = int(rng.integers(0, num))
+            windows.append((lo, int(rng.integers(lo + 1, min(lo + 64, num) + 1))))
+        for lo, hi in windows:
+            window = hydrogen._peak_scan_window(r_lo, r_hi, num, lo, hi)
+            assert window.tobytes() == full[lo:hi].tobytes(), (lo, hi)
+
 
 class TestNodeMask:
     def test_masks_node_neighborhood_and_tail(self):
