@@ -32,14 +32,13 @@ from .hydrogen import (
     psi,
     radial_distribution,
     radial_peaks,
-    radial_R,
     state,
 )
 from .madelung import (
     _above_floor,
     _bohm_shell,
-    _fd_stencil,
     _interior,
+    _radial_fd_bohm,
     _uniform_spacing,
     _worst,
     bohm_potential_analytic,
@@ -79,13 +78,13 @@ FLATNESS_FD_TOL = 1e-4
 BOHR_RADII_TOL = 1e-8
 AIRY_TOL = 1e-5
 
-FD_FLATNESS_STEP = 1e-3
+FD_FLATNESS_STEP = 1e-2
 FD_FLATNESS_FLOOR = 0.05
-# Points per block of the fd flatness shell (_fd_shell).  A float64 block
-# is 64 KB, under glibc's default 128 KB mmap threshold, so the block
-# temporaries are reused from the heap instead of being mapped and faulted
-# in afresh.  Chosen by measurement, see CHANGES.md.
-FD_BLOCK_POINTS = 8192
+# Points per block of the Laguerre recurrence that assembles R_nl in the fd
+# flatness shell (_fd_shell).  On shell 30 (359,901 points) blocks run the
+# shell in about 600 ms against about 920 ms on the whole grid; the grids of
+# n <= 9 fit in one block.  Chosen by measurement, see CHANGES.md.
+FD_BLOCK_POINTS = 32768
 AIRY_RESIDUAL_STEP = 2.5e-4
 AIRY_EULER_STEP = 1e-3
 AIRY_RESIDUAL_FLOOR = 0.05
@@ -148,39 +147,19 @@ def _flatness_fd_grid(n: int, constants: PhysicalConstants):
     return make_radial_grid(a, r_hi, count, law="uniform")
 
 
-def _flatness_fd_bohm(spec):
-    """Grid and Bohm potential at h = 10^-3 a with an 0.05 amplitude floor.
-
-    The wider floor is what the second difference needs: truncation near a
-    node scales like h^2/|R|, so points the analytic path keeps at the
-    10^-12 floor would drown the comparison in stencil error, not physics.
-    The grid starts at one bohr radius: below that the centrifugal r^l
-    growth makes h^2 R'''/(3r) stencil error (through the 2R'/r term)
-    the dominant contribution for high-n, low-l states.  This per-state
-    form runs the stencil as one window over the whole interior, through
-    the public bohm_potential_fd; run_flatness runs the same stencil in
-    blocks of a shell (_fd_shell) and gets the same bits.
-    """
-    constants = spec.constants
-    grid = _flatness_fd_grid(spec.n, constants)
-    values = radial_R(spec, grid.points)
-    return grid, bohm_potential_fd(
-        values, grid, constants, geometry="radial", angular_l=spec.l, amplitude_floor=FD_FLATNESS_FLOOR
-    )
-
-
 def _fd_shell(n: int, ls, constants: PhysicalConstants, e_n: float) -> list[float]:
-    """_flatness_fd_bohm's deviations of (n, l), l in ls, in FD_BLOCK_POINTS blocks.
+    """max |V + V_Bohm - E_n| / |E_n| of (n, l), l in ls, by five-point stencils.
 
-    The grid of shell n is built and checked once, and so are rho,
-    e^{-rho/2} and -coulomb/r.  Per l, R_nl is assembled block by block
-    into one grid-sized buffer, keeping the running max |R|.  Then
-    madelung._fd_stencil runs block by block, each block reading one point
-    of its neighbours (the halo), and each block's |V + V_Bohm - E_n| is
-    reduced over the points that the 0.05 floor of the global max |R| and
-    the interior rule keep.  A block with no such point is skipped.  Every
-    value is computed by the per-state operations, so the deviations are
-    its bits; no temporary is larger than a block.
+    The uniform grid of shell n (_flatness_fd_grid, h = 10^-2 a) is built
+    and checked once, and so are rho, e^{-rho/2} and -coulomb/r.  Per l,
+    R_nl is assembled in blocks of FD_BLOCK_POINTS, with the bits of one
+    whole-grid assembly.  A point counts when |R| clears 0.05 of max |R|
+    at all five points of its stencil: truncation near a node grows like
+    h^4/|R|, so points nearer a node would drown the comparison in stencil
+    error, not physics.  The grid starts at one bohr radius: below it the
+    centrifugal r^l growth makes the 2R'/r stencil error dominate for
+    high-n, low-l states.  madelung._radial_fd_bohm runs from the first
+    point that counts to the last.
     """
     r = _flatness_fd_grid(n, constants).points
     h = _uniform_spacing(r)
@@ -188,33 +167,22 @@ def _fd_shell(n: int, ls, constants: PhysicalConstants, e_n: float) -> list[floa
     rho = (2.0 / (n * a)) * r
     envelope = np.exp(-rho / 2)
     external = coulomb_profile(constants, r).values
-    size = r.size
-    blocks = [(lo, min(lo + FD_BLOCK_POINTS, size)) for lo in range(0, size, FD_BLOCK_POINTS)]
-    # Stencil windows: the blocks cut to the interior [1, size - 1).
-    windows = [(max(lo, 1), min(hi, size - 1)) for lo, hi in blocks if max(lo, 1) < min(hi, size - 1)]
     values = np.empty_like(r)
-    work = np.empty(FD_BLOCK_POINTS)
     deviations = []
     for l in ls:
-        peak = 0.0
-        for lo, hi in blocks:
-            part = rho[lo:hi]
-            lag = _laguerre_pair(n - l - 1, 2 * l + 1, part)[0]
-            values[lo:hi] = _radial_from_laguerre(n, l, a, part, lag, envelope[lo:hi])
-            peak = max(peak, np.abs(values[lo:hi]).max())
-        worst, found = 0.0, False
-        for lo, hi in windows:
-            valid = _above_floor(np.abs(values[lo - 1 : hi + 1]), FD_FLATNESS_FLOOR, peak)
-            usable = _interior(valid)[1:-1]
-            if not usable.any():
-                continue
-            bohm = _fd_stencil(values, r, h, constants, True, l, lo, hi, work[: hi - lo])
-            bohm += external[lo:hi]
-            bohm -= e_n
-            worst, found = max(worst, _worst(bohm, usable)), True
-        if not found:
+        for lo in range(0, r.size, FD_BLOCK_POINTS):
+            part = slice(lo, lo + FD_BLOCK_POINTS)
+            lag = _laguerre_pair(n - l - 1, 2 * l + 1, rho[part])[0]
+            values[part] = _radial_from_laguerre(n, l, a, rho[part], lag, envelope[part])
+        usable = _interior(_interior(_above_floor(np.abs(values), FD_FLATNESS_FLOOR)))
+        kept = np.flatnonzero(usable)
+        if not kept.size:
             raise ValueError("no usable interior points")
-        deviations.append(worst / abs(e_n))
+        lo, hi = int(kept[0]), int(kept[-1]) + 1
+        bohm = _radial_fd_bohm(values, r, h, constants, l, lo, hi)
+        bohm += external[lo:hi]
+        bohm -= e_n
+        deviations.append(_worst(bohm, usable[lo:hi]) / abs(e_n))
     return deviations
 
 
@@ -235,10 +203,10 @@ def run_flatness(
     E_n and one Laguerre chain between neighbouring l (L'' of (n, l) is
     the step before L of (n, l + 1)); the Coulomb term is built once per
     grid.  On the fd path the uniform grid, rho, e^{-rho/2} and the
-    Coulomb term are built once per shell, and each l runs the stencil in
-    blocks of FD_BLOCK_POINTS (_fd_shell), with the bits of the per-state
-    bohm_potential_fd.  The m copies of an (n, l) share one case-id
-    prefix.  Cases are reported in (n, l, m) order.
+    Coulomb term are built once per shell, and each l runs five-point
+    stencils over the points the amplitude floor keeps (_fd_shell).  The
+    m copies of an (n, l) share one case-id prefix.  Cases are reported in
+    (n, l, m) order.
     """
     if policy not in ("all-lm", "circular"):
         raise ValueError(f"unknown policy {policy!r}")

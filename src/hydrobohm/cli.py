@@ -74,10 +74,12 @@ BOHR_RADII_N_MAX = 10000
 # 372 MB and writes 36 MB.
 LEVELS_N_MAX = 10000
 
-# Largest --n-max of flatness --method fd.  Past it the stencil error at the
-# fixed h = 10^-3 a outgrows the 1e-4 tolerance: (8, 0) reads 1.01e-4 and
-# (9, 0) 1.29e-4.  The grid also grows as about 4 n^2 10^3 points per state.
-FD_FLATNESS_N_MAX = 7
+# Largest --n-max of flatness --method fd, set by a sweep over every l: at
+# the five-point stencils and h = 10^-2 a each (n, l) with n <= 30 reads at
+# most 3.7e-6 ((29, 0)), a tenth of the 1e-4 tolerance or less.  Past it the
+# margin shrinks ((40, 0) reads 2.0e-5, (50, 0) 2.4e-5), and the grid grows
+# as about 4 n^2 10^2 points per state.
+FD_FLATNESS_N_MAX = 30
 
 # Largest --B of airy and profile --state airy.  The Euler check's fixed
 # 1e-3 time step costs truncation error that grows with B: at t = 0 the

@@ -83,14 +83,9 @@ def _uniform_spacing(coords: np.ndarray) -> float:
     return h
 
 
-def _above_floor(magnitude: np.ndarray, floor: float, peak=None) -> np.ndarray:
-    """|f| >= floor * peak, peak = max|f| unless given; none clears when the peak is 0.
-
-    A caller that works through a field in windows passes the peak of the
-    whole field, so every window is cut at the same level.
-    """
-    if peak is None:
-        peak = magnitude.max() if magnitude.size else 0.0
+def _above_floor(magnitude: np.ndarray, floor: float) -> np.ndarray:
+    """|f| >= floor * max|f|; no point clears the floor when the peak is 0."""
+    peak = magnitude.max() if magnitude.size else 0.0
     if peak > 0.0:
         return magnitude >= floor * peak
     return np.zeros(magnitude.shape, bool)
@@ -293,45 +288,23 @@ def bohm_potential_fd(
     values,
     grid,
     constants: PhysicalConstants,
-    geometry: str = "cartesian",
-    angular_l: int | None = None,
     amplitude_floor: float = AMPLITUDE_FLOOR,
 ) -> PotentialProfile:
-    """Bohm potential by second-order central differences on a uniform grid.
+    """Bohm potential along a uniform Cartesian grid line, by second differences.
 
-    For hydrogen this operates on the radial factor with the centrifugal
-    term -l(l+1)/r^2 added analytically (pass angular_l); for Cartesian
-    fields it is the plain 1D Laplacian.  Points below the amplitude floor,
-    and points whose stencil touches one, are masked: the 0/0 at amplitude
-    zeros is analytically finite but numerically ill conditioned.  The
-    checks run here, then _bohm_fd runs the stencil (_fd_stencil) over the
-    whole interior as one window; the fd flatness campaign runs the same
-    stencil window by window on a grid it has checked once.
+    This is the plain 1D Laplacian.  Points below the amplitude floor, and
+    points whose stencil touches one, are masked: the 0/0 at amplitude
+    zeros is analytically finite but numerically ill conditioned.
     """
     coords = as_points(grid)
     field = np.asarray(values)
     if field.shape != coords.shape:
         raise ValueError("field and grid shapes differ")
-    if geometry not in ("cartesian", "radial"):
-        raise ValueError(f"unknown geometry {geometry!r}")
     h = _uniform_spacing(coords)
-    return _bohm_fd(field, coords, h, constants, geometry == "radial", angular_l, amplitude_floor)
-
-
-def _bohm_fd(
-    field: np.ndarray,
-    coords: np.ndarray,
-    h: float,
-    constants: PhysicalConstants,
-    radial: bool,
-    angular_l: int | None,
-    amplitude_floor: float,
-) -> PotentialProfile:
-    """bohm_potential_fd on a grid already checked to be uniform with step h."""
     masked = _interior(_above_floor(np.abs(field), amplitude_floor))
     np.logical_not(masked, out=masked)
     lap = np.empty_like(field)
-    _fd_stencil(field, coords, h, constants, radial, angular_l, 1, field.size - 1, lap[1:-1])
+    _fd_stencil(field, h, constants, lap[1:-1])
     # The two ends have no stencil and are always masked.  The returned
     # array is allocated last, once the temporaries are freed.  Returning
     # the work buffer itself made an airy-packet pass take about 40% more
@@ -340,52 +313,67 @@ def _bohm_fd(
     return PotentialProfile(coords=coords, values=potential, node_mask=masked, kind="bohm")
 
 
-def _fd_stencil(
-    field: np.ndarray,
-    coords: np.ndarray,
-    h: float,
-    constants: PhysicalConstants,
-    radial: bool,
-    angular_l: int | None,
-    lo: int,
-    hi: int,
-    out: np.ndarray,
-) -> np.ndarray:
-    """-(hbar^2/2m) lap(f)/f at the points [lo, hi) of a uniform grid of step h.
+def _fd_stencil(field: np.ndarray, h: float, constants: PhysicalConstants, out: np.ndarray) -> np.ndarray:
+    """-(hbar^2/2m) f''/f at the interior points of a uniform grid of step h.
 
-    The window reads one point beyond each end, so 1 <= lo and
-    hi <= field.size - 1.  out is the work buffer, of hi - lo points and
-    field's dtype; the potential is returned as out.real.  Each point is
-    computed by the same operations whatever window holds it, so a field
-    run window by window gets the bits of one window over the interior.
-    Nothing is masked here: at points below the amplitude floor the value
-    is whatever the division gives.
+    out is the work buffer, of field.size - 2 points and field's dtype; the
+    potential is returned as out.real.  Nothing is masked here: at points
+    below the amplitude floor the value is whatever the division gives.
     """
-    center, plus, minus, r = field[lo:hi], field[lo + 1 : hi + 1], field[lo - 1 : hi - 1], coords[lo:hi]
-    # Each term is built in one buffer, in the operation order of
-    # (f+ - 2 f0 + f-) / h^2 + 2 ((f+ - f-) / 2h) / r - l(l+1) f / r^2.
+    center, plus, minus = field[1:-1], field[2:], field[:-2]
+    # (f+ - 2 f0 + f-) / h^2, built in one buffer.
     np.multiply(2.0, center, out=out)
     np.subtract(plus, out, out=out)
     out += minus
     out /= h * h
-    if radial:
-        term = np.subtract(plus, minus)
-        term /= 2.0 * h
-        term *= 2.0
-        term /= r
-        out += term
-        del term  # freed before the centrifugal term is built
-    if angular_l is not None:
-        term = angular_l * (angular_l + 1) * center
-        term /= r**2
-        out -= term
-        del term
     hb, mass = float(constants.hbar), float(constants.mass)
     with np.errstate(divide="ignore", invalid="ignore"):
         out /= center
     ratio = out.real
     ratio *= -(hb * hb / (2.0 * mass))
     return ratio
+
+
+def _radial_fd_bohm(
+    values: np.ndarray, r: np.ndarray, h: float, constants: PhysicalConstants, l: int, lo: int, hi: int
+) -> np.ndarray:
+    """Bohm potential of R_nl Y_lm at the points [lo, hi) of a uniform radial grid.
+
+    Fourth-order five-point stencils, with the centrifugal term added
+    analytically:
+
+        R'' = (-R+2 + 16 R+1 - 30 R0 + 16 R-1 - R-2) / 12h^2
+        R'  = (-R+2 + 8 R+1 - 8 R-1 + R-2) / 12h
+        V_Bohm = -(hbar^2/2m) (R'' + 2 R'/r - l(l+1) R/r^2) / R
+
+    each evaluated left to right.  The window reads two points beyond each
+    end, so 2 <= lo and hi <= values.size - 2.  Nothing is masked here.
+    """
+    m2, m1, center, p1, p2 = (values[lo + s : hi + s] for s in range(-2, 3))
+    r = r[lo:hi]
+    term = np.empty_like(center)
+    d2 = np.negative(p2)
+    d2 += np.multiply(16.0, p1, out=term)
+    d2 -= np.multiply(30.0, center, out=term)
+    d2 += np.multiply(16.0, m1, out=term)
+    d2 -= m2
+    d2 /= 12.0 * h * h
+    d1 = np.negative(p2)
+    d1 += np.multiply(8.0, p1, out=term)
+    d1 -= np.multiply(8.0, m1, out=term)
+    d1 += m2
+    d1 /= 12.0 * h
+    d1 *= 2.0
+    d1 /= r
+    d2 += d1
+    np.multiply(l * (l + 1), center, out=term)
+    term /= np.square(r, out=d1)
+    d2 -= term
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d2 /= center
+    hb, mass = float(constants.hbar), float(constants.mass)
+    d2 *= -(hb * hb / (2.0 * mass))
+    return d2
 
 
 def quantum_potential(external: PotentialProfile, bohm: PotentialProfile) -> PotentialProfile:

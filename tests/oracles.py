@@ -6,7 +6,10 @@ recurrence- and series-based evaluators are checked against genuinely
 different arithmetic, not against themselves.  The exceptions are kept
 copies of loops the package ran before a rewrite (svg_polylines,
 profile_rows, airy_ai_reference, laguerre_reference): those check that the
-rewrite kept every bit.  distribution_slope is also not independent: it is
+rewrite kept every bit.  The fd flatness references (fd_flatness_reference
+and its two stencils) are per-state, whole-grid numpy expressions of the
+difference formulas, in the operation order the package's kernels use, so
+the shell-wise fd check can be pinned to them bit for bit.  distribution_slope is also not independent: it is
 the normalized dP/dr, by the product rule on radial_R_derivatives, that
 radial_peaks read before it switched to a sign helper.
 """
@@ -18,7 +21,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from hydrobohm import radial_R_derivatives, specfun
+from hydrobohm import (
+    atomic_units,
+    energy_level,
+    make_radial_grid,
+    radial_R,
+    radial_R_derivatives,
+    specfun,
+    state,
+)
 from hydrobohm.reports import format_number
 
 
@@ -230,3 +241,74 @@ def _airy_horner_reference(xm):
     for row in coeffs[::-1]:
         value = value * delta + row[idx]
     return value
+
+
+def _floor_mask(values: np.ndarray, floor: float) -> np.ndarray:
+    magnitude = np.abs(values)
+    return magnitude >= floor * magnitude.max()
+
+
+def radial_bohm_fd2(values, r, h: float, l: int, floor: float):
+    """Bohm potential of R Y_lm in atomic units by three-point differences.
+
+    The second-order radial path of the package before it moved to five
+    points: R'' = (R+ - 2 R0 + R-)/h^2 and R' = (R+ - R-)/2h, in that
+    path's operation order.  Returns (values, node_mask); a point is kept
+    when |R| clears floor * max |R| at all three of its stencil points,
+    and the two ends are masked.
+    """
+    valid = _floor_mask(values, floor)
+    keep = np.zeros(values.shape, bool)
+    keep[1:-1] = valid[:-2] & valid[1:-1] & valid[2:]
+    minus, center, plus, rr = values[:-2], values[1:-1], values[2:], r[1:-1]
+    lap = (plus - 2.0 * center + minus) / (h * h)
+    lap = lap + 2.0 * ((plus - minus) / (2.0 * h)) / rr - l * (l + 1) * center / rr**2
+    bohm = np.full(values.shape, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bohm[1:-1] = -0.5 * (lap / center)
+    bohm[~keep] = np.nan
+    return bohm, ~keep
+
+
+def radial_bohm_fd4(values, r, h: float, l: int, floor: float):
+    """Bohm potential of R Y_lm in atomic units by five-point differences.
+
+        R'' = (-R+2 + 16 R+1 - 30 R0 + 16 R-1 - R-2) / 12h^2
+        R'  = (-R+2 + 8 R+1 - 8 R-1 + R-2) / 12h
+        V_Bohm = -(1/2) (R'' + 2 R'/r - l(l+1) R/r^2) / R
+
+    Returns (values, node_mask); a point is kept when |R| clears
+    floor * max |R| at all five of its stencil points, and the two points
+    at each end are masked.
+    """
+    valid = _floor_mask(values, floor)
+    keep = np.zeros(values.shape, bool)
+    keep[2:-2] = valid[:-4] & valid[1:-3] & valid[2:-2] & valid[3:-1] & valid[4:]
+    m2, m1, c, p1, p2 = values[:-4], values[1:-3], values[2:-2], values[3:-1], values[4:]
+    rr = r[2:-2]
+    d2 = (-p2 + 16.0 * p1 - 30.0 * c + 16.0 * m1 - m2) / (12.0 * h * h)
+    d1 = (-p2 + 8.0 * p1 - 8.0 * m1 + m2) / (12.0 * h)
+    lap = d2 + 2.0 * d1 / rr - l * (l + 1) * c / rr**2
+    bohm = np.full(values.shape, np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bohm[2:-2] = -0.5 * (lap / c)
+    bohm[~keep] = np.nan
+    return bohm, ~keep
+
+
+def fd_flatness_reference(n: int, l: int, step: float = 1e-2, order: int = 4, floor: float = 0.05):
+    """One state's fd flatness check, on its own grid, in atomic units.
+
+    The grid is uniform from 1 to max(30, 4 n^2) bohr at the given step, as
+    the package's fd flatness grid; R comes from the public radial_R.
+    Returns (r, bohm, node_mask, deviation), the deviation being
+    max |V + V_Bohm - E_n| / |E_n| over the kept points, V = -1/r.
+    """
+    r_hi = max(30.0, 4.0 * n * n)
+    r = make_radial_grid(1.0, r_hi, int(round((r_hi - 1.0) / step)) + 1).points
+    h = float(np.diff(r).mean())
+    stencil = {2: radial_bohm_fd2, 4: radial_bohm_fd4}[order]
+    bohm, node_mask = stencil(radial_R(state(n, l), r), r, h, l, floor)
+    e_n = float(energy_level(n, atomic_units()))
+    deviation = float(np.abs(bohm + -1.0 / r - e_n)[~node_mask].max()) / abs(e_n)
+    return r, bohm, node_mask, deviation

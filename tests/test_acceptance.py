@@ -55,7 +55,7 @@ def test_criterion_01_quantum_potential_is_flat():
     assert analytic.case_count == 385
     assert analytic.all_passed
     assert analytic.max_abs_error < 1e-8
-    # Finite-difference evaluation at h = 1e-3 a stays below 1e-4 for n <= 5.
+    # Five-point differences at h = 1e-2 a stay below 1e-4 for n <= 5.
     fd = run_flatness(5, method="fd")
     assert fd.all_passed
     assert fd.max_abs_error < 1e-4

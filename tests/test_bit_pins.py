@@ -4,8 +4,10 @@ The CLI golden digests see these values only through formatted reports, so
 each digest here is the SHA-256 of the float64 (or bool) bytes themselves:
 the run_flatness(20) deviations, the analytic Bohm potential and its node
 mask for three states, the finite-difference Bohm potential and its mask
-on the radial flatness grids of three states, on one Airy residual grid
-and for one complex Cartesian field, the run_bohr_radii(100) rows, every
+of the fd flatness references in tests/oracles.py (five points at the
+package's step, and three points at the step of the second-order path
+they replaced) for three states each, on one Airy residual grid and for
+one complex Cartesian field, the run_bohr_radii(100) rows, every
 radial peak with n <= 30, the run_airy case values and rows for three
 strengths over four times, and the packet's density, current and
 Hamilton-Jacobi residual profiles at two times.  They were recorded once
@@ -32,13 +34,14 @@ from hydrobohm import (
 from hydrobohm.campaigns import (
     AIRY_RESIDUAL_FLOOR,
     _airy_residual_grid,
-    _flatness_fd_bohm,
     default_hydrogen_grid,
     profile_curve,
     run_airy,
     run_bohr_radii,
     run_flatness,
 )
+
+import oracles
 
 AU = atomic_units()
 
@@ -73,9 +76,9 @@ def test_bohm_potential_analytic_bits(n, l, digest):
 
 
 FD_RADIAL_BITS = [
-    (3, 0, 35001, "de54125c97e314d255d964d531480d6cd69c6dfd478be3376f350da6b903c20a"),
-    (6, 2, 143001, "fb43aee8504febebc7f91993e70360adfc0917d0f3fcd5d6757a40481d4d247e"),
-    (9, 8, 323001, "8438ddee3cb6acef7d3cb80b8b52468bced6a4e7613fa73f7e487f182a049782"),
+    (3, 0, 3501, "67358d313318185c51e1f39d8e69f514c76e270fb2f9a3ce9b3a76c31f42e73c"),
+    (6, 2, 14301, "d2eb4774ab27db4ea1fe5d453b7715182d5cd90af23c47cfa2432fc74977ccee"),
+    (9, 8, 32301, "171fd107acae9b523b086764b774d2c944710f3eae1b7e87f1f389bbffc6f314"),
 ]
 
 
@@ -83,10 +86,30 @@ FD_RADIAL_BITS = [
     "n, l, size, digest", FD_RADIAL_BITS, ids=[f"n={n}-l={l}" for n, l, _, _ in FD_RADIAL_BITS]
 )
 def test_bohm_potential_fd_radial_bits(n, l, size, digest):
-    _, profile = _flatness_fd_bohm(state(n, l))
-    assert profile.values.dtype == np.float64
-    assert profile.values.size == size
-    assert _digest(profile.values, profile.node_mask) == digest
+    # The five-point reference that run_flatness(method="fd") matches bit
+    # for bit (test_campaigns.py), on its grid at h = 10^-2 a.
+    _, values, node_mask, _ = oracles.fd_flatness_reference(n, l)
+    assert values.dtype == np.float64
+    assert values.size == size
+    assert _digest(values, node_mask) == digest
+
+
+# Recorded from the package's second-order radial path at h = 10^-3 a
+# before it moved to tests/oracles.py; the moved copy keeps its bits.
+FD2_RADIAL_BITS = [
+    (3, 0, 35001, "de54125c97e314d255d964d531480d6cd69c6dfd478be3376f350da6b903c20a"),
+    (6, 2, 143001, "fb43aee8504febebc7f91993e70360adfc0917d0f3fcd5d6757a40481d4d247e"),
+    (9, 8, 323001, "8438ddee3cb6acef7d3cb80b8b52468bced6a4e7613fa73f7e487f182a049782"),
+]
+
+
+@pytest.mark.parametrize(
+    "n, l, size, digest", FD2_RADIAL_BITS, ids=[f"n={n}-l={l}" for n, l, _, _ in FD2_RADIAL_BITS]
+)
+def test_second_order_radial_reference_bits(n, l, size, digest):
+    _, values, node_mask, _ = oracles.fd_flatness_reference(n, l, step=1e-3, order=2)
+    assert values.size == size
+    assert _digest(values, node_mask) == digest
 
 
 def test_bohm_potential_fd_airy_bits():

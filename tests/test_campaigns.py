@@ -2,21 +2,19 @@
 
 import dataclasses
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import hydrobohm.airy as airy
 import hydrobohm.campaigns as campaigns
+import hydrobohm.cli as cli
 import hydrobohm.hydrogen as hydrogen
 import hydrobohm.madelung as madelung
 import hydrobohm.specfun as specfun
 from hydrobohm import (
     bohm_potential_analytic,
-    coulomb_profile,
     energy_level,
-    quantum_potential,
     radial_distribution,
     radial_peaks,
     state,
@@ -25,6 +23,7 @@ from hydrobohm.campaigns import (
     AIRY_TOL,
     AiryRangeError,
     FLATNESS_ANALYTIC_TOL,
+    FLATNESS_FD_TOL,
     LEVELS_TOL,
     default_airy_grid,
     default_hydrogen_grid,
@@ -35,6 +34,9 @@ from hydrobohm.campaigns import (
     run_levels,
 )
 from hydrobohm import AiryPacketParams, atomic_units
+from hydrobohm.reports import make_case
+
+import oracles
 
 AU = atomic_units()
 
@@ -96,20 +98,50 @@ class TestRunFlatness:
         assert report.all_passed
         assert report.max_abs_error < 1e-4
 
-    def test_fd_shells_match_the_per_state_path(self):
-        # The largest n_max the CLI accepts with --method fd.  Each (n, l)
-        # rebuilt and checked on its own grid, through the public
-        # bohm_potential_fd, quantum_potential and coulomb_profile.
+    def test_fd_deviations_match_the_five_point_oracle(self):
+        # Each (n, l) rebuilt on its own grid from the public radial_R and
+        # differenced by whole-grid numpy expressions of the five-point
+        # formulas (oracles.fd_flatness_reference).
         report = run_flatness(7, method="fd")
         assert report.all_passed
         computed = {case.case_id[:9]: case.computed for case in report.cases}
         for n in range(1, 8):
-            e_n = float(energy_level(n, AU))
             for l in range(n):
-                grid, bohm = campaigns._flatness_fd_bohm(state(n, l))
-                v_q = quantum_potential(coulomb_profile(AU, grid), bohm)
-                deviation = float(np.abs(v_q.values - e_n)[~v_q.node_mask].max()) / abs(e_n)
+                deviation = oracles.fd_flatness_reference(n, l)[3]
                 assert computed[f"n={n:02d} l={l:02d}"] == deviation, (n, l)
+
+    def test_fd_states_at_the_cli_limit_read_a_tenth_of_the_tolerance(self):
+        # cli.FD_FLATNESS_N_MAX was set by a sweep over every (n, l) with
+        # n <= 30; these are the worst l = 0 states and the ends of shell 30.
+        assert cli.FD_FLATNESS_N_MAX == 30
+        deviations = {}
+        for n, ls in ((30, (0, 1, 29)), (29, (0,))):
+            e_n = float(energy_level(n, AU))
+            deviations.update(zip(((n, l) for l in ls), campaigns._fd_shell(n, ls, AU, e_n)))
+        assert all(0.0 < value <= 0.1 * FLATNESS_FD_TOL for value in deviations.values()), deviations
+
+    @pytest.mark.parametrize("n, l", [(5, 1), (8, 0)])
+    def test_fd_stencil_error_falls_at_fourth_order(self, n, l, monkeypatch):
+        # Halving h from 4e-2 a must cut the deviation at least 8-fold (16 at
+        # pure fourth order); the second-order stencil only manages about 4.
+        e_n = float(energy_level(n, AU))
+        deviations = []
+        for step in (4e-2, 2e-2):
+            monkeypatch.setattr(campaigns, "FD_FLATNESS_STEP", step)
+            deviations.append(campaigns._fd_shell(n, (l,), AU, e_n)[0])
+        assert deviations[0] >= 8.0 * deviations[1], deviations
+        second = [oracles.fd_flatness_reference(n, l, step, order=2)[3] for step in (4e-2, 2e-2)]
+        assert second[0] < 8.0 * second[1], second
+
+    @pytest.mark.parametrize("n", [1, 7, 30])
+    def test_fd_check_fails_on_an_energy_off_by_ten_tolerances(self, n):
+        # A negative control at the default step and floor: E_n taken
+        # 10 x tol = 1e-3 too high in magnitude must fail the check.
+        e_n = float(energy_level(n, AU))
+        right, = campaigns._fd_shell(n, (0,), AU, e_n)
+        wrong, = campaigns._fd_shell(n, (0,), AU, e_n * (1.0 + 10.0 * FLATNESS_FD_TOL))
+        assert make_case("right", right, 0.0, FLATNESS_FD_TOL, metric="abs").passed
+        assert not make_case("wrong", wrong, 0.0, FLATNESS_FD_TOL, metric="abs").passed
 
     def test_policy_validation(self):
         with pytest.raises(ValueError):
@@ -118,42 +150,20 @@ class TestRunFlatness:
             run_flatness(2, method="spectral")
 
 
-def _per_state_fd(n_max):
-    """Deviation and usable mask of every (n, l), n <= n_max, each on its own fd grid."""
-    out = {}
-    for n in range(1, n_max + 1):
-        e_n = float(energy_level(n, AU))
-        for l in range(n):
-            grid, bohm = campaigns._flatness_fd_bohm(state(n, l))
-            v_q = quantum_potential(coulomb_profile(AU, grid), bohm)
-            usable = ~v_q.node_mask
-            out[n, l] = float(np.abs(v_q.values - e_n)[usable].max()) / abs(e_n), usable
-    return out
-
-
-def _last_window(size, block):
-    """Points in the last stencil window of a grid of size points cut into blocks."""
-    return size - 1 - max(1, (size - 2) // block * block)
-
-
 class TestBlockedFdShell:
     def test_small_blocks_keep_the_per_state_bits(self, monkeypatch):
-        # Blocks of a few thousand points, chosen so that a block edge sits
-        # on each side of a mask boundary, and that some shell ends in a
-        # stencil window of 1 point, of 2 points, and in an assembly block
-        # of 1 point whose window is empty.  Every shell ends in its masked
-        # tail, so those last windows check the cutting and the mask; the
-        # stencil on short windows is checked on its own below.
-        reference = _per_state_fd(7)
+        # R_nl is assembled in blocks of FD_BLOCK_POINTS.  Blocks chosen so
+        # that a block edge sits on each side of a mask boundary, and that
+        # some grid ends in a block of 1 point, give the bits of the
+        # whole-grid oracle.
+        reference = {(n, l): oracles.fd_flatness_reference(n, l) for n in range(1, 8) for l in range(n)}
         sizes = [campaigns._flatness_fd_grid(n, AU).count for n in range(1, 8)]
-        candidates = range(1024, campaigns.FD_BLOCK_POINTS)
-        blocks = {
-            next(b for b in candidates if any(_last_window(size, b) == 1 for size in sizes)),
-            next(b for b in candidates if any(_last_window(size, b) == 2 for size in sizes)),
-            next(b for b in candidates if any(size % b == 1 for size in sizes)),
-        }
+        assert sizes[-1] < campaigns.FD_BLOCK_POINTS  # shells n <= 7 are one block by default
+        candidates = range(1024, sizes[-1])
+        blocks = {next(b for b in candidates if any(size % b == 1 for size in sizes))}
         edges = {}
-        for (n, l), (_, usable) in reference.items():
+        for _, _, node_mask, _ in reference.values():
+            usable = ~node_mask
             for t in np.flatnonzero(usable[1:] != usable[:-1]) + 1:
                 if t in candidates:
                     edges.setdefault(bool(usable[t]), t)
@@ -163,7 +173,7 @@ class TestBlockedFdShell:
             monkeypatch.setattr(campaigns, "FD_BLOCK_POINTS", block)
             report = run_flatness(7, method="fd")
             computed = {case.case_id[:9]: case.computed for case in report.cases}
-            for (n, l), (deviation, _) in reference.items():
+            for (n, l), (_, _, _, deviation) in reference.items():
                 assert computed[f"n={n:02d} l={l:02d}"] == deviation, (block, n, l)
 
     @pytest.mark.parametrize("dtype", [float, complex])
@@ -171,28 +181,13 @@ class TestBlockedFdShell:
         rng = np.random.default_rng(7)
         coords = 1.0 + 0.01 * np.arange(40)
         field = (1.0 + rng.random(40)).astype(dtype)
-        whole = madelung._fd_stencil(field, coords, 0.01, AU, True, 2, 1, 39, np.empty(38, dtype)).copy()
-        for cuts in ([1, 20, 37, 38, 39], [1, 2, 4, 36, 39], [1, 39]):
+        whole = madelung._radial_fd_bohm(field, coords, 0.01, AU, 2, 2, 38)
+        for cuts in ([2, 20, 36, 37, 38], [2, 3, 5, 35, 38], [2, 38]):
             tiled = np.concatenate([
-                madelung._fd_stencil(field, coords, 0.01, AU, True, 2, lo, hi, np.empty(hi - lo, dtype)).copy()
+                madelung._radial_fd_bohm(field, coords, 0.01, AU, 2, lo, hi)
                 for lo, hi in zip(cuts[:-1], cuts[1:])
             ])
             assert tiled.tobytes() == whole.tobytes(), cuts
-
-    def test_no_full_grid_temporaries(self):
-        # The fd shell holds five arrays of its grid (r, rho, e^{-rho/2},
-        # -coulomb/r and R) and otherwise only blocks.  Measured at shell 7
-        # (195,001 points): a traced peak of 5.23 grids (8.16 MB); the path
-        # that ran each l on whole-grid arrays read 5.14, and one more
-        # grid-sized temporary would read above 6.
-        grid_bytes = campaigns._flatness_fd_grid(7, AU).points.nbytes
-        tracemalloc.start()
-        try:
-            run_flatness(7, method="fd")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5.5 * grid_bytes, peak / grid_bytes
 
 
 def _count_calls(monkeypatch, *names, modules=(campaigns,)):

@@ -33,7 +33,7 @@ GOLDEN = [
      "9caf5213eb63f911a7de1e7848851c6ea794067142d0d87a89822be58570bf29"),
     ("flatness --n-max 1 --method fd --tol 1e-12", 1,
      None,
-     "a24fc57b42974a0de7beabcffd20c78a0c5e9e6c9c5743200633004f241ee0f2"),
+     "a5a168f8860dfb4bbbef1293205ddbbaa31db19e96faed1055ea38ca8ce4b69c"),
     ("bohr-radii --n-max 10 --out out.csv", 0,
      "f3ef353e7e23a1ee62b863903b6ed1b410e74b110c2aaee188d9cba7d875bff2",
      "eb63e5a66c5a7406bcb410790dc9e039b6cf7f4eec05af6c0136da4993e14304"),

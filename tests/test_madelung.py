@@ -20,11 +20,12 @@ from hydrobohm import (
     psi,
     quantum_acceleration,
     quantum_potential,
+    radial_R,
     si_units,
     state,
 )
 from hydrobohm.campaigns import default_hydrogen_grid
-from hydrobohm.madelung import AMPLITUDE_FLOOR, _bohm_shell, _unwrap
+from hydrobohm.madelung import AMPLITUDE_FLOOR, _bohm_shell, _radial_fd_bohm, _uniform_spacing, _unwrap
 
 AU = atomic_units()
 
@@ -145,16 +146,17 @@ class TestBohmPotential:
         assert np.max(np.abs(bohm.values[keep] - expected[keep])) < 5e-5
 
     def test_fd_agrees_with_analytic_on_uniform_grid(self):
+        # The five-point radial stencil of the fd flatness check, over the
+        # whole interior of a uniform grid at h = 10^-2 a.
         spec = state(3, 2)
-        grid = make_radial_grid(0.5, 40.0, 39501)
+        grid = make_radial_grid(0.5, 40.0, 3951)
         analytic = bohm_potential_analytic(spec, grid)
-        section = psi(spec, grid.points, math.pi / 2.0, 0.0)
-        fd = bohm_potential_fd(
-            section, grid, AU, geometry="radial", angular_l=2, amplitude_floor=0.05
-        )
-        keep = ~(analytic.node_mask | fd.node_mask)
+        r = grid.points
+        h = _uniform_spacing(r)
+        fd = _radial_fd_bohm(radial_R(spec, r), r, h, AU, 2, 2, r.size - 2)
+        keep = ~analytic.node_mask[2:-2]
         assert keep.sum() > 1000
-        assert np.max(np.abs(fd.values[keep] - analytic.values[keep])) < 1e-4
+        assert np.max(np.abs(fd[keep] - analytic.values[2:-2][keep])) < 1e-6
 
     def test_quantum_potential_is_flat_for_eigenstates(self):
         grid = make_radial_grid(0.05, 90.0, 4000, law="logarithmic")
@@ -174,15 +176,10 @@ class TestBohmPotential:
             other = bohm_potential_analytic(state(4, 2, m), grid).values
             np.testing.assert_allclose(other, base, rtol=1e-12, equal_nan=True)
 
-    def test_rejects_unknown_form_and_geometry(self):
-        grid = make_radial_grid(0.5, 5.0, 50)
-        with pytest.raises(ValueError):
-            bohm_potential_fd(np.ones(50, dtype=complex), grid, AU, geometry="spherical")
-
     def test_fd_requires_uniform_grid(self):
         grid = make_radial_grid(0.5, 5.0, 50, law="logarithmic")
         with pytest.raises(ValueError):
-            bohm_potential_fd(np.ones(50, dtype=complex), grid, AU, geometry="radial")
+            bohm_potential_fd(np.ones(50, dtype=complex), grid, AU)
 
     def test_fd_rejects_a_one_point_grid_without_warning(self):
         # The point count is checked before the spacing is averaged, so no
