@@ -362,14 +362,16 @@ def _bracketing_pair(params: AiryPacketParams, x, t: float, dt: float):
 
 
 def _check_time_ids(times) -> None:
-    """Raise ValueError when two different instants print as one t= case id.
+    """Raise ValueError when times repeat an instant or two instants print as one t= case id.
 
-    run_airy labels its cases with t formatted by :g (six significant
-    digits), so 0.1234567 and 0.1234568 would give rows that cannot be
-    told apart.  Equal instants are not checked here.
+    0 and -0 are one instant.  run_airy labels its cases with t formatted
+    by :g (six significant digits), so 0.1234567 and 0.1234568 would give
+    rows that cannot be told apart.
     """
     seen = {}
-    for t in times:
+    for i, t in enumerate(times):
+        if t in times[:i]:
+            raise ValueError(f"times repeat the instant {t:g}")
         label = f"{t:g}"
         if seen.get(label, t) != t:
             raise ValueError(f"instants {seen[label]!r} and {t!r} both give the case id t={label}")
@@ -416,9 +418,6 @@ def run_airy(
     times = tuple(float(t) for t in times)
     if not times:
         raise ValueError("times must contain at least one instant")
-    for i, t in enumerate(times):
-        if t in times[:i]:
-            raise ValueError(f"times repeat the instant {t:g}")
     _check_time_ids(times)
     constants = constants or atomic_units()
     if tolerance is None:

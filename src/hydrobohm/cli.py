@@ -155,9 +155,6 @@ def _parse_times(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"bad time list {text!r}") from exc
     if not times:
         raise argparse.ArgumentTypeError("at least one time is required")
-    for i, t in enumerate(times):
-        if t in times[:i]:
-            raise argparse.ArgumentTypeError(f"time {t:g} is given more than once")
     try:
         _check_time_ids(times)
     except ValueError as exc:

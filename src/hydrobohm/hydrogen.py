@@ -8,6 +8,9 @@ The radial factor is
 with a = hbar^2/(m coulomb) the Bohr radius, and the full eigenfunction is
 psi_nlm = R_nl(r) Y_l^m(theta, phi).  Energies are E_n = -hartree / (2 n^2).
 
+radial_peaks locates the maximum of P_nl = r^2 R_nl^2 for circular states
+(l = n - 1) only, the orbits whose radii n^2 a the Bohr model predicts.
+
 Derivatives of R are assembled by the product rule from the Laguerre
 derivative identity, never from the radial equation itself, so residual and
 flatness checks downstream remain genuine tests rather than tautologies.
@@ -23,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import PhysicalConstants, QuantumNumbers, as_points, atomic_units
-from .specfun import _laguerre_pair, laguerre, laguerre_derivative, ln_factorial, spherical_harmonic
+from .specfun import laguerre, laguerre_derivative, ln_factorial, spherical_harmonic
 
 __all__ = [
     "EigenstateSpec",
@@ -42,13 +45,6 @@ __all__ = [
 NODE_MASK_FLOOR = 1e-12
 PEAK_SCAN_PER_DECADE = 1000
 PEAK_REL_TOL = 1e-10
-# Bisection steps of radial_peaks resolved per vector sign evaluation, for
-# states with n - l - 1 >= 1 (circular states build no trees).  A scan
-# bracket needs about 25 steps, so 5 levels (31 midpoints per tree) take 5
-# sign calls.  The sign is cheap next to building a tree in Python: the
-# peaks of the 190 such states with n <= 20 took, best of 15, 210 ms at 3
-# levels, 194 ms at 4 or 5, 258 ms at 6 and 356 ms at 7.
-_PEAK_TREE_LEVELS = 5
 OVERLAP_RADIAL_POINTS = 240
 OVERLAP_THETA_POINTS = 32
 OVERLAP_PHI_POINTS = 32
@@ -183,74 +179,15 @@ def schrodinger_residual(spec: EigenstateSpec, grid, energy=None) -> float:
     return float(np.abs(residual[keep]).max() / scale)
 
 
-def _slope_sign(spec: EigenstateSpec, r) -> np.ndarray:
-    """sign(L) ((1 + l - rho/2) L + rho L'), which has the sign of dP/dr; any shape of r.
-
-    With R = N e^{-rho/2} rho^l L(rho), dP/dr = 2 r N^2 e^{-rho} rho^{2l}
-    L ((1 + l - rho/2) L + rho L'), and every factor before the first L is
-    positive.  _scan_peaks evaluates it on its scan and midpoint trees,
-    which are float arrays, so the recurrences run on them unchecked:
-    L = L_k^{2l+1} and L' = -L_{k-1}^{2l+2}, k = n - l - 1.  At k = 0
-    (every circular state) L = 1 and L' = 0, and the value is
-    1 + l - rho/2 itself: the skipped x1, +0 and x sign(1) steps are exact
-    no-ops for finite rho, so the bits are those of the full expression,
-    and _circular_peak repeats it in Python floats.
-    """
-    rho = (2.0 / (spec.n * float(spec.constants.bohr_radius))) * np.asarray(r)
-    k, l = spec.n - spec.l - 1, spec.l
-    value = (1 + l) - rho / 2
-    if k == 0:
-        return value
-    lag = _laguerre_pair(k, 2 * l + 1, rho)[0]
-    minus_lag1 = _laguerre_pair(k - 1, 2 * l + 2, rho)[0]
-    value *= lag
-    minus_lag1 *= rho
-    value -= minus_lag1
-    value *= np.sign(lag)
-    return value
-
-
 def radial_distribution(spec: EigenstateSpec, grid) -> np.ndarray:
     """P_nl(r) = r^2 R_nl(r)^2 at the grid points."""
     r = as_points(grid)
     return r**2 * radial_R(spec, r) ** 2
 
 
-def _midpoint_tree(lo: float, hi: float, levels: int) -> list[float]:
-    """Every midpoint bisection of (lo, hi) can visit in `levels` steps, as a heap.
-
-    Node j halves its interval (a, b) at 0.5 * (a + b); node 2j + 1 halves
-    (a, mid) and node 2j + 2 halves (mid, b).  Each node is the float a
-    scalar bisection computes.
-    """
-    intervals, mids = [(lo, hi)], []
-    for _ in range(levels):
-        halves = []
-        for a, b in intervals:
-            mid = 0.5 * (a + b)
-            mids.append(mid)
-            halves += ((a, mid), (mid, b))
-        intervals = halves
-    return mids
-
-
 def _wide(lo: float, hi: float) -> bool:
     """The bisection of radial_peaks continues while this holds."""
     return hi - lo > PEAK_REL_TOL * hi
-
-
-def _bisect_in_tree(lo: float, hi: float, mids: list, signs: list) -> tuple[float, float]:
-    """Bisect (lo, hi) along one midpoint tree until the bracket is narrow or leaves the tree."""
-    j = 0
-    while j < len(mids) and _wide(lo, hi):
-        mid, s = mids[j], signs[j]
-        if s > 0:
-            lo, j = mid, 2 * j + 2
-        elif s < 0:
-            hi, j = mid, 2 * j + 1
-        else:
-            lo = hi = mid
-    return lo, hi
 
 
 def _peak_scan_range(spec: EigenstateSpec) -> tuple[float, float, int]:
@@ -283,42 +220,23 @@ def _peak_scan_window(r_lo: float, r_hi: float, num: int, lo: int, hi: int) -> n
     return points
 
 
-def _peak_scan(spec: EigenstateSpec) -> np.ndarray:
-    """The full logarithmic scan of radial_peaks, equal to np.geomspace(r_lo, r_hi, num)."""
-    r_lo, r_hi, num = _peak_scan_range(spec)
-    return _peak_scan_window(r_lo, r_hi, num, 0, num)
-
-
 def _nearest_scan_index(r_lo: float, r_hi: float, num: int, r: float) -> int:
     """About the index of the scan point nearest r, clipped to the scan."""
     step = math.log10(r_hi / r_lo) / (num - 1)
     return min(max(round(math.log10(r / r_lo) / step), 0), num - 1)
 
 
-def _scan_peaks(spec: EigenstateSpec) -> np.ndarray:
-    """radial_peaks from the full scan and batched midpoint trees; valid for every state."""
-    scan = _peak_scan(spec)
-    sign = _slope_sign(spec, scan)
-    tops = np.nonzero((sign[:-1] > 0) & (sign[1:] < 0))[0]
-    brackets = list(zip(scan[tops].tolist(), scan[tops + 1].tolist()))
-    while open_ := [i for i, bracket in enumerate(brackets) if _wide(*bracket)]:
-        trees = [_midpoint_tree(*brackets[i], _PEAK_TREE_LEVELS) for i in open_]
-        signs = _slope_sign(spec, np.array(trees)).tolist()
-        for i, mids, tree_signs in zip(open_, trees, signs):
-            brackets[i] = _bisect_in_tree(*brackets[i], mids, tree_signs)
-    return np.asarray([0.5 * (lo + hi) for lo, hi in brackets])
-
-
 def _circular_peak(spec: EigenstateSpec) -> np.ndarray:
     """radial_peaks of a state with n - l - 1 = 0, from a few scan points around n (l + 1) a.
 
-    Here the slope sign is (1 + l) - rho/2 (_slope_sign at k = 0), linear
-    in r, and rounding is monotone, so it never increases along the scan
-    and has at most one + -> - pair.  A window centred on the zero widens
-    until its first sign is positive and its last negative, or it meets an
-    end of the scan; no pair then lies outside it.  The bisection is
-    _scan_peaks' own in Python floats: the same midpoints, stop and IEEE
-    operations, so the peak has the same bits.
+    Here the slope sign is (1 + l) - rho/2, linear in r, and rounding is
+    monotone, so it never increases along the scan and has at most one
+    + -> - pair.  A window centred on the zero widens until its first sign
+    is positive and its last negative, or it meets an end of the scan; no
+    pair then lies outside it.  The bisection gives the same bits as the
+    full-scan, midpoint-tree peak finder kept as the test oracle
+    (scan_peaks in tests/oracles.py): the same midpoints, stop and IEEE
+    operations.
     """
     r_lo, r_hi, num = _peak_scan_range(spec)
     c = 2.0 / (spec.n * float(spec.constants.bohr_radius))
@@ -349,30 +267,24 @@ def _circular_peak(spec: EigenstateSpec) -> np.ndarray:
 
 
 def radial_peaks(spec: EigenstateSpec) -> np.ndarray:
-    """Locations of the strict local maxima of P_nl, in increasing order.
+    """Location of the maximum of P_nl for a circular state, as a one-point array.
 
-    Sign changes of dP/dr from + to - are bracketed on a logarithmic scan
-    of [10^-3 a, 4 n^2 a] (PEAK_SCAN_PER_DECADE samples per decade) and
-    polished by bisection until the bracket is narrower than PEAK_REL_TOL
-    relative to the position.  Only the sign of dP/dr is read, and it is
-    the sign of sign(L) ((1 + l - rho/2) L + rho L') with L = L_{n-l-1}^{2l+1}
-    (the log-derivative 1 + l - rho/2 + rho L'/L, times L^2 >= 0).  The
-    factor 2 r N^2 e^{-rho} rho^{2l} dropped from dP/dr is positive, so no
-    normalization, power or exponential is evaluated, and nothing
+    Only circular states (n - l - 1 = 0) are supported; any other state
+    raises ValueError.  There L_0^{2l+1} = 1, so dP/dr is
+    2 r N^2 e^{-rho} rho^{2l} (1 + l - rho/2), and only the sign of the
+    last factor, linear in r, is read.  Its + -> - change is bracketed on
+    a logarithmic scan of [10^-3 a, 4 n^2 a] (PEAK_SCAN_PER_DECADE samples
+    per decade), of which only a short window around n (l + 1) a is built,
+    and polished by bisection in Python floats until the bracket is
+    narrower than PEAK_REL_TOL relative to the position (_circular_peak).
+    No normalization, power or exponential is evaluated, so nothing
     overflows for large n.
-
-    A circular state (n - l - 1 = 0, L = 1) has a sign linear in r: its one
-    bracket is found on a short window of the scan around n (l + 1) a and
-    bisected in Python floats (_circular_peak).  Every other state runs
-    the two Laguerre recurrences on the whole scan, and each open bracket
-    takes _PEAK_TREE_LEVELS bisection steps per sign evaluation: the sign
-    is evaluated at once on all midpoints those steps can visit (the
-    bisection's own midpoints, bit for bit), then each bracket walks its
-    tree (_scan_peaks).  Both give the same bits on a circular state.
     """
-    if spec.n - spec.l - 1 == 0:
-        return _circular_peak(spec)
-    return _scan_peaks(spec)
+    if spec.n - spec.l - 1 != 0:
+        raise ValueError(
+            f"radial_peaks supports only circular states (l = n - 1), got n={spec.n}, l={spec.l}"
+        )
+    return _circular_peak(spec)
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:

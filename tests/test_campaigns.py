@@ -22,6 +22,7 @@ from hydrobohm import (
 from hydrobohm.campaigns import (
     AIRY_TOL,
     AiryRangeError,
+    BOHR_RADII_TOL,
     FLATNESS_ANALYTIC_TOL,
     FLATNESS_FD_TOL,
     LEVELS_TOL,
@@ -242,18 +243,17 @@ class TestSharedWork:
         assert counts == {"node_mask": 0, "radial_R": 0}
 
     def test_peak_bisection_evaluates_the_slope_once_per_midpoint_tree(self, monkeypatch):
-        counts = _count_calls(monkeypatch, "_slope_sign", "radial_R_derivatives", modules=(hydrogen,))
-        peaks = radial_peaks(state(100, 98))
+        # The scan-and-tree peak oracle, which pins the bits of radial_peaks.
+        counts = _count_calls(monkeypatch, "slope_sign", "radial_R_derivatives", modules=(oracles,))
+        peaks = oracles.scan_peaks(state(100, 98))
         assert peaks.size == 2
-        # One scan, then 25 bisection steps in trees of _PEAK_TREE_LEVELS
+        # One scan, then 25 bisection steps in trees of PEAK_TREE_LEVELS
         # levels, all on the sign of dP/dr: the normalized slope is not used.
-        assert 2 <= counts["_slope_sign"] <= 1 + math.ceil(25 / hydrogen._PEAK_TREE_LEVELS)
+        assert 2 <= counts["slope_sign"] <= 1 + math.ceil(25 / oracles.PEAK_TREE_LEVELS)
         assert counts["radial_R_derivatives"] == 0
 
     def test_circular_peak_reads_a_short_window_of_the_scan(self, monkeypatch):
-        counts = _count_calls(
-            monkeypatch, "_laguerre_pair", "_midpoint_tree", "_slope_sign", modules=(hydrogen, specfun)
-        )
+        counts = _count_calls(monkeypatch, "laguerre", "_laguerre_pair", modules=(hydrogen, specfun))
         points = []
         window = hydrogen._peak_scan_window
 
@@ -263,7 +263,7 @@ class TestSharedWork:
 
         monkeypatch.setattr(hydrogen, "_peak_scan_window", counted_window)
         assert radial_peaks(state(100, 99)).size == 1
-        assert counts == {"_laguerre_pair": 0, "_midpoint_tree": 0, "_slope_sign": 0}
+        assert counts == {"laguerre": 0, "_laguerre_pair": 0}
         assert 0 < sum(points) < 64
 
     def test_airy_builds_each_polar_form_and_peak_once(self, monkeypatch):
@@ -301,8 +301,35 @@ class TestRunBohrRadii:
             assert row[2] == pytest.approx(float(n * n), rel=1e-15)
             assert row[4] is True
 
+    @pytest.mark.parametrize("side", [-1, 1])
+    def test_control_fails_with_a_radius_off_by_ten_tolerances(self, side):
+        # Negative control: the true peaks sit within 3.4e-11 of n^2 a, so
+        # an expected radius moved by 10 x tol must fail every case.
+        _, rows = run_bohr_radii(100)
+        assert len(rows) == 100 and all(row[4] for row in rows)
+        cases = [
+            make_case(f"n={n:02d}", r_peak, expected * (1 + side * 10 * BOHR_RADII_TOL), BOHR_RADII_TOL)
+            for n, r_peak, expected, _, _ in rows
+        ]
+        assert not any(case.passed for case in cases)
+
 
 class TestRunAiry:
+    @pytest.mark.parametrize("strength", [0.5, 1.0, 2.0])
+    def test_control_fails_with_an_acceleration_off_by_ten_tolerances(self, strength):
+        # Negative control: the mean quantum acceleration reads B^3/2m^2
+        # to about 2e-7, so an expected value 10 x tol away must fail.
+        report, _ = run_airy(strength, (0.0, 0.3, 1.0))
+        accelerations = [case for case in report.cases if case.case_id.startswith("acceleration ")]
+        assert len(accelerations) == 3 and all(case.passed for case in accelerations)
+        true_accel = strength**3 / 2.0  # atomic units, m = 1
+        assert all(case.expected == pytest.approx(true_accel, rel=1e-15) for case in accelerations)
+        wrong = [
+            make_case(case.case_id, case.computed, true_accel * (1 + 10 * AIRY_TOL), AIRY_TOL)
+            for case in accelerations
+        ]
+        assert not any(case.passed for case in wrong)
+
     def test_full_clause_coverage(self):
         report, rows = run_airy(1.0, (0.0, 0.3))
         assert report.all_passed

@@ -254,7 +254,7 @@ class TestAiryTimes:
         with pytest.raises(SystemExit) as excinfo:
             main(["airy", "--times", times])
         assert excinfo.value.code == 2
-        assert f"argument --times: time {repeated} is given more than once" in capsys.readouterr().err
+        assert f"argument --times: times repeat the instant {repeated}" in capsys.readouterr().err
 
     def test_instants_with_one_case_id_are_a_usage_error_naming_both(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -182,8 +182,9 @@ class TestRadialPeaks:
             assert abs(peaks[0] - n**2) / n**2 < 1e-8
 
     def test_multi_peak_state_against_dense_scan(self):
+        # The scan-and-tree oracle finds every peak of a non-circular state.
         spec = state(3, 0)
-        peaks = radial_peaks(spec)
+        peaks = oracles.scan_peaks(spec)
         r = np.linspace(0.05, 40.0, 400001)
         dense = oracles.local_maxima(r, r**2 * np.asarray(radial_R(spec, r)) ** 2)
         assert len(dense) == len(peaks) == 3
@@ -192,20 +193,29 @@ class TestRadialPeaks:
 
     def test_three_s_peak_positions(self):
         np.testing.assert_allclose(
-            radial_peaks(state(3, 0)), [0.740037, 4.18593, 13.074033], rtol=1e-5
+            oracles.scan_peaks(state(3, 0)), [0.740037, 4.18593, 13.074033], rtol=1e-5
         )
 
     def test_sign_helper_agrees_with_the_normalized_slope_to_n_30(self):
         for n in range(1, 31):
             for l in range(n):
                 spec = state(n, l)
-                scan = hydrogen._peak_scan(spec)
+                scan = oracles.peak_scan(spec)
                 with np.errstate(under="ignore"):
                     slope = oracles.distribution_slope(spec, scan)
                 checked = np.isfinite(slope) & (slope != 0.0)
                 assert np.count_nonzero(checked) > scan.size // 2, (n, l)
-                sign = np.sign(hydrogen._slope_sign(spec, scan))
+                sign = np.sign(oracles.slope_sign(spec, scan))
                 np.testing.assert_array_equal(sign[checked], np.sign(slope[checked]), err_msg=f"{(n, l)}")
+
+    @pytest.mark.parametrize("n, l", [(3, 0), (100, 98), (300, 0)])
+    def test_non_circular_states_are_refused(self, n, l):
+        # (300, 0) overflowed in the Laguerre recurrences of the general
+        # path; it is refused before any evaluation, so no warning is raised.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="supports only circular states"):
+                radial_peaks(state(n, l))
 
     @pytest.mark.parametrize("n", [140, 200, 500, 1000])
     def test_circular_peaks_past_the_power_overflow(self, n):
@@ -221,14 +231,14 @@ class TestRadialPeaks:
         assert scaled[0] == pytest.approx(16.0 * constants.bohr_radius, rel=1e-8)
 
     def test_circular_path_keeps_the_bits_of_the_full_scan(self):
-        # _scan_peaks, the full scan with midpoint trees, is the oracle.
+        # oracles.scan_peaks, the full scan with midpoint trees, is the oracle.
         scaled = PhysicalConstants(hbar=1.3, mass=0.7, coulomb=2.9)
         specs = [state(n, n - 1) for n in [*range(1, 1001), 2000, 5000, 10000]]
         specs += [state(37, 36, constants=scaled)]
         for spec in specs:
             circular = radial_peaks(spec)
             assert circular.dtype == np.float64 and circular.size == 1, spec.n
-            assert circular.tobytes() == hydrogen._scan_peaks(spec).tobytes(), (spec.n, spec.constants)
+            assert circular.tobytes() == oracles.scan_peaks(spec).tobytes(), (spec.n, spec.constants)
 
     @pytest.mark.parametrize("shift", ["first", -37, -3, 3, 37, "last"])
     def test_circular_window_widens_from_a_wrong_centre(self, shift, monkeypatch):
@@ -244,14 +254,14 @@ class TestRadialPeaks:
         monkeypatch.setattr(hydrogen, "_nearest_scan_index", wrong)
         for n in (1, 2, 100):
             spec = state(n, n - 1)
-            assert radial_peaks(spec).tobytes() == hydrogen._scan_peaks(spec).tobytes(), n
+            assert radial_peaks(spec).tobytes() == oracles.scan_peaks(spec).tobytes(), n
 
     @pytest.mark.parametrize("n", [1, 2, 7, 100, 10000])
     @pytest.mark.parametrize("constants", [AU, PhysicalConstants(hbar=1.3, mass=0.7, coulomb=2.9)])
     def test_peak_scan_is_geomspace(self, n, constants):
         spec = state(n, 0, constants=constants)
         r_lo, r_hi, num = hydrogen._peak_scan_range(spec)
-        assert hydrogen._peak_scan(spec).tobytes() == np.geomspace(r_lo, r_hi, num).tobytes()
+        assert oracles.peak_scan(spec).tobytes() == np.geomspace(r_lo, r_hi, num).tobytes()
 
     @pytest.mark.parametrize("n", [1, 100, 10000])
     def test_scan_window_is_a_slice_of_the_full_scan(self, n):
