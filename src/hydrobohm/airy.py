@@ -126,9 +126,7 @@ def airy_bohm_closed_form(params: AiryPacketParams, grid, t: float) -> Potential
     x = as_points(grid)
     m = float(params.constants.mass)
     values = -(params.strength**3 / (2.0 * m)) * (x - params.drift_rate * t * t)
-    return PotentialProfile(
-        coords=x, values=values, node_mask=np.zeros(x.shape, bool), kind="bohm"
-    )
+    return PotentialProfile(coords=x, values=values, node_mask=np.zeros(x.shape, bool))
 
 
 def airy_quantum_acceleration(params: AiryPacketParams) -> float:

@@ -126,16 +126,14 @@ def run_levels(n_max: int, constants: PhysicalConstants | None = None, tolerance
     return report, rows
 
 
-def _flatness_deviation(external: np.ndarray, bohm: np.ndarray, mask: np.ndarray, e_n: float) -> float:
-    """max |V + V_Bohm - E_n| / |E_n| over the points the Bohm mask keeps.
+def _flatness_deviation(external: np.ndarray, bohm: np.ndarray, usable: np.ndarray, e_n: float) -> float:
+    """max |V + V_Bohm - E_n| / |E_n| over the usable points.
 
-    bohm and mask are overwritten: the sum is built in bohm's buffer and
-    mask is inverted in place.
+    bohm is overwritten: the sum is built in its buffer.
     """
     bohm += external
     bohm -= e_n
-    np.logical_not(mask, out=mask)
-    return _worst(bohm, mask) / abs(e_n)
+    return _worst(bohm, usable) / abs(e_n)
 
 
 def _flatness_fd_grid(n: int, constants: PhysicalConstants):
@@ -180,9 +178,7 @@ def _fd_shell(n: int, ls, constants: PhysicalConstants, e_n: float) -> list[floa
             raise ValueError("no usable interior points")
         lo, hi = int(kept[0]), int(kept[-1]) + 1
         bohm = _radial_fd_bohm(values, r, h, constants, l, lo, hi)
-        bohm += external[lo:hi]
-        bohm -= e_n
-        deviations.append(_worst(bohm, usable[lo:hi]) / abs(e_n))
+        deviations.append(_flatness_deviation(external[lo:hi], bohm, usable[lo:hi], e_n))
     return deviations
 
 
@@ -226,8 +222,8 @@ def run_flatness(
         e_n = float(energy_level(n, constants))
         if method == "analytic":
             deviations = [
-                _flatness_deviation(external, values, mask, e_n)
-                for values, mask in _bohm_shell(n, ls, constants, r)
+                _flatness_deviation(external, values, usable, e_n)
+                for values, usable in _bohm_shell(n, ls, constants, r)
             ]
         else:
             deviations = _fd_shell(n, ls, constants, e_n)
@@ -331,23 +327,26 @@ def _continuity_step(params: AiryPacketParams, t: float) -> float:
     return min(AIRY_EULER_STEP, AIRY_RESIDUAL_STEP / drift_speed) if drift_speed > 0 else AIRY_EULER_STEP
 
 
+def _brackets(params: AiryPacketParams, t: float) -> dict:
+    """{dt: (t - dt/2, t + dt/2)} of the two-time residuals at t: continuity step, then Euler, one entry if equal."""
+    return {dt: (t - 0.5 * dt, t + 0.5 * dt) for dt in (_continuity_step(params, t), AIRY_EULER_STEP)}
+
+
 def _residual_spans(params: AiryPacketParams, t: float):
     """Spans of run_airy's Ai evaluations on the residual grid of t."""
     lo, hi, _ = _airy_residual_window(params, t)
-    steps = {_continuity_step(params, t), AIRY_EULER_STEP}
-    times = [t, *(t + sign * 0.5 * dt for dt in steps for sign in (-1.0, 1.0))]
+    times = [t, *(time for pair in _brackets(params, t).values() for time in pair)]
     return [(t, time, lo, hi) for time in times]
 
 
-def _bracketing_pair(params: AiryPacketParams, x, t: float, dt: float):
-    """Polar forms at t -+ dt/2 for the two-time residuals, without curvature.
+def _bracketing_pair(params: AiryPacketParams, x, early: float, late: float):
+    """Polar forms at the two instants of a bracket, without curvature.
 
     Neither continuity_residual nor euler_residual reads amplitude_d2, so
     the forms come from decompose alone.  airy_argument reads the time only
     through drift_rate * t * t, so when both times give the same drift (at
     t = 0) they share one Ai evaluation and only the phase differs.
     """
-    early, late = t - 0.5 * dt, t + 0.5 * dt
     envelope = airy_ai(airy_argument(params, x, early))
     early_field = _packet_field(params, x, early, envelope)
     if params.drift_rate * late * late != params.drift_rate * early * early:
@@ -454,13 +453,14 @@ def run_airy(
         del centre, envelope  # not held while the bracketing forms are built
         report.add(make_case(f"hj t={t:g}", hj, 0.0, tolerance, metric="abs"))
 
+        brackets = _brackets(params, t)
         dt = _continuity_step(params, t)
-        pair = _bracketing_pair(params, x, t, dt)
+        pair = _bracketing_pair(params, x, *brackets[dt])
         cont = continuity_residual(*pair, dt, constants)
         report.add(make_case(f"continuity t={t:g}", cont, 0.0, tolerance, metric="abs"))
 
         if dt != AIRY_EULER_STEP:
-            pair = _bracketing_pair(params, x, t, AIRY_EULER_STEP)
+            pair = _bracketing_pair(params, x, *brackets[AIRY_EULER_STEP])
         closed_form = airy_bohm_closed_form(params, grid, t)
         euler = euler_residual(*pair, AIRY_EULER_STEP, closed_form, constants)
         report.add(make_case(f"euler t={t:g}", euler, 0.0, tolerance, metric="abs"))
@@ -486,7 +486,7 @@ class ProfileCurve:
     y_label: str
 
 
-_HYDROGEN_QUANTITIES = ("P", "V", "V_bohm", "V_q", "j", "residual")
+_PROFILE_QUANTITIES = ("P", "V", "V_bohm", "V_q", "j", "residual")
 
 
 def profile_curve(
@@ -505,7 +505,7 @@ def profile_curve(
     packet), residual (flatness deviation for hydrogen, Hamilton-Jacobi
     residual for the packet).
     """
-    if quantity not in _HYDROGEN_QUANTITIES:
+    if quantity not in _PROFILE_QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
     constants = constants or atomic_units()
     if selection == "airy":

@@ -34,6 +34,7 @@ import time as _time
 
 from .campaigns import (
     AiryRangeError,
+    _PROFILE_QUANTITIES,
     _check_time_ids,
     profile_curve,
     run_airy,
@@ -41,11 +42,11 @@ from .campaigns import (
     run_flatness,
     run_levels,
 )
-from .core import atomic_units
+from .core import atomic_units, quantum_number_violation
 from .reports import (
     REPORT_HEADER,
     VerificationReport,
-    format_number,
+    format_cell,
     report_rows,
     write_csv,
     write_json,
@@ -103,17 +104,6 @@ def _resolve_out(path: str) -> str:
     return path
 
 
-def _cell(value) -> str:
-    """One table cell, the same on stdout and in CSV."""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    return format_number(value)
-
-
 def _finish(args: argparse.Namespace, report: VerificationReport, table=None, csv_table=None) -> int:
     """Print the table and the summary, write --out, return the exit status.
 
@@ -125,7 +115,7 @@ def _finish(args: argparse.Namespace, report: VerificationReport, table=None, cs
         columns, rows = table
         print(",".join(columns))
         for row in rows:
-            print(",".join(_cell(value) for value in row))
+            print(",".join(map(format_cell, row)))
     for line in report.summary_lines():
         print(line)
     if args.out is not None:
@@ -137,7 +127,7 @@ def _finish(args: argparse.Namespace, report: VerificationReport, table=None, cs
             write_json(path, payload)
         else:
             header, csv_rows = csv_table or (REPORT_HEADER, report_rows(report))
-            write_csv(path, header, [[_cell(value) for value in row] for row in csv_rows])
+            write_csv(path, header, csv_rows)
     return 0 if report.all_passed else 1
 
 
@@ -177,15 +167,10 @@ def _parse_state(text: str):
     return n, l, m
 
 
-def _positive_int(text: str) -> int:
+def _capped_int(text: str, limit: int) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be >= 1")
-    return value
-
-
-def _capped_int(text: str, limit: int) -> int:
-    value = _positive_int(text)
     if value > limit:
         raise argparse.ArgumentTypeError(f"must be <= {limit}, got {value}")
     return value
@@ -267,6 +252,10 @@ def cmd_airy(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    if args.state != "airy":
+        violation = quantum_number_violation(*args.state)
+        if violation is not None:
+            raise ValueError(f"argument --state: {violation}")
     try:
         curve = profile_curve(
             args.state, args.quantity, atomic_units(), strength=args.strength, time=args.time
@@ -331,9 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_prof = sub.add_parser("profile", help="export a named curve")
     p_prof.add_argument("--state", type=_parse_state, required=True, help="n,l,m or 'airy'")
-    p_prof.add_argument(
-        "--quantity", choices=("P", "V", "V_bohm", "V_q", "j", "residual"), default="P"
-    )
+    p_prof.add_argument("--quantity", choices=_PROFILE_QUANTITIES, default="P")
     p_prof.add_argument("--B", dest="strength", type=_airy_strength, default=1.0)
     p_prof.add_argument("--time", type=_finite_float, default=0.0)
     p_prof.add_argument("--format", choices=("csv", "json", "svg"), default="csv")

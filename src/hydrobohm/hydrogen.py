@@ -94,15 +94,9 @@ def _laguerre_with_derivatives(spec: EigenstateSpec, rho):
     )
 
 
-def _radial_from_laguerre(
-    n: int, l: int, a: float, rho: np.ndarray, lag: np.ndarray, envelope: np.ndarray | None = None
-) -> np.ndarray:
-    """R_nl at rho = 2 r / (n a), given L_{n-l-1}^{2l+1}(rho).
-
-    envelope is e^{-rho/2} when the caller already holds it; otherwise it
-    is evaluated here into the buffer of the result.
-    """
-    values = _radial_norm(n, l, a) * (np.exp(-rho / 2) if envelope is None else envelope)
+def _radial_from_laguerre(n: int, l: int, a: float, rho: np.ndarray, lag: np.ndarray, envelope: np.ndarray) -> np.ndarray:
+    """R_nl at rho = 2 r / (n a), given L_{n-l-1}^{2l+1}(rho) and e^{-rho/2}."""
+    values = _radial_norm(n, l, a) * envelope
     values *= rho**l
     values *= lag
     return values
@@ -111,7 +105,7 @@ def _radial_from_laguerre(
 def _radial_values(n: int, l: int, a: float, r: np.ndarray) -> np.ndarray:
     """R_nl(r) for the Bohr radius a, from plain numbers."""
     rho = (2.0 / (n * a)) * r
-    return _radial_from_laguerre(n, l, a, rho, laguerre(n - l - 1, 2 * l + 1, rho))
+    return _radial_from_laguerre(n, l, a, rho, laguerre(n - l - 1, 2 * l + 1, rho), np.exp(-rho / 2))
 
 
 def radial_R(spec: EigenstateSpec, r) -> np.ndarray:
@@ -151,12 +145,7 @@ def node_mask(spec: EigenstateSpec, r, floor: float = NODE_MASK_FLOOR) -> np.nda
     Masked points sit too close to radial nodes (or too deep in the
     exponential tail) for amplitude-dividing quantities to be evaluated.
     """
-    return _amplitude_mask(radial_R(spec, r), floor)
-
-
-def _amplitude_mask(values, floor: float = NODE_MASK_FLOOR) -> np.ndarray:
-    """True where |values| < floor * max |values|; the rule node_mask applies to R_nl."""
-    values = np.abs(np.asarray(values, dtype=float))
+    values = np.abs(np.asarray(radial_R(spec, r), dtype=float))
     peak = values.max() if values.size else 0.0
     return values < floor * peak
 

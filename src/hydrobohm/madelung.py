@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PhysicalConstants, as_points
-from .hydrogen import EigenstateSpec, _amplitude_mask, _radial_from_laguerre
+from .hydrogen import NODE_MASK_FLOOR, EigenstateSpec, _radial_from_laguerre
 from .specfun import _laguerre_pair
 
 __all__ = [
@@ -70,7 +70,6 @@ class PotentialProfile:
     coords: np.ndarray
     values: np.ndarray
     node_mask: np.ndarray
-    kind: str
 
 
 def _uniform_spacing(coords: np.ndarray) -> float:
@@ -214,7 +213,7 @@ def coulomb_profile(constants: PhysicalConstants, grid) -> PotentialProfile:
     """Attractive external potential V(r) = -coulomb / r."""
     r = as_points(grid)
     values = -float(constants.coulomb) / r
-    return PotentialProfile(coords=r, values=values, node_mask=np.zeros(r.shape, bool), kind="external")
+    return PotentialProfile(coords=r, values=values, node_mask=np.zeros(r.shape, bool))
 
 
 def bohm_potential_analytic(spec: EigenstateSpec, grid) -> PotentialProfile:
@@ -227,15 +226,15 @@ def bohm_potential_analytic(spec: EigenstateSpec, grid) -> PotentialProfile:
     chain it shares with (n, l + 1) in a shell walk is run for it here.
     """
     r = as_points(grid)
-    ((values, mask),) = _bohm_shell(spec.n, (spec.l,), spec.constants, r)
-    return PotentialProfile(coords=r, values=values, node_mask=mask, kind="bohm")
+    ((values, usable),) = _bohm_shell(spec.n, (spec.l,), spec.constants, r)
+    return PotentialProfile(coords=r, values=values, node_mask=~usable)
 
 
 def _bohm_shell(n: int, ls, constants: PhysicalConstants, r: np.ndarray):
-    """Analytic Bohm potential and node mask of (n, l) at r, for each l in ls.
+    """Analytic Bohm potential of (n, l) at r and its usable points, for each l in ls.
 
-    Yields (values, node_mask) in the order of ls.  The radial part is
-    assembled in the rho^l-factored form
+    Yields (values, usable) in the order of ls, values NaN where a point is
+    not usable.  The radial part is assembled in the rho^l-factored form
 
         lap(psi)/psi = c^2 [ 2(l+1)/rho (L'/L - 1/2) + 1/4 - L'/L + L''/L ],
 
@@ -248,9 +247,9 @@ def _bohm_shell(n: int, ls, constants: PhysicalConstants, r: np.ndarray):
     gives L_{k-1}^{2l+3}, the L of (n, l + 1), passes L_{k-2}^{2l+3} on
     its way (_laguerre_pair), so when l follows l + 1 in ls its L'' costs
     no recurrence: all n values of l, walked downward, take 2n - 1
-    recurrences.  The node mask is node_mask's rule applied to R_nl
-    assembled from the L already in hand, on the same rho, so it is the
-    mask node_mask returns.
+    recurrences.  A point is usable where R_nl, assembled from the L
+    already in hand, clears NODE_MASK_FLOOR of its peak (_above_floor);
+    the points it leaves out are those node_mask flags.
     """
     hb, mass = float(constants.hbar), float(constants.mass)
     a = float(constants.bohr_radius)
@@ -276,12 +275,12 @@ def _bohm_shell(n: int, ls, constants: PhysicalConstants, r: np.ndarray):
             lag1 *= -1
         else:
             lag1 = zeros
-        mask = _amplitude_mask(_radial_from_laguerre(n, l, a, rho, lag, envelope))
-        safe_lag = np.where(mask, 1.0, lag)
+        usable = _above_floor(np.abs(_radial_from_laguerre(n, l, a, rho, lag, envelope)), NODE_MASK_FLOOR)
+        safe_lag = np.where(usable, lag, 1.0)
         ratio1 = lag1 / safe_lag
         ratio2 = lag2 / safe_lag
         lap_ratio = scale * (2.0 * (l + 1) / rho * (ratio1 - 0.5) + 0.25 - ratio1 + ratio2)
-        yield np.where(mask, np.nan, coefficient * lap_ratio), mask
+        yield np.where(usable, coefficient * lap_ratio, np.nan), usable
 
 
 def bohm_potential_fd(
@@ -304,24 +303,8 @@ def bohm_potential_fd(
     masked = _interior(_above_floor(np.abs(field), amplitude_floor))
     np.logical_not(masked, out=masked)
     lap = np.empty_like(field)
-    _fd_stencil(field, h, constants, lap[1:-1])
-    # The two ends have no stencil and are always masked.  The returned
-    # array is allocated last, once the temporaries are freed.  Returning
-    # the work buffer itself made an airy-packet pass take about 40% more
-    # page faults and run slower.
-    potential = np.where(masked, np.nan, lap.real)
-    return PotentialProfile(coords=coords, values=potential, node_mask=masked, kind="bohm")
-
-
-def _fd_stencil(field: np.ndarray, h: float, constants: PhysicalConstants, out: np.ndarray) -> np.ndarray:
-    """-(hbar^2/2m) f''/f at the interior points of a uniform grid of step h.
-
-    out is the work buffer, of field.size - 2 points and field's dtype; the
-    potential is returned as out.real.  Nothing is masked here: at points
-    below the amplitude floor the value is whatever the division gives.
-    """
-    center, plus, minus = field[1:-1], field[2:], field[:-2]
-    # (f+ - 2 f0 + f-) / h^2, built in one buffer.
+    center, plus, minus, out = field[1:-1], field[2:], field[:-2], lap[1:-1]
+    # (f+ - 2 f0 + f-) / h^2 at the interior points, built in one buffer.
     np.multiply(2.0, center, out=out)
     np.subtract(plus, out, out=out)
     out += minus
@@ -331,7 +314,12 @@ def _fd_stencil(field: np.ndarray, h: float, constants: PhysicalConstants, out: 
         out /= center
     ratio = out.real
     ratio *= -(hb * hb / (2.0 * mass))
-    return ratio
+    # The two ends have no stencil and are always masked.  The returned
+    # array is allocated last, once the temporaries are freed.  Returning
+    # the work buffer itself made an airy-packet pass take about 40% more
+    # page faults and run slower.
+    potential = np.where(masked, np.nan, lap.real)
+    return PotentialProfile(coords=coords, values=potential, node_mask=masked)
 
 
 def _radial_fd_bohm(
@@ -380,12 +368,7 @@ def quantum_potential(external: PotentialProfile, bohm: PotentialProfile) -> Pot
     """V_Q = V + V_Bohm on a shared grid; masks combine."""
     if not np.array_equal(external.coords, bohm.coords):
         raise ValueError("potential profiles live on different grids")
-    return PotentialProfile(
-        coords=bohm.coords,
-        values=external.values + bohm.values,
-        node_mask=external.node_mask | bohm.node_mask,
-        kind="quantum",
-    )
+    return PotentialProfile(bohm.coords, external.values + bohm.values, external.node_mask | bohm.node_mask)
 
 
 def quantum_acceleration(quantum: PotentialProfile, constants: PhysicalConstants) -> np.ndarray:

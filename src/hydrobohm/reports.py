@@ -21,6 +21,7 @@ __all__ = [
     "VerificationReport",
     "make_case",
     "format_number",
+    "format_cell",
     "REPORT_HEADER",
     "report_rows",
     "write_csv",
@@ -34,6 +35,17 @@ __all__ = [
 def format_number(value) -> str:
     """Fixed 12-significant-digit decimal formatting for tables and CSV."""
     return format(float(value), ".12g")
+
+
+def format_cell(value) -> str:
+    """One table cell, the same on stdout and in CSV."""
+    if isinstance(value, str):
+        return value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    return format_number(value)
 
 
 @dataclass(frozen=True)
@@ -157,21 +169,12 @@ class VerificationReport:
 REPORT_HEADER = ["case_id", "computed", "expected", "abs_error", "rel_error", "pass"]
 
 
-def report_rows(report: VerificationReport) -> list[list[str]]:
-    """Generic CSV rows for a report: one line per case, sorted by id."""
-    rows = []
-    for case in report.sorted_cases():
-        rows.append(
-            [
-                case.case_id,
-                format_number(case.computed),
-                format_number(case.expected),
-                format_number(case.abs_error),
-                format_number(case.rel_error),
-                "true" if case.passed else "false",
-            ]
-        )
-    return rows
+def report_rows(report: VerificationReport) -> list[tuple]:
+    """Generic table rows for a report: the raw fields of each case, sorted by id."""
+    return [
+        (case.case_id, case.computed, case.expected, case.abs_error, case.rel_error, case.passed)
+        for case in report.sorted_cases()
+    ]
 
 
 def _write_text(path, text: str) -> None:
@@ -179,10 +182,10 @@ def _write_text(path, text: str) -> None:
         stream.write(text)
 
 
-def write_csv(path, header: list[str], rows: list[Sequence[str]]) -> None:
-    """UTF-8, comma-delimited, LF-terminated CSV."""
+def write_csv(path, header: list[str], rows: list[Sequence]) -> None:
+    """UTF-8, comma-delimited, LF-terminated CSV; each cell through format_cell."""
     lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(",".join(map(format_cell, row)) for row in rows)
     _write_text(path, "\n".join(lines) + "\n")
 
 

@@ -72,9 +72,10 @@ def laguerre(k: int, alpha: int, x):
     100` runs k up to 99, and 179 of its 5,050 (n, l) pairs miss the 1e-8
     flatness tolerance there (ROADMAP item 2).  Each step updates one
     fresh array in place, in the operation order of the formula above.
-    Points that are neither floating nor complex are evaluated as float64.  The recurrence is _laguerre_pair, which also
-    hands back L_{k-1}: the flatness shell of madelung reads L'' of (n, l)
-    off the chain that gives L of (n, l + 1).
+    Points that are neither floating nor complex are evaluated as float64.
+    The recurrence is _laguerre_pair, which also hands back L_{k-1}: the
+    flatness shell of madelung reads L'' of (n, l) off the chain that gives
+    L of (n, l + 1).
     """
     _check_laguerre_args(k, alpha)
     return _laguerre_pair(k, alpha, _float_points(x))[0]

@@ -144,6 +144,21 @@ class TestRunFlatness:
         assert make_case("right", right, 0.0, FLATNESS_FD_TOL, metric="abs").passed
         assert not make_case("wrong", wrong, 0.0, FLATNESS_FD_TOL, metric="abs").passed
 
+    @pytest.mark.parametrize("n, l", [(1, 0), (7, 0), (20, 0), (20, 19)])
+    def test_analytic_check_fails_on_an_energy_off_by_ten_tolerances(self, n, l):
+        # A negative control near the tolerance, on run_flatness(20)'s grid
+        # and floor: E_n moved by 10 x tol = 1e-7 either way must fail (the
+        # deviation reads about 1e-7), and the true E_n must pass.
+        r = default_hydrogen_grid(20, AU).points
+        external = madelung.coulomb_profile(AU, r).values
+        e_n = float(energy_level(n, AU))
+        wrong = [e_n * (1.0 + sign * 10.0 * FLATNESS_ANALYTIC_TOL) for sign in (-1.0, 1.0)]
+        for energy, passes in [(e_n, True)] + [(value, False) for value in wrong]:
+            ((values, usable),) = madelung._bohm_shell(n, (l,), AU, r)
+            deviation = campaigns._flatness_deviation(external, values, usable, energy)
+            case = make_case("c", deviation, 0.0, FLATNESS_ANALYTIC_TOL, metric="abs")
+            assert case.passed is passes, (energy, deviation)
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             run_flatness(2, policy="everything")
@@ -329,6 +344,24 @@ class TestRunAiry:
             for case in accelerations
         ]
         assert not any(case.passed for case in wrong)
+
+    @pytest.mark.parametrize("strength", [0.5, 1.0, 2.0])
+    def test_euler_control_fails_with_a_bohm_slope_off_by_ten_tolerances(self, strength, monkeypatch):
+        # Negative control: V_Bohm scaled by 1 -+ 20 tol m/B^3 moves its
+        # slope -B^3/2m by 10 x tol, so every Euler case must fail (they read
+        # about 1e-4); the true V_Bohm must pass.
+        closed_form = campaigns.airy_bohm_closed_form
+        shift = 20.0 * AIRY_TOL * float(AU.mass) / strength**3
+        for scale, passes in ((1.0, True), (1.0 - shift, False), (1.0 + shift, False)):
+            def scaled(params, grid, t, scale=scale):
+                profile = closed_form(params, grid, t)
+                return dataclasses.replace(profile, values=scale * profile.values)
+
+            monkeypatch.setattr(campaigns, "airy_bohm_closed_form", scaled)
+            report, _ = run_airy(strength, (0.0, 0.3, 1.0))
+            euler = [case for case in report.cases if case.case_id.startswith("euler ")]
+            assert len(euler) == 3, euler
+            assert all(case.passed is passes for case in euler), (scale, euler)
 
     def test_full_clause_coverage(self):
         report, rows = run_airy(1.0, (0.0, 0.3))

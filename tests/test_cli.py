@@ -173,11 +173,17 @@ class TestProfile:
         assert excinfo.value.code == 2
 
     def test_invalid_state_is_a_usage_error(self, capsys, tmp_path):
-        code, _, err = run(
-            capsys, "profile", "--state", "1,1,0", "--out", str(tmp_path / "x.csv")
-        )
-        assert code == 2
-        assert "error:" in err
+        # n past STATE_N_MAX is refused by the parser (TestStateNMax); the
+        # other bounds are checked before any evaluation and name --state too.
+        for text, rule in (
+            ("1,1,0", "l must satisfy l <= n - 1"),
+            ("0,0,0", "n must satisfy n >= 1"),
+            ("3,1,2", "m must satisfy |m| <= l"),
+        ):
+            code, out, err = run(capsys, "profile", "--state", text, "--out", str(tmp_path / "x.csv"))
+            assert code == 2, text
+            assert out == "" and not (tmp_path / "x.csv").exists(), text
+            assert f"error: argument --state: {rule}\n" in err, err
 
 
 class TestStateNMax:

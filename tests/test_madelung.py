@@ -204,10 +204,10 @@ class TestBohmShell:
         r = default_hydrogen_grid(n_max, constants).points
         for n in range(1, n_max + 1):
             ls = range(n - 1, -1, -1)
-            for l, (values, mask) in zip(ls, _bohm_shell(n, ls, constants, r)):
+            for l, (values, usable) in zip(ls, _bohm_shell(n, ls, constants, r)):
                 alone = bohm_potential_analytic(state(n, l, 0, constants), r)
                 assert _bits(values) == _bits(alone.values), (n, l)
-                assert _bits(mask) == _bits(alone.node_mask), (n, l)
+                assert _bits(~usable) == _bits(alone.node_mask), (n, l)
 
     def test_one_point_is_the_grid_value(self):
         spec = state(3, 1)
@@ -279,7 +279,6 @@ class TestProfilesAndConstants:
         profile = coulomb_profile(AU, grid)
         np.testing.assert_allclose(profile.values, -1.0 / grid.points, rtol=1e-15)
         assert not profile.node_mask.any()
-        assert profile.kind == "external"
 
     def test_amplitude_floor_constant(self):
         assert AMPLITUDE_FLOOR == 1e-12

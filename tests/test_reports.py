@@ -88,7 +88,7 @@ class TestVerificationReport:
         assert len(rows) == 2
         assert all(len(row) == 6 for row in rows)
         assert rows[0][0] == "a"
-        assert rows[0][-1] == "true"
+        assert rows[0][-1] is True
 
 
 class TestFormatNumber:
