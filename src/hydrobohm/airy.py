@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalConstants, as_points
-from .madelung import AMPLITUDE_FLOOR, PolarForm, PotentialProfile, decompose
+from .core import AMPLITUDE_FLOOR, PhysicalConstants, as_points
+from .madelung import PolarForm, PotentialProfile, decompose
 from .specfun import airy_ai
 
 __all__ = [

@@ -25,7 +25,16 @@ from .airy import (
     airy_psi,
     airy_quantum_acceleration,
 )
-from .core import PhysicalConstants, atomic_units, make_axis_grid, make_radial_grid
+from .core import (
+    PhysicalConstants,
+    _above_floor,
+    _interior,
+    _uniform_spacing,
+    _worst,
+    atomic_units,
+    make_axis_grid,
+    make_radial_grid,
+)
 from .hydrogen import (
     _radial_from_laguerre,
     energy_level,
@@ -35,12 +44,8 @@ from .hydrogen import (
     state,
 )
 from .madelung import (
-    _above_floor,
     _bohm_shell,
-    _interior,
     _radial_fd_bohm,
-    _uniform_spacing,
-    _worst,
     bohm_potential_analytic,
     bohm_potential_fd,
     continuity_residual,

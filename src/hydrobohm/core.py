@@ -27,6 +27,9 @@ __all__ = [
     "as_points",
 ]
 
+# Relative amplitude floor of the Bohm potential, the polar form and the node mask.
+AMPLITUDE_FLOOR = 1e-12
+
 
 @dataclass(frozen=True)
 class PhysicalConstants:
@@ -180,3 +183,37 @@ def as_points(grid) -> np.ndarray:
     if isinstance(grid, (RadialGrid, AxisGrid)):
         return grid.points
     return np.asarray(grid)
+
+
+def _uniform_spacing(coords: np.ndarray) -> float:
+    if coords.size < 5:
+        raise ValueError("need at least 5 grid points for interior stencils")
+    steps = np.diff(coords)
+    h = float(steps.mean())
+    if np.max(np.abs(steps - h)) > 1e-9 * abs(h):
+        raise ValueError("finite differences require a uniform grid")
+    return h
+
+
+def _above_floor(magnitude: np.ndarray, floor: float) -> np.ndarray:
+    """|f| >= floor * max|f|; no point clears the floor when the peak is 0."""
+    peak = magnitude.max() if magnitude.size else 0.0
+    if peak > 0.0:
+        return magnitude >= floor * peak
+    return np.zeros(magnitude.shape, bool)
+
+
+def _interior(valid: np.ndarray) -> np.ndarray:
+    """Points whose full 3-point stencil lies inside the valid set."""
+    ok = valid.copy()
+    ok[0] = False
+    ok[-1] = False
+    ok[1:-1] &= valid[:-2] & valid[2:]
+    return ok
+
+
+def _worst(residual: np.ndarray, usable: np.ndarray) -> float:
+    """Largest |residual| over the usable points."""
+    if not usable.any():
+        raise ValueError("no usable interior points")
+    return float(np.abs(residual[usable]).max())

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import PhysicalConstants, QuantumNumbers, as_points, atomic_units
+from .core import AMPLITUDE_FLOOR, PhysicalConstants, QuantumNumbers, _above_floor, _worst, as_points, atomic_units
 from .specfun import laguerre, laguerre_derivative, ln_factorial, spherical_harmonic
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
     "overlap",
 ]
 
-NODE_MASK_FLOOR = 1e-12
 PEAK_SCAN_PER_DECADE = 1000
 PEAK_REL_TOL = 1e-10
 OVERLAP_RADIAL_POINTS = 240
@@ -86,14 +85,6 @@ def _radial_norm(n: int, l: int, a: float) -> float:
     return (2.0 / (n * a)) ** 1.5 * math.exp(0.5 * log_ratio)
 
 
-def _laguerre_with_derivatives(spec: EigenstateSpec, rho):
-    """L, L' and L'' of L_{n-l-1}^{2l+1} at rho, one recurrence each."""
-    k, alpha = spec.n - spec.l - 1, 2 * spec.l + 1
-    return (laguerre(k, alpha, rho),) + tuple(
-        laguerre_derivative(k, alpha, rho, order=j) if k >= j else np.zeros_like(rho) for j in (1, 2)
-    )
-
-
 def _radial_from_laguerre(n: int, l: int, a: float, rho: np.ndarray, lag: np.ndarray, envelope: np.ndarray) -> np.ndarray:
     """R_nl at rho = 2 r / (n a), given L_{n-l-1}^{2l+1}(rho) and e^{-rho/2}."""
     values = _radial_norm(n, l, a) * envelope
@@ -120,7 +111,8 @@ def radial_R_derivatives(spec: EigenstateSpec, r) -> tuple[np.ndarray, np.ndarra
     a = float(spec.constants.bohr_radius)
     c = 2.0 / (n * a)
     rho = c * r
-    lag, lag1, lag2 = _laguerre_with_derivatives(spec, rho)
+    lag = laguerre(n - l - 1, 2 * l + 1, rho)
+    lag1, lag2 = (laguerre_derivative(n - l - 1, 2 * l + 1, rho, order=j) for j in (1, 2))
     envelope = np.exp(-rho / 2)
     p_l = rho**l
     p_lm1 = l * rho ** (l - 1) if l >= 1 else np.zeros_like(rho)
@@ -139,15 +131,13 @@ def psi(spec: EigenstateSpec, r, theta, phi) -> np.ndarray:
     return radial_R(spec, r) * spherical_harmonic(spec.l, spec.m, theta, phi)
 
 
-def node_mask(spec: EigenstateSpec, r, floor: float = NODE_MASK_FLOOR) -> np.ndarray:
-    """True where |R_nl| < floor * max |R_nl| on the sample set.
+def node_mask(spec: EigenstateSpec, r, floor: float = AMPLITUDE_FLOOR) -> np.ndarray:
+    """True where |R_nl| < floor * max |R_nl| on the sample set, at every point if that max is 0.
 
     Masked points sit too close to radial nodes (or too deep in the
     exponential tail) for amplitude-dividing quantities to be evaluated.
     """
-    values = np.abs(np.asarray(radial_R(spec, r), dtype=float))
-    peak = values.max() if values.size else 0.0
-    return values < floor * peak
+    return ~_above_floor(np.abs(np.asarray(radial_R(spec, r), dtype=float)), floor)
 
 
 def schrodinger_residual(spec: EigenstateSpec, grid, energy=None) -> float:
@@ -163,9 +153,8 @@ def schrodinger_residual(spec: EigenstateSpec, grid, energy=None) -> float:
     big_r, d1, d2 = radial_R_derivatives(spec, r)
     kinetic = -(hb * hb / (2.0 * mass)) * (d2 + 2.0 * d1 / r - spec.l * (spec.l + 1) * big_r / r**2)
     residual = kinetic - (coul / r) * big_r - e_n * big_r
-    keep = ~node_mask(spec, r)
-    scale = abs(e_n) * np.abs(big_r).max()
-    return float(np.abs(residual[keep]).max() / scale)
+    magnitude = np.abs(big_r)
+    return float(_worst(residual, _above_floor(magnitude, AMPLITUDE_FLOOR)) / (abs(e_n) * magnitude.max()))
 
 
 def radial_distribution(spec: EigenstateSpec, grid) -> np.ndarray:

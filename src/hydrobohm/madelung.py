@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhysicalConstants, as_points
-from .hydrogen import NODE_MASK_FLOOR, EigenstateSpec, _radial_from_laguerre
+from .core import AMPLITUDE_FLOOR, PhysicalConstants, _above_floor, _interior, _uniform_spacing, _worst, as_points
+from .hydrogen import EigenstateSpec, _radial_from_laguerre
 from .specfun import _laguerre_pair
 
 __all__ = [
@@ -44,8 +44,6 @@ __all__ = [
     "continuity_residual",
     "euler_residual",
 ]
-
-AMPLITUDE_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -70,40 +68,6 @@ class PotentialProfile:
     coords: np.ndarray
     values: np.ndarray
     node_mask: np.ndarray
-
-
-def _uniform_spacing(coords: np.ndarray) -> float:
-    if coords.size < 5:
-        raise ValueError("need at least 5 grid points for interior stencils")
-    steps = np.diff(coords)
-    h = float(steps.mean())
-    if np.max(np.abs(steps - h)) > 1e-9 * abs(h):
-        raise ValueError("finite differences require a uniform grid")
-    return h
-
-
-def _above_floor(magnitude: np.ndarray, floor: float) -> np.ndarray:
-    """|f| >= floor * max|f|; no point clears the floor when the peak is 0."""
-    peak = magnitude.max() if magnitude.size else 0.0
-    if peak > 0.0:
-        return magnitude >= floor * peak
-    return np.zeros(magnitude.shape, bool)
-
-
-def _interior(valid: np.ndarray) -> np.ndarray:
-    """Points whose full 3-point stencil lies inside the valid set."""
-    ok = valid.copy()
-    ok[0] = False
-    ok[-1] = False
-    ok[1:-1] &= valid[:-2] & valid[2:]
-    return ok
-
-
-def _worst(residual: np.ndarray, usable: np.ndarray) -> float:
-    """Largest |residual| over the usable points."""
-    if not usable.any():
-        raise ValueError("no usable interior points")
-    return float(np.abs(residual[usable]).max())
 
 
 def _first_weights(coords: np.ndarray) -> tuple:
@@ -248,7 +212,7 @@ def _bohm_shell(n: int, ls, constants: PhysicalConstants, r: np.ndarray):
     its way (_laguerre_pair), so when l follows l + 1 in ls its L'' costs
     no recurrence: all n values of l, walked downward, take 2n - 1
     recurrences.  A point is usable where R_nl, assembled from the L
-    already in hand, clears NODE_MASK_FLOOR of its peak (_above_floor);
+    already in hand, clears AMPLITUDE_FLOOR of its peak (_above_floor);
     the points it leaves out are those node_mask flags.
     """
     hb, mass = float(constants.hbar), float(constants.mass)
@@ -275,7 +239,7 @@ def _bohm_shell(n: int, ls, constants: PhysicalConstants, r: np.ndarray):
             lag1 *= -1
         else:
             lag1 = zeros
-        usable = _above_floor(np.abs(_radial_from_laguerre(n, l, a, rho, lag, envelope)), NODE_MASK_FLOOR)
+        usable = _above_floor(np.abs(_radial_from_laguerre(n, l, a, rho, lag, envelope)), AMPLITUDE_FLOOR)
         safe_lag = np.where(usable, lag, 1.0)
         ratio1 = lag1 / safe_lag
         ratio2 = lag2 / safe_lag
@@ -398,14 +362,11 @@ def probability_current(values, grid, constants: PhysicalConstants) -> np.ndarra
     return (float(constants.hbar) / float(constants.mass)) * np.imag(np.conj(field) * derivative)
 
 
-def _laplacian_ratio(polar: PolarForm) -> tuple[np.ndarray, np.ndarray]:
-    """A''/A along the line; returns (ratio, ok)."""
-    if polar.amplitude_d2 is not None:
-        d2, ok = polar.amplitude_d2, polar.valid
-    else:
-        d2, ok = _central_second(polar.amplitude, polar.coords), _interior(polar.valid)
+def _laplacian_ratio(polar: PolarForm) -> np.ndarray:
+    """A''/A along the line."""
+    d2 = _central_second(polar.amplitude, polar.coords) if polar.amplitude_d2 is None else polar.amplitude_d2
     with np.errstate(divide="ignore", invalid="ignore"):
-        return d2 / polar.amplitude, ok
+        return d2 / polar.amplitude
 
 
 def hj_residual_field(
@@ -421,12 +382,11 @@ def hj_residual_field(
     grad_s = _central_first(polar.phase, polar.coords)
     ok = _interior(polar.valid)
     kinetic = grad_s**2
-    lap_ratio, lap_ok = _laplacian_ratio(polar)
+    lap_ratio = _laplacian_ratio(polar)
     residual = kinetic / (2.0 * mass) - (hb * hb / (2.0 * mass)) * lap_ratio + v_external + ds_dt
-    usable = ok & lap_ok
-    if not usable.any():
+    if not ok.any():
         raise ValueError("no usable interior points")
-    return residual, usable
+    return residual, ok
 
 
 def hj_residual(polar: PolarForm, v_external, ds_dt, constants: PhysicalConstants) -> float:

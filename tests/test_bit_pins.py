@@ -42,6 +42,8 @@ from hydrobohm.campaigns import (
 
 import oracles
 
+pytestmark = pytest.mark.pins
+
 AU = atomic_units()
 
 

@@ -159,6 +159,20 @@ class TestRunFlatness:
             case = make_case("c", deviation, 0.0, FLATNESS_ANALYTIC_TOL, metric="abs")
             assert case.passed is passes, (energy, deviation)
 
+    def test_analytic_check_fails_on_l2_from_the_wrong_term_of_the_shared_chain(self, monkeypatch):
+        # A negative control on the shell walk: L'' of (n, l) is the previous
+        # term of the L chain of (n, l + 1).  Handing back the current term
+        # instead must fail every (n, l) that reads the shared L''
+        # (n - l - 1 >= 2) at every m, and leave the other pairs passing.
+        pair = specfun._laguerre_pair
+        monkeypatch.setattr(madelung, "_laguerre_pair", lambda k, alpha, x: (pair(k, alpha, x)[0],) * 2)
+        report = run_flatness(20)
+        shared = {(n, l) for n in range(1, 21) for l in range(n) if n - l - 1 >= 2}
+        assert len(shared) == 171 and report.case_count == sum(n * n for n in range(1, 21))
+        for case in report.cases:
+            n, l = int(case.case_id[2:4]), int(case.case_id[7:9])
+            assert case.passed is ((n, l) not in shared), case.case_id
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             run_flatness(2, policy="everything")

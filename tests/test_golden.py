@@ -14,6 +14,8 @@ import pytest
 
 from hydrobohm.cli import OUT_DIR_ENV, main
 
+pytestmark = pytest.mark.pins
+
 # (argv, exit status, digest of the --out file or None, digest of stdout)
 GOLDEN = [
     ("levels --n-max 10 --out out.csv", 0,

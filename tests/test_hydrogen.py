@@ -291,6 +291,14 @@ class TestNodeMask:
         r = np.linspace(0.1, 10.0, 101)
         assert not node_mask(state(1, 0), r).any()
 
+    def test_state_that_underflows_everywhere_is_fully_masked(self):
+        # R_10 underflows to 0 at every point of [800, 900] a, so no point
+        # clears the floor: all are masked, and the residual has none to read.
+        grid = make_radial_grid(800.0, 900.0, 50)
+        assert node_mask(state(1, 0), grid.points).tolist() == [True] * 50
+        with pytest.raises(ValueError, match="no usable interior points"):
+            schrodinger_residual(state(1, 0), grid)
+
 
 class TestOverlap:
     def test_orthonormality_for_low_states(self):
@@ -310,6 +318,7 @@ class TestOverlap:
         a, b = state(3, 1, 1), state(4, 1, 1)
         assert overlap(a, b) == pytest.approx(np.conj(overlap(b, a)), abs=1e-12)
 
+    @pytest.mark.pins
     def test_gram_bits_for_states_up_to_n4(self):
         # The i <= j pairs of acceptance criterion 6, in its order.
         states = [
@@ -321,6 +330,7 @@ class TestOverlap:
             "c31ad250af6af9c4268a829b89554d7ea38252794170c03c396f717aceb9a1b0"
         )
 
+    @pytest.mark.pins
     def test_overlap_bits_in_si_units(self):
         si = si_units()
         value = overlap(state(3, 1, -1, si), state(4, 1, -1, si))

@@ -25,7 +25,8 @@ from hydrobohm import (
     state,
 )
 from hydrobohm.campaigns import default_hydrogen_grid
-from hydrobohm.madelung import AMPLITUDE_FLOOR, _bohm_shell, _radial_fd_bohm, _uniform_spacing, _unwrap
+from hydrobohm.core import _uniform_spacing
+from hydrobohm.madelung import AMPLITUDE_FLOOR, _bohm_shell, _radial_fd_bohm, _unwrap
 
 AU = atomic_units()
 

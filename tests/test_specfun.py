@@ -275,6 +275,7 @@ def test_airy_ai_bits_on_residual_grids(strength, t, digest):
     assert _bits(airy_ai(u)) == digest
 
 
+@pytest.mark.pins
 def test_airy_ai_bits_on_full_range():
     x = np.linspace(-20.0, 20.0, 400001)
     assert _bits(airy_ai(x)) == "1bbca20ce6c89bc800ae8d40b543a4d890181ae38e7134f7fc03ef45af41e7c0"
