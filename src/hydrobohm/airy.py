@@ -73,7 +73,12 @@ def airy_phase(params: AiryPacketParams, x, t: float):
     """Action phase S(x, t) = B^3 t (6 m^2 x - B^3 t^2) / 12 m^3."""
     b3 = params.strength**3
     m = float(params.constants.mass)
-    return b3 * t * (6.0 * m * m * np.asarray(x) - b3 * t * t) / (12.0 * m**3)
+    # b3 t (6 m^2 x - b3 t^2) / 12 m^3, left to right, in one buffer.
+    phase = np.multiply(6.0 * m * m, x)
+    phase -= b3 * t * t
+    phase *= b3 * t
+    phase /= 12.0 * m**3
+    return phase
 
 
 def airy_phase_time_derivative(params: AiryPacketParams, x, t: float):
@@ -91,7 +96,13 @@ def airy_psi(params: AiryPacketParams, x, t: float) -> np.ndarray:
 def _packet_field(params: AiryPacketParams, x, t: float, envelope) -> np.ndarray:
     """Ai(u) e^{iS/hbar} from the envelope Ai(u) already evaluated on x."""
     hbar = float(params.constants.hbar)
-    return envelope * np.exp(1j * airy_phase(params, x, t) / hbar)
+    # envelope exp(i S / hbar), left to right, in one complex buffer.
+    field = np.multiply(1j, airy_phase(params, x, t))
+    field /= hbar
+    if not isinstance(field, np.ndarray):  # a scalar x
+        return envelope * np.exp(field)
+    np.exp(field, out=field)
+    return np.multiply(envelope, field, out=field)
 
 
 def airy_polar(

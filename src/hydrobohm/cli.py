@@ -89,6 +89,15 @@ FD_FLATNESS_N_MAX = 30
 # airy_ai's |x| <= 20, and B**3 overflows near 5.6e102.
 AIRY_B_MAX = 100.0
 
+# Smallest --B of airy and profile --state airy.  The grids scale as 1/B, so
+# the stencil weight h1 h2 (h1 + h2) of madelung._first_weights grows as
+# 1/B^3.  With numpy's overflow, invalid and divide errors raised, every
+# airy case at times (0, 0.3, 1), (0, 5, 100) and (-1, 0.01) and every
+# profile quantity at t = 0 and 0.5 ran clean down to B = 1e-105; the
+# profile residual overflows at 5e-106, and at 6e-107 B^3 is subnormal and
+# the acceleration cases fail.  At this limit B^3 = 1e-300 is still normal.
+AIRY_B_MIN = 1e-100
+
 # argparse reads a value that starts with '-' as an option unless it is a
 # plain negative number, so `--times -1,0.5` and `--time -1e-3` are joined
 # into `--times=-1,0.5` and `--time=-1e-3` before parsing.
@@ -209,6 +218,8 @@ def _airy_strength(text: str) -> float:
     value = _positive_float(text)
     if value > AIRY_B_MAX:
         raise argparse.ArgumentTypeError(f"must be <= {AIRY_B_MAX:g}, got {value!r}")
+    if value < AIRY_B_MIN:
+        raise argparse.ArgumentTypeError(f"must be >= {AIRY_B_MIN:g}, got {value!r}")
     return value
 
 

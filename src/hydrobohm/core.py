@@ -109,7 +109,11 @@ class QuantumNumbers:
 
 
 def _frozen_points(points: np.ndarray) -> np.ndarray:
-    points = np.ascontiguousarray(points, dtype=float)
+    """A read-only copy that owns its data, so no other array can write to it.
+
+    madelung._first_weights keeps the stencil weights of such an array.
+    """
+    points = np.array(points, dtype=float)
     points.setflags(write=False)
     return points
 

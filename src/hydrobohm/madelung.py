@@ -70,8 +70,33 @@ class PotentialProfile:
     node_mask: np.ndarray
 
 
+# coords and weights of the last grid _first_weights may keep; see there.
+_first_weights_cache: tuple = (None, None)
+
+
 def _first_weights(coords: np.ndarray) -> tuple:
-    """Geometry of _central_first's stencil: h1^2, h2^2, h2^2 - h1^2, h1 h2 (h1 + h2)."""
+    """Geometry of _central_first's stencil: h1^2, h2^2, h2^2 - h1^2, h1 h2 (h1 + h2).
+
+    The weights of the last read-only coordinate array that owns its data
+    (the points of a RadialGrid or AxisGrid) are kept, so the fields
+    differentiated on one grid share one build.  A writeable array, or a
+    view whose base may be written, gets its weights built on every call.
+    Only code that sets such an array writeable, writes to it and freezes
+    it again would read stale weights; the grids never do.
+    """
+    global _first_weights_cache
+    cached_coords, weights = _first_weights_cache
+    if coords is cached_coords and not coords.flags.writeable:
+        return weights
+    weights = _build_first_weights(coords)
+    if coords.flags.owndata and not coords.flags.writeable:
+        for array in weights:
+            array.setflags(write=False)
+        _first_weights_cache = (coords, weights)
+    return weights
+
+
+def _build_first_weights(coords: np.ndarray) -> tuple:
     h1 = coords[1:-1] - coords[:-2]
     h2 = coords[2:] - coords[1:-1]
     denominator = h1 * h2
@@ -81,20 +106,26 @@ def _first_weights(coords: np.ndarray) -> tuple:
     return h1, h2, h2 - h1, denominator
 
 
-def _central_first(values: np.ndarray, coords: np.ndarray, weights: tuple | None = None) -> np.ndarray:
+def _central_first(values: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Second-order first derivative on a possibly nonuniform grid.
 
-    A caller differentiating several fields on one grid passes
-    _first_weights(coords) once instead of having each call rebuild it.
+    The weights come from _first_weights, so on the points of a grid
+    object they are built once for every field differentiated there.
     """
     out = np.full(values.shape, np.nan, dtype=np.result_type(values, coords, float))
-    h1_sq, h2_sq, h_diff, denominator = weights if weights is not None else _first_weights(coords)
-    # (v+ h1^2 - v- h2^2 + v0 (h2^2 - h1^2)) / (h1 h2 (h1 + h2)), left to right.
-    numerator = values[2:] * h1_sq
-    numerator -= values[:-2] * h2_sq
-    numerator += values[1:-1] * h_diff
+    h1_sq, h2_sq, h_diff, denominator = _first_weights(coords)
+    # (v+ h1^2 - v- h2^2 + v0 (h2^2 - h1^2)) / (h1 h2 (h1 + h2)), left to right,
+    # in the dtype of values and weights (float32 stays float32 until stored).
+    dtype = np.result_type(values, h1_sq)
+    in_place = dtype == out.dtype
+    numerator = out[1:-1] if in_place else np.empty(h1_sq.shape, dtype)
+    term = np.multiply(values[:-2], h2_sq)
+    np.multiply(values[2:], h1_sq, out=numerator)
+    numerator -= term
+    numerator += np.multiply(values[1:-1], h_diff, out=term)
     numerator /= denominator
-    out[1:-1] = numerator
+    if not in_place:
+        out[1:-1] = numerator
     return out
 
 
@@ -132,36 +163,47 @@ def decompose(
     amplitude = np.abs(values)
     valid = _above_floor(amplitude, amplitude_floor)
     hbar = float(constants.hbar)
-    phase = np.zeros_like(amplitude)
-    raw = np.angle(values)
+    # The raw angles are unwrapped run by run in place; the angles left
+    # between runs are never compared (jump reads valid pairs only) and are
+    # zeroed at the end.
+    phase = np.angle(values)
     for start, stop in _runs(valid):
-        phase[start:stop] = hbar * _unwrap(raw[start:stop])
-    jump = (valid[:-1] & valid[1:]) & (np.abs(np.diff(phase)) > 0.5 * math.pi * hbar)
+        run = phase[start:stop]
+        _unwrap(run, out=run)
+        run *= hbar
+    step = np.diff(phase)
+    jump = np.abs(step, out=step) > 0.5 * math.pi * hbar
+    jump &= valid[:-1]
+    jump &= valid[1:]
     valid[:-1] &= ~jump
     valid[1:] &= ~jump
-    phase = np.where(valid, phase, 0.0)
+    phase[~valid] = 0.0
     return PolarForm(coords=coords, amplitude=amplitude, phase=phase, valid=valid)
 
 
-def _unwrap(angles: np.ndarray) -> np.ndarray:
+def _unwrap(angles: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """np.unwrap(angles) bit for bit, wrapping only the steps that need it.
 
     np.unwrap reduces every step into [-pi, pi) and then zeroes the
     correction wherever |step| < pi.  Here the reduction, the +pi tie fix
     and the correction run only on the other steps, selected as
     ~(|step| < pi) so that a NaN step stays NaN as in np.unwrap.  The
-    running sum and the final add stay dense.
+    running sum and the final add stay dense.  out may be angles itself.
     """
     steps = np.diff(angles)
-    jumps = np.flatnonzero(~(np.abs(steps) < math.pi))
-    correction = np.zeros_like(steps)
+    correction = np.abs(steps)
+    small = np.less(correction, math.pi)
+    jumps = np.flatnonzero(np.logical_not(small, out=small))
+    correction.fill(0)
     if jumps.size:
         step = steps[jumps]
         wrapped = np.mod(step + math.pi, 2.0 * math.pi) - math.pi
         wrapped[(wrapped == -math.pi) & (step > 0)] = math.pi
         correction[jumps] = wrapped - step
-    out = angles.copy()
-    out[1:] = angles[1:] + correction.cumsum()
+    if out is None:
+        out = np.empty_like(angles)
+    out[:1] = angles[:1]
+    np.add(angles[1:], np.cumsum(correction, out=correction), out=out[1:])
     return out
 
 
@@ -343,9 +385,11 @@ def quantum_acceleration(quantum: PotentialProfile, constants: PhysicalConstants
     points contribute nothing.
     """
     ok = _interior(~quantum.node_mask)
-    grad = _central_first(quantum.values, quantum.coords)
-    accel = -grad / float(constants.mass)
-    return np.where(ok, accel, np.nan)
+    accel = _central_first(quantum.values, quantum.coords)
+    np.negative(accel, out=accel)
+    accel /= float(constants.mass)
+    accel[~ok] = np.nan
+    return accel
 
 
 def probability_current(values, grid, constants: PhysicalConstants) -> np.ndarray:
@@ -363,10 +407,13 @@ def probability_current(values, grid, constants: PhysicalConstants) -> np.ndarra
 
 
 def _laplacian_ratio(polar: PolarForm) -> np.ndarray:
-    """A''/A along the line."""
-    d2 = _central_second(polar.amplitude, polar.coords) if polar.amplitude_d2 is None else polar.amplitude_d2
+    """A''/A along the line, in an array of its own."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return d2 / polar.amplitude
+        if polar.amplitude_d2 is not None:
+            return polar.amplitude_d2 / polar.amplitude
+        d2 = _central_second(polar.amplitude, polar.coords)
+        d2 /= polar.amplitude
+        return d2
 
 
 def hj_residual_field(
@@ -379,11 +426,16 @@ def hj_residual_field(
     samples.
     """
     hb, mass = float(constants.hbar), float(constants.mass)
-    grad_s = _central_first(polar.phase, polar.coords)
     ok = _interior(polar.valid)
-    kinetic = grad_s**2
-    lap_ratio = _laplacian_ratio(polar)
-    residual = kinetic / (2.0 * mass) - (hb * hb / (2.0 * mass)) * lap_ratio + v_external + ds_dt
+    # (grad S)^2 / 2m - (hbar^2/2m) A''/A + V + dS/dt, left to right.
+    residual = _central_first(polar.phase, polar.coords)
+    np.square(residual, out=residual)
+    residual /= 2.0 * mass
+    lap_term = _laplacian_ratio(polar)
+    lap_term *= hb * hb / (2.0 * mass)
+    residual -= lap_term
+    residual += v_external
+    residual += ds_dt
     if not ok.any():
         raise ValueError("no usable interior points")
     return residual, ok
@@ -408,13 +460,20 @@ def continuity_residual(
     mass = float(constants.mass)
     coords = polar_a.coords
     valid = polar_a.valid & polar_b.valid
-    density = 0.5 * (polar_a.amplitude**2 + polar_b.amplitude**2)
-    phase = 0.5 * (polar_a.phase + polar_b.phase)
-    weights = _first_weights(coords)
-    flux = density * _central_first(phase, coords, weights) / mass
-    divergence = _central_first(flux, coords, weights)
-    density_rate = (polar_b.amplitude**2 - polar_a.amplitude**2) / dt
-    return _worst(divergence + density_rate, _interior(_interior(valid)))
+    square_a = np.square(polar_a.amplitude)
+    square_b = np.square(polar_b.amplitude)
+    phase = np.add(polar_a.phase, polar_b.phase)
+    phase *= 0.5
+    flux = _central_first(phase, coords)
+    density = np.add(square_a, square_b, out=phase)
+    density *= 0.5
+    flux *= density
+    flux /= mass
+    residual = _central_first(flux, coords)
+    density_rate = np.subtract(square_b, square_a, out=square_b)
+    density_rate /= dt
+    residual += density_rate
+    return _worst(residual, _interior(_interior(valid)))
 
 
 def euler_residual(
@@ -436,12 +495,16 @@ def euler_residual(
         raise ValueError("quantum profile lives on a different grid")
     mass = float(constants.mass)
     coords = polar_a.coords
-    weights = _first_weights(coords)
-    p_a = _central_first(polar_a.phase, coords, weights)
-    p_b = _central_first(polar_b.phase, coords, weights)
-    p_mid = 0.5 * (p_a + p_b)
-    dp_dt = (p_b - p_a) / dt
-    advection = (p_mid / mass) * _central_first(p_mid, coords, weights)
-    grad_q = _central_first(quantum.values, coords, weights)
+    p_a = _central_first(polar_a.phase, coords)
+    p_b = _central_first(polar_b.phase, coords)
+    p_mid = np.add(p_a, p_b)
+    p_mid *= 0.5
+    residual = np.subtract(p_b, p_a, out=p_b)
+    residual /= dt
+    advection = _central_first(p_mid, coords)
+    p_mid /= mass
+    advection *= p_mid
+    residual += advection
+    residual += _central_first(quantum.values, coords)
     valid = polar_a.valid & polar_b.valid & ~quantum.node_mask
-    return _worst(dp_dt + advection + grad_q, _interior(_interior(valid)))
+    return _worst(residual, _interior(_interior(valid)))

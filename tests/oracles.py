@@ -15,7 +15,10 @@ numpy expressions of the difference formulas, in the operation order the
 package's kernels use, so the shell-wise fd check can be pinned to them
 bit for bit.  distribution_slope is also not independent: it is the
 normalized dP/dr, by the product rule on radial_R_derivatives, that
-radial_peaks read before it switched to a sign helper.
+radial_peaks read before it switched to a sign helper.  The Madelung and
+packet kernels from first_weights_reference to packet_field_reference are
+kept copies too: the allocating bodies the package ran before its
+residual kernels moved to in-place buffers and cached stencil weights.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numpy as np
 
 import hydrobohm.hydrogen as hydrogen
 from hydrobohm import (
+    AiryPacketParams,
     atomic_units,
     energy_level,
     make_radial_grid,
@@ -35,6 +39,8 @@ from hydrobohm import (
     specfun,
     state,
 )
+from hydrobohm.core import AMPLITUDE_FLOOR, PhysicalConstants, _above_floor, _interior, _worst, as_points
+from hydrobohm.madelung import PolarForm, PotentialProfile, _central_second, _runs
 from hydrobohm.reports import format_number
 
 
@@ -411,3 +417,194 @@ def fd_flatness_reference(n: int, l: int, step: float = 1e-2, order: int = 4, fl
     e_n = float(energy_level(n, atomic_units()))
     deviation = float(np.abs(bohm + -1.0 / r - e_n)[~node_mask].max()) / abs(e_n)
     return r, bohm, node_mask, deviation
+
+
+def first_weights_reference(coords: np.ndarray) -> tuple:
+    """Geometry of central_first_reference's stencil: h1^2, h2^2, h2^2 - h1^2, h1 h2 (h1 + h2)."""
+    h1 = coords[1:-1] - coords[:-2]
+    h2 = coords[2:] - coords[1:-1]
+    denominator = h1 * h2
+    denominator *= h1 + h2
+    h1 *= h1
+    h2 *= h2
+    return h1, h2, h2 - h1, denominator
+
+
+def central_first_reference(values: np.ndarray, coords: np.ndarray, weights: tuple | None = None) -> np.ndarray:
+    """Second-order first derivative on a possibly nonuniform grid.
+
+    A caller differentiating several fields on one grid passes
+    first_weights_reference(coords) once instead of having each call rebuild it.
+    """
+    out = np.full(values.shape, np.nan, dtype=np.result_type(values, coords, float))
+    h1_sq, h2_sq, h_diff, denominator = weights if weights is not None else first_weights_reference(coords)
+    # (v+ h1^2 - v- h2^2 + v0 (h2^2 - h1^2)) / (h1 h2 (h1 + h2)), left to right.
+    numerator = values[2:] * h1_sq
+    numerator -= values[:-2] * h2_sq
+    numerator += values[1:-1] * h_diff
+    numerator /= denominator
+    out[1:-1] = numerator
+    return out
+
+
+def decompose_reference(
+    values,
+    grid,
+    constants: PhysicalConstants,
+    amplitude_floor: float = AMPLITUDE_FLOOR,
+) -> PolarForm:
+    """Split complex samples into amplitude and unwrapped action phase.
+
+    The phase is unwrapped independently on each contiguous run of points
+    whose amplitude clears the floor (by unwrap_reference, np.unwrap bit for bit);
+    below the floor the phase is undefined and the point is flagged invalid.
+    A phase step larger than pi hbar/2 between neighbouring valid points is
+    an unwrap failure (a sign-flip node crossed above the floor, or an
+    under-resolved grid): both endpoints are flagged invalid so the jump
+    splits the run.  No amplitude curvature is attached; amplitude_d2 stays
+    None.
+    """
+    coords = as_points(grid)
+    values = np.asarray(values, dtype=complex)
+    if values.shape != coords.shape:
+        raise ValueError("field and grid shapes differ")
+    amplitude = np.abs(values)
+    valid = _above_floor(amplitude, amplitude_floor)
+    hbar = float(constants.hbar)
+    phase = np.zeros_like(amplitude)
+    raw = np.angle(values)
+    for start, stop in _runs(valid):
+        phase[start:stop] = hbar * unwrap_reference(raw[start:stop])
+    jump = (valid[:-1] & valid[1:]) & (np.abs(np.diff(phase)) > 0.5 * math.pi * hbar)
+    valid[:-1] &= ~jump
+    valid[1:] &= ~jump
+    phase = np.where(valid, phase, 0.0)
+    return PolarForm(coords=coords, amplitude=amplitude, phase=phase, valid=valid)
+
+
+def unwrap_reference(angles: np.ndarray) -> np.ndarray:
+    """np.unwrap(angles) bit for bit, wrapping only the steps that need it.
+
+    np.unwrap reduces every step into [-pi, pi) and then zeroes the
+    correction wherever |step| < pi.  Here the reduction, the +pi tie fix
+    and the correction run only on the other steps, selected as
+    ~(|step| < pi) so that a NaN step stays NaN as in np.unwrap.  The
+    running sum and the final add stay dense.
+    """
+    steps = np.diff(angles)
+    jumps = np.flatnonzero(~(np.abs(steps) < math.pi))
+    correction = np.zeros_like(steps)
+    if jumps.size:
+        step = steps[jumps]
+        wrapped = np.mod(step + math.pi, 2.0 * math.pi) - math.pi
+        wrapped[(wrapped == -math.pi) & (step > 0)] = math.pi
+        correction[jumps] = wrapped - step
+    out = angles.copy()
+    out[1:] = angles[1:] + correction.cumsum()
+    return out
+
+
+def quantum_acceleration_reference(quantum: PotentialProfile, constants: PhysicalConstants) -> np.ndarray:
+    """a_Q = -grad(V_Q)/m by central differences; NaN where not computable.
+
+    Gradients are taken only inside contiguous unmasked runs (three-point
+    stencils never straddle a masked node), so runs shorter than three
+    points contribute nothing.
+    """
+    ok = _interior(~quantum.node_mask)
+    grad = central_first_reference(quantum.values, quantum.coords)
+    accel = -grad / float(constants.mass)
+    return np.where(ok, accel, np.nan)
+
+
+def laplacian_ratio_reference(polar: PolarForm) -> np.ndarray:
+    """A''/A along the line."""
+    d2 = _central_second(polar.amplitude, polar.coords) if polar.amplitude_d2 is None else polar.amplitude_d2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return d2 / polar.amplitude
+
+
+def hj_residual_field_reference(
+    polar: PolarForm, v_external, ds_dt, constants: PhysicalConstants
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise (grad S)^2/2m - (hbar^2/2m) lap(A)/A + V + dS/dt.
+
+    Returns the residual samples and the mask of points where every term
+    could be evaluated.  dS/dt is passed as closed-form or finite-differenced
+    samples.
+    """
+    hb, mass = float(constants.hbar), float(constants.mass)
+    grad_s = central_first_reference(polar.phase, polar.coords)
+    ok = _interior(polar.valid)
+    kinetic = grad_s**2
+    lap_ratio = laplacian_ratio_reference(polar)
+    residual = kinetic / (2.0 * mass) - (hb * hb / (2.0 * mass)) * lap_ratio + v_external + ds_dt
+    if not ok.any():
+        raise ValueError("no usable interior points")
+    return residual, ok
+
+
+def continuity_residual_reference(
+    polar_a: PolarForm, polar_b: PolarForm, dt: float, constants: PhysicalConstants
+) -> float:
+    """Max |div(A^2 grad S / m) + d(A^2)/dt| at the midpoint of two times.
+
+    The two forms bracket the evaluation time symmetrically, so the time
+    derivative is second-order accurate.  A stationary state may simply be
+    passed twice (its density difference vanishes identically).
+    """
+    if not np.array_equal(polar_a.coords, polar_b.coords):
+        raise ValueError("polar forms live on different grids")
+    mass = float(constants.mass)
+    coords = polar_a.coords
+    valid = polar_a.valid & polar_b.valid
+    density = 0.5 * (polar_a.amplitude**2 + polar_b.amplitude**2)
+    phase = 0.5 * (polar_a.phase + polar_b.phase)
+    weights = first_weights_reference(coords)
+    flux = density * central_first_reference(phase, coords, weights) / mass
+    divergence = central_first_reference(flux, coords, weights)
+    density_rate = (polar_b.amplitude**2 - polar_a.amplitude**2) / dt
+    return _worst(divergence + density_rate, _interior(_interior(valid)))
+
+
+def euler_residual_reference(
+    polar_a: PolarForm,
+    polar_b: PolarForm,
+    dt: float,
+    quantum: PotentialProfile,
+    constants: PhysicalConstants,
+) -> float:
+    """Max |dp/dt + (p/m) grad p + grad V_Q| with p = grad S.
+
+    Newton's law for the momentum field: the convective derivative of p
+    balances the quantum-potential gradient.  The two polar forms bracket
+    the evaluation time; a stationary state may be passed twice.
+    """
+    if not np.array_equal(polar_a.coords, polar_b.coords):
+        raise ValueError("polar forms live on different grids")
+    if not np.array_equal(quantum.coords, polar_a.coords):
+        raise ValueError("quantum profile lives on a different grid")
+    mass = float(constants.mass)
+    coords = polar_a.coords
+    weights = first_weights_reference(coords)
+    p_a = central_first_reference(polar_a.phase, coords, weights)
+    p_b = central_first_reference(polar_b.phase, coords, weights)
+    p_mid = 0.5 * (p_a + p_b)
+    dp_dt = (p_b - p_a) / dt
+    advection = (p_mid / mass) * central_first_reference(p_mid, coords, weights)
+    grad_q = central_first_reference(quantum.values, coords, weights)
+    valid = polar_a.valid & polar_b.valid & ~quantum.node_mask
+    return _worst(dp_dt + advection + grad_q, _interior(_interior(valid)))
+
+
+def airy_phase_reference(params: AiryPacketParams, x, t: float):
+    """Action phase S(x, t) = B^3 t (6 m^2 x - B^3 t^2) / 12 m^3."""
+    b3 = params.strength**3
+    m = float(params.constants.mass)
+    return b3 * t * (6.0 * m * m * np.asarray(x) - b3 * t * t) / (12.0 * m**3)
+
+
+def packet_field_reference(params: AiryPacketParams, x, t: float, envelope) -> np.ndarray:
+    """Ai(u) e^{iS/hbar} from the envelope Ai(u) already evaluated on x."""
+    hbar = float(params.constants.hbar)
+    return envelope * np.exp(1j * airy_phase_reference(params, x, t) / hbar)

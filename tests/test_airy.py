@@ -23,8 +23,16 @@ from hydrobohm import (
     hj_residual_field,
     make_axis_grid,
 )
+from hydrobohm.airy import _packet_field
+
+import oracles
 
 AU = atomic_units()
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def params(strength=1.0):
@@ -79,6 +87,24 @@ class TestPhaseAndArgument:
         value = airy_psi(p, x, t)
         expected = airy_ai(airy_argument(p, x, t)) * np.exp(1j * airy_phase(p, x, t))
         np.testing.assert_allclose(value, expected, rtol=1e-14)
+
+
+class TestPacketKernelsKeepTheBits:
+    """airy_phase and _packet_field against their kept allocating bodies (tests/oracles.py)."""
+
+    @pytest.mark.parametrize("strength, t", [(0.5, 0.3), (1.0, 0.0), (2.0, -1.0), (7.0, 0.05)])
+    def test_phase_and_field(self, strength, t):
+        p = AiryPacketParams(strength, dataclasses.replace(AU, hbar=0.7, mass=1.9))
+        rng = np.random.default_rng(int(strength * 10))
+        grid_points = make_axis_grid(-15.0, 10.0, 1001).points
+        scattered = rng.uniform(-20.0, 20.0, 257)
+        scattered[::31] = np.nan
+        for x in (grid_points, scattered, scattered.tolist(), 1.25):
+            phase = airy_phase(p, x, t)
+            assert _same_bits(phase, oracles.airy_phase_reference(p, x, t))
+            envelope = rng.normal(0.0, 1.0, np.shape(x)) if np.ndim(x) else 0.375
+            field = _packet_field(p, x, t, envelope)
+            assert _same_bits(field, oracles.packet_field_reference(p, x, t, envelope))
 
 
 class TestClosedFormPotential:

@@ -319,6 +319,30 @@ class TestSharedWork:
             "airy_ai": 13,
         }
 
+    def test_airy_builds_the_stencil_weights_once_per_residual_grid(self, monkeypatch):
+        # Acceleration, Hamilton-Jacobi, continuity and Euler differentiate
+        # on one frozen residual grid per time: 3 builds, 12 before the cache.
+        counts = _count_calls(monkeypatch, "_build_first_weights", modules=(madelung,))
+        run_airy(1.0, (0, 0.3, 1))
+        assert counts == {"_build_first_weights": 3}
+
+    @pytest.mark.parametrize("read_only_view", [False, True], ids=["writeable", "read-only-view"])
+    def test_continuity_sees_coordinates_that_change_between_calls(self, read_only_view):
+        # Only a read-only array that owns its data keeps its weights; a
+        # writeable array, or a read-only view of one, can change under them.
+        rng = np.random.default_rng(11)
+        base = np.cumsum(rng.uniform(0.02, 0.04, 400))
+        coords = base.view() if read_only_view else base
+        coords.setflags(write=not read_only_view)
+        constants = atomic_units()
+        pair = [madelung.decompose(np.exp(1j * (k * base + base**2)), coords, constants) for k in (1.0, 1.1)]
+        results = []
+        for _ in range(2):
+            results.append(madelung.continuity_residual(*pair, 1e-3, constants))
+            assert results[-1] == oracles.continuity_residual_reference(*pair, 1e-3, constants)
+            base[200:] += rng.uniform(0.0, 0.01, 200).cumsum()
+        assert results[0] != results[1]
+
 
 class TestRunBohrRadii:
     def test_rows_match_peak_finder(self):

@@ -8,7 +8,7 @@ import pytest
 
 import hydrobohm.campaigns as campaigns
 from hydrobohm import cli
-from hydrobohm.cli import AIRY_B_MAX, OUT_DIR_ENV, main
+from hydrobohm.cli import AIRY_B_MAX, AIRY_B_MIN, OUT_DIR_ENV, main
 from hydrobohm.reports import VerificationReport
 
 
@@ -319,6 +319,32 @@ class TestAiryStrengthLimit:
             main(argv + ["--B", repr(value)])
         assert excinfo.value.code == 2
         assert f"argument --B: must be <= {AIRY_B_MAX:g}, got {value!r}" in capsys.readouterr().err
+
+    def test_airy_at_the_lower_limit_runs_with_floating_point_errors_raised(self, capsys):
+        # The default times; below the limit the stencil weights overflow.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            code, out, _ = run(capsys, "airy", "--B", repr(AIRY_B_MIN))
+        assert code == 0
+        assert "cases: 15  passes: 15" in out
+
+    @pytest.mark.parametrize("quantity", ["residual", "j"])
+    def test_profile_at_the_lower_limit_runs_with_floating_point_errors_raised(self, quantity, capsys, tmp_path):
+        target = tmp_path / "x.csv"
+        argv = ["profile", "--state", "airy", "--quantity", quantity, "--time", "0.5", "--B", repr(AIRY_B_MIN)]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            code, _, _ = run(capsys, *argv, "--out", str(target))
+        assert code == 0
+        assert target.exists()
+
+    @pytest.mark.parametrize("value", [math.nextafter(AIRY_B_MIN, 0.0), 1e-120, 1e-300])
+    @pytest.mark.parametrize(
+        "argv", [["airy", "--times", "0"], ["profile", "--state", "airy", "--out", "x.csv"]], ids=["airy", "profile"]
+    )
+    def test_below_the_lower_limit_is_a_usage_error_naming_B(self, argv, value, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--B", repr(value)])
+        assert excinfo.value.code == 2
+        assert f"argument --B: must be >= {AIRY_B_MIN:g}, got {value!r}" in capsys.readouterr().err
 
 
 class TestUsageErrors:

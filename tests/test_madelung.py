@@ -26,7 +26,21 @@ from hydrobohm import (
 )
 from hydrobohm.campaigns import default_hydrogen_grid
 from hydrobohm.core import _uniform_spacing
-from hydrobohm.madelung import AMPLITUDE_FLOOR, _bohm_shell, _radial_fd_bohm, _unwrap
+from hydrobohm.core import PhysicalConstants
+from hydrobohm.madelung import (
+    AMPLITUDE_FLOOR,
+    PolarForm,
+    PotentialProfile,
+    _bohm_shell,
+    _central_first,
+    _radial_fd_bohm,
+    _unwrap,
+    continuity_residual,
+    euler_residual,
+    hj_residual_field,
+)
+
+import oracles
 
 AU = atomic_units()
 
@@ -283,3 +297,165 @@ class TestProfilesAndConstants:
 
     def test_amplitude_floor_constant(self):
         assert AMPLITUDE_FLOOR == 1e-12
+
+
+def _same_outcome(new, reference) -> bool:
+    """Same bits for arrays and floats, item by item for tuples and polar forms."""
+    if isinstance(reference, PolarForm):
+        return _same_outcome(dataclasses.astuple(new), dataclasses.astuple(reference))
+    if isinstance(reference, tuple):
+        return len(new) == len(reference) and all(map(_same_outcome, new, reference))
+    if reference is None:
+        return new is None
+    return _same_bits(np.asarray(new), np.asarray(reference))
+
+
+def _outcome(kernel, *args):
+    try:
+        return kernel(*args)
+    except ValueError as exc:
+        return (str(exc),)
+
+
+_SIZES = (5, 64, 1001)
+_DRAWS = 20
+_ODD_UNITS = PhysicalConstants(hbar=0.7, mass=1.9, coulomb=1.0)
+
+
+def _nonuniform(rng, size: int, frozen: bool) -> np.ndarray:
+    """Strictly increasing random coordinates; frozen ones are read-only and own their data."""
+    coords = np.cumsum(rng.uniform(0.05, 1.0, size)) - 3.0
+    coords.setflags(write=not frozen)
+    return coords
+
+
+def _with_nans(rng, values: np.ndarray, nans: bool) -> np.ndarray:
+    if nans:
+        values[rng.integers(0, values.size, max(1, values.size // 10))] = np.nan
+    return values
+
+
+def _random_polar(rng, coords, nans: bool, curvature: bool) -> PolarForm:
+    size = coords.size
+    return PolarForm(
+        coords=coords,
+        amplitude=_with_nans(rng, rng.uniform(0.05, 2.0, size), nans),
+        phase=_with_nans(rng, np.cumsum(rng.normal(0.0, 0.4, size)), nans),
+        valid=rng.random(size) > 0.1,
+        amplitude_d2=rng.normal(0.0, 1.0, size) if curvature else None,
+    )
+
+
+@pytest.mark.parametrize("nans", [False, True], ids=["finite", "nan"])
+@pytest.mark.parametrize("frozen", [False, True], ids=["writeable", "frozen"])
+@pytest.mark.parametrize("size", _SIZES)
+class TestKernelsKeepTheBits:
+    """The in-place Madelung kernels against their kept allocating bodies (tests/oracles.py).
+
+    Random nonuniform grids, NaN samples and masked points, down to the
+    5-point grid.  A frozen grid is read-only and owns its data, so its
+    stencil weights are cached; every kernel below runs on the same one.
+    """
+
+    def test_central_first(self, size, frozen, nans):
+        rng = np.random.default_rng([size, frozen, nans, 1])
+        coords = _nonuniform(rng, size, frozen)
+        real = _with_nans(rng, rng.normal(0.0, 1.0, size), nans)
+        field = real * np.exp(1j * rng.uniform(-3.0, 3.0, size))
+        for values in (real, field, real.astype(np.float32), np.arange(size) ** 2):
+            for _ in range(2):  # the second call reads cached weights on a frozen grid
+                assert _same_outcome(_central_first(values, coords), oracles.central_first_reference(values, coords))
+        narrow = coords.astype(np.float32)
+        assert _same_outcome(
+            _central_first(real.astype(np.float32), narrow),
+            oracles.central_first_reference(real.astype(np.float32), narrow),
+        )
+
+    def test_complex_field_through_probability_current(self, size, frozen, nans):
+        rng = np.random.default_rng([size, frozen, nans, 2])
+        coords = _nonuniform(rng, size, frozen)
+        field = _with_nans(rng, rng.uniform(0.1, 1.0, size), nans) * np.exp(1j * rng.uniform(-3.0, 3.0, size))
+        scale = float(_ODD_UNITS.hbar) / float(_ODD_UNITS.mass)
+        expected = scale * np.imag(np.conj(field) * oracles.central_first_reference(field, coords))
+        assert _same_outcome(probability_current(field, coords, _ODD_UNITS), expected)
+
+    def test_quantum_acceleration(self, size, frozen, nans):
+        rng = np.random.default_rng([size, frozen, nans, 3])
+        coords = _nonuniform(rng, size, frozen)
+        profile = PotentialProfile(coords, _with_nans(rng, rng.normal(0.0, 1.0, size), nans), rng.random(size) < 0.1)
+        assert _same_outcome(
+            quantum_acceleration(profile, _ODD_UNITS), oracles.quantum_acceleration_reference(profile, _ODD_UNITS)
+        )
+
+    @pytest.mark.parametrize("curvature", [False, True], ids=["stencil", "attached"])
+    def test_hj_residual_field(self, size, frozen, nans, curvature):
+        rng = np.random.default_rng([size, frozen, nans, curvature, 4])
+        coords = _nonuniform(rng, size, frozen)
+        polar = _random_polar(rng, coords, nans, curvature)
+        ds_dt = rng.normal(0.0, 1.0, size)
+        for v_external in (0.0, rng.normal(0.0, 1.0, size)):
+            assert _same_outcome(
+                _outcome(hj_residual_field, polar, v_external, ds_dt, _ODD_UNITS),
+                _outcome(oracles.hj_residual_field_reference, polar, v_external, ds_dt, _ODD_UNITS),
+            )
+
+    # These two return only the worst point, which a last-bit change
+    # elsewhere leaves alone, so each compares many draws.  A time step of
+    # order one keeps the rate term from swamping the last bits of the rest.
+    def test_continuity_residual(self, size, frozen, nans):
+        rng = np.random.default_rng([size, frozen, nans, 5])
+        coords = _nonuniform(rng, size, frozen)
+        for _ in range(_DRAWS):
+            pair = _random_polar(rng, coords, nans, False), _random_polar(rng, coords, nans, False)
+            assert _same_outcome(
+                _outcome(continuity_residual, *pair, 0.7, _ODD_UNITS),
+                _outcome(oracles.continuity_residual_reference, *pair, 0.7, _ODD_UNITS),
+            )
+
+    def test_euler_residual(self, size, frozen, nans):
+        rng = np.random.default_rng([size, frozen, nans, 6])
+        coords = _nonuniform(rng, size, frozen)
+        for _ in range(_DRAWS):
+            pair = _random_polar(rng, coords, nans, False), _random_polar(rng, coords, nans, False)
+            values = _with_nans(rng, rng.normal(0.0, 1.0, size), nans)
+            quantum = PotentialProfile(coords, values, rng.random(size) < 0.1)
+            assert _same_outcome(
+                _outcome(euler_residual, *pair, 0.7, quantum, _ODD_UNITS),
+                _outcome(oracles.euler_residual_reference, *pair, 0.7, quantum, _ODD_UNITS),
+            )
+
+    @pytest.mark.parametrize("floor", [AMPLITUDE_FLOOR, 0.05])
+    def test_decompose(self, size, frozen, nans, floor):
+        rng = np.random.default_rng([size, frozen, nans, 7])
+        coords = _nonuniform(rng, size, frozen)
+        amplitude = rng.uniform(0.0, 1.0, size) ** 4  # many points under a 0.05 floor
+        # Steps up to 3 rad make the unwrap correct some; a few sign flips trip the jump rule.
+        phase = np.cumsum(rng.uniform(-3.0, 3.0, size))
+        phase[rng.integers(0, size, 3)] += math.pi
+        values = _with_nans(rng, amplitude * np.exp(1j * phase), nans)
+        for constants in (AU, _ODD_UNITS):
+            assert _same_outcome(
+                decompose(values, coords, constants, amplitude_floor=floor),
+                oracles.decompose_reference(values, coords, constants, amplitude_floor=floor),
+            )
+
+
+class TestUnwrapKeepsTheBits:
+    @pytest.mark.parametrize("angles", [[], [1.5], [np.nan], [0.0, 3.5]], ids=["empty", "one", "nan", "two"])
+    def test_short_input_returns_a_copy_or_fills_out(self, angles):
+        angles = np.array(angles, dtype=float)
+        expected = oracles.unwrap_reference(angles)
+        copy = _unwrap(angles)
+        assert copy is not angles and _same_bits(copy, expected)
+        assert _unwrap(angles, out=angles) is angles
+        assert _same_bits(angles, expected)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_walk_in_place(self, seed):
+        rng = np.random.default_rng(seed)
+        angles = np.angle(np.exp(1j * np.cumsum(rng.normal(0.0, 2.5, 500))))
+        angles[rng.integers(0, 500, 3)] = np.nan
+        assert _same_bits(_unwrap(angles), oracles.unwrap_reference(angles))
+        expected = oracles.unwrap_reference(angles[100:400])
+        _unwrap(angles[100:400], out=angles[100:400])  # a run of decompose's phase buffer
+        assert _same_bits(angles[100:400], expected)
