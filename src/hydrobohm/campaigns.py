@@ -10,6 +10,7 @@ stencil noise; those choices are documented on the functions.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,7 +58,7 @@ from .madelung import (
     quantum_acceleration,
     quantum_potential,
 )
-from .reports import CaseRecord, VerificationReport, make_case
+from .reports import VerificationReport, make_case
 from .specfun import _AIRY_SUPPORTED, _laguerre_pair, airy_ai
 
 __all__ = [
@@ -134,11 +135,16 @@ def run_levels(n_max: int, constants: PhysicalConstants | None = None, tolerance
 def _flatness_deviation(external: np.ndarray, bohm: np.ndarray, usable: np.ndarray, e_n: float) -> float:
     """max |V + V_Bohm - E_n| / |E_n| over the usable points.
 
-    bohm is overwritten: the sum is built in its buffer.
+    bohm is overwritten: the sum is built in its buffer.  A deviation that
+    is not finite raises a RuntimeWarning (the analytic shell divides with
+    numpy's warnings off).
     """
     bohm += external
     bohm -= e_n
-    return _worst(bohm, usable) / abs(e_n)
+    deviation = _worst(bohm, usable) / abs(e_n)
+    if not math.isfinite(deviation):
+        warnings.warn("non-finite V + V_Bohm - E_n on a usable point", RuntimeWarning, stacklevel=2)
+    return deviation
 
 
 def _flatness_fd_grid(n: int, constants: PhysicalConstants):
@@ -163,6 +169,17 @@ def _fd_shell(n: int, ls, constants: PhysicalConstants, e_n: float) -> list[floa
     centrifugal r^l growth makes the 2R'/r stencil error dominate for
     high-n, low-l states.  madelung._radial_fd_bohm runs from the first
     point that counts to the last.
+
+    On a grid of more than one block (n >= 10 at the default block size)
+    the assembly stops early.  Past the outer turning point
+    r+ = n^2 a (1 + sqrt(1 - l(l+1)/n^2)) the effective potential exceeds
+    E_n, so u = rR is convex toward zero and |R| only falls.  Once a block
+    that has another after it ends past r+ with |R| at its last point under
+    half the floor times the running max |R| (the half is a margin for
+    rounding), no later point can clear the floor or raise the max, and
+    the rest of the grid is not assembled.  The check reads the |R| the
+    floor reads, and the mask, hence every deviation, is the whole grid's.
+    A shell of one block runs without the check.
     """
     r = _flatness_fd_grid(n, constants).points
     h = _uniform_spacing(r)
@@ -171,13 +188,24 @@ def _fd_shell(n: int, ls, constants: PhysicalConstants, e_n: float) -> list[floa
     envelope = np.exp(-rho / 2)
     external = coulomb_profile(constants, r).values
     values = np.empty_like(r)
+    magnitude = np.empty_like(r)
     deviations = []
     for l in ls:
+        turning_point = n * n * a * (1.0 + math.sqrt(1.0 - l * (l + 1) / (n * n)))
+        end, peak = r.size, 0.0
         for lo in range(0, r.size, FD_BLOCK_POINTS):
             part = slice(lo, lo + FD_BLOCK_POINTS)
             lag = _laguerre_pair(n - l - 1, 2 * l + 1, rho[part])[0]
-            values[part] = _radial_from_laguerre(n, l, a, rho[part], lag, envelope[part])
-        usable = _interior(_interior(_above_floor(np.abs(values), FD_FLATNESS_FLOOR)))
+            _radial_from_laguerre(n, l, a, rho[part], lag, envelope[part], out=values[part])
+            np.abs(values[part], out=magnitude[part])
+            if lo + FD_BLOCK_POINTS < r.size:
+                last = lo + FD_BLOCK_POINTS - 1
+                peak = max(peak, magnitude[part].max())
+                if r[last] > turning_point and magnitude[last] < 0.5 * FD_FLATNESS_FLOOR * peak:
+                    end = last + 1
+                    break
+        above = _above_floor(magnitude[:end], FD_FLATNESS_FLOOR)
+        usable = _interior(_interior(above))
         kept = np.flatnonzero(usable)
         if not kept.size:
             raise ValueError("no usable interior points")
@@ -198,16 +226,20 @@ def run_flatness(
 
     The work goes one shell n at a time.  The full-wavefunction Bohm
     potential is independent of m, so the deviation is computed once per
-    (n, l), and one case record per (n, l) is copied for every m the
-    policy selects.  On the analytic path the l of a shell are walked
-    downward through madelung._bohm_shell, which shares rho, e^{-rho/2},
-    E_n and one Laguerre chain between neighbouring l (L'' of (n, l) is
-    the step before L of (n, l + 1)); the Coulomb term is built once per
-    grid.  On the fd path the uniform grid, rho, e^{-rho/2} and the
-    Coulomb term are built once per shell, and each l runs five-point
-    stencils over the points the amplitude floor keeps (_fd_shell).  The
-    m copies of an (n, l) share one case-id prefix.  Cases are reported in
-    (n, l, m) order.
+    (n, l): make_case builds the record of m = -l, and
+    VerificationReport.add_copies clones it for every other m the policy
+    selects.  On the analytic path the l of a shell are walked downward
+    through madelung._bohm_shell, which shares rho, e^{-rho/2}, work
+    buffers and one Laguerre chain between neighbouring l (L'' of (n, l)
+    is the step before L of (n, l + 1)); the Coulomb term is built once
+    per grid.  The shell yields V_Bohm and its mask in its own buffers,
+    valid until the next l, and _flatness_deviation reduces them in place
+    before the walk moves on.  On the fd path the uniform grid, rho,
+    e^{-rho/2} and the Coulomb term are built once per shell, and each l
+    runs five-point stencils over the points the amplitude floor keeps;
+    past the outer turning point the assembly of R_nl stops once |R| has
+    fallen under the floor (_fd_shell).  The m copies of an (n, l) share
+    one case-id prefix.  Cases are reported in (n, l, m) order.
     """
     if policy not in ("all-lm", "circular"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -235,10 +267,8 @@ def run_flatness(
         for l, deviation in sorted(zip(ls, deviations)):
             prefix = f"n={n:02d} l={l:02d} m="
             case = make_case(f"{prefix}{-l:+03d}", deviation, 0.0, tolerance, metric="abs")
-            numbers = (case.computed, case.expected, case.abs_error, case.rel_error, case.passed)
             report.add(case)
-            for m in range(1 - l, l + 1):
-                report.add(CaseRecord(f"{prefix}{m:+03d}", *numbers))
+            report.add_copies(case, [f"{prefix}{m:+03d}" for m in range(1 - l, l + 1)])
     return report
 
 

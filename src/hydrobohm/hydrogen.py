@@ -85,9 +85,15 @@ def _radial_norm(n: int, l: int, a: float) -> float:
     return (2.0 / (n * a)) ** 1.5 * math.exp(0.5 * log_ratio)
 
 
-def _radial_from_laguerre(n: int, l: int, a: float, rho: np.ndarray, lag: np.ndarray, envelope: np.ndarray) -> np.ndarray:
-    """R_nl at rho = 2 r / (n a), given L_{n-l-1}^{2l+1}(rho) and e^{-rho/2}."""
-    values = _radial_norm(n, l, a) * envelope
+def _radial_from_laguerre(
+    n: int, l: int, a: float, rho: np.ndarray, lag: np.ndarray, envelope: np.ndarray, out=None
+) -> np.ndarray:
+    """R_nl at rho = 2 r / (n a), given L_{n-l-1}^{2l+1}(rho) and e^{-rho/2}.
+
+    out, an array of rho's shape and dtype that is none of the inputs,
+    receives R_nl when given.
+    """
+    values = np.multiply(_radial_norm(n, l, a), envelope, out=out)
     values *= rho**l
     values *= lag
     return values

@@ -20,6 +20,7 @@ straddle masked points.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,19 +229,34 @@ def bohm_potential_analytic(spec: EigenstateSpec, grid) -> PotentialProfile:
     The whole eigenfunction is divided (exact angular eigenvalue
     -l(l+1)/r^2), so the result is independent of both angles and of m.
     This is the single-l call of _bohm_shell, which documents the
-    assembly.  Alone, a state runs all three of its recurrences: the L''
-    chain it shares with (n, l + 1) in a shell walk is run for it here.
+    assembly; the values are NaN where node_mask is set.  Alone, a state
+    runs all three of its recurrences: the L'' chain it shares with
+    (n, l + 1) in a shell walk is run for it here.  A value that is not
+    finite where node_mask is unset raises a RuntimeWarning.
     """
     r = as_points(grid)
     ((values, usable),) = _bohm_shell(spec.n, (spec.l,), spec.constants, r)
-    return PotentialProfile(coords=r, values=values, node_mask=~usable)
+    if not np.isfinite(values[usable]).all():
+        message = f"non-finite Bohm potential on a usable point of (n, l) = ({spec.n}, {spec.l})"
+        warnings.warn(message, RuntimeWarning, stacklevel=2)
+    node_mask = ~usable
+    values[node_mask] = np.nan
+    return PotentialProfile(coords=r, values=values, node_mask=node_mask)
 
 
 def _bohm_shell(n: int, ls, constants: PhysicalConstants, r: np.ndarray):
     """Analytic Bohm potential of (n, l) at r and its usable points, for each l in ls.
 
-    Yields (values, usable) in the order of ls, values NaN where a point is
-    not usable.  The radial part is assembled in the rho^l-factored form
+    Yields (values, usable) in the order of ls.  values is a buffer of
+    the shell, valid until the next l is requested: the next step
+    overwrites it, so a caller that keeps it copies it.  It is specified
+    only where usable is set; elsewhere it holds whatever the arithmetic
+    left, NaN and inf included (bohm_potential_analytic writes the NaNs).
+    Off the usable points L may be a node's zero, so the divisions run
+    with numpy's floating-point warnings off, on every point; the callers
+    warn instead when a usable value is not finite
+    (bohm_potential_analytic, campaigns._flatness_deviation).
+    The radial part is assembled in the rho^l-factored form
 
         lap(psi)/psi = c^2 [ 2(l+1)/rho (L'/L - 1/2) + 1/4 - L'/L + L''/L ],
 
@@ -249,7 +265,9 @@ def _bohm_shell(n: int, ls, constants: PhysicalConstants, r: np.ndarray):
     L' and L'' are L_k^{2l+1}, -L_{k-1}^{2l+2} and L_{k-2}^{2l+3}: three
     separate recurrences per state, none of them the Laguerre ODE, so the
     identity V_Q = E_n stays a nontrivial numerical statement about them.
-    All l of one shell share rho and e^{-rho/2}.  The chain that
+    All l of one shell share rho, e^{-rho/2} and the work buffers, and
+    each l runs the same operations in the same order on every usable
+    point as a whole-array expression of the formula.  The chain that
     gives L_{k-1}^{2l+3}, the L of (n, l + 1), passes L_{k-2}^{2l+3} on
     its way (_laguerre_pair), so when l follows l + 1 in ls its L'' costs
     no recurrence: all n values of l, walked downward, take 2n - 1
@@ -263,6 +281,7 @@ def _bohm_shell(n: int, ls, constants: PhysicalConstants, r: np.ndarray):
     rho = c * r
     envelope = np.exp(-rho / 2)
     zeros = np.zeros_like(rho)
+    values, ratio1, work = (np.empty_like(rho) for _ in range(3))
     scale = c * c
     coefficient = -(hb * hb / (2.0 * mass))
     shared_l, shared = None, None  # l of the last chain and its L_{k-1}
@@ -281,12 +300,22 @@ def _bohm_shell(n: int, ls, constants: PhysicalConstants, r: np.ndarray):
             lag1 *= -1
         else:
             lag1 = zeros
-        usable = _above_floor(np.abs(_radial_from_laguerre(n, l, a, rho, lag, envelope)), AMPLITUDE_FLOOR)
-        safe_lag = np.where(usable, lag, 1.0)
-        ratio1 = lag1 / safe_lag
-        ratio2 = lag2 / safe_lag
-        lap_ratio = scale * (2.0 * (l + 1) / rho * (ratio1 - 0.5) + 0.25 - ratio1 + ratio2)
-        yield np.where(usable, coefficient * lap_ratio, np.nan), usable
+        magnitude = _radial_from_laguerre(n, l, a, rho, lag, envelope, out=values)
+        usable = _above_floor(np.abs(magnitude, out=magnitude), AMPLITUDE_FLOOR)
+        # coefficient * (scale * (2(l+1)/rho * (ratio1 - 0.5) + 0.25 - ratio1
+        # + ratio2)), ratio_j = L_j / L, in the order the expression runs.
+        # Off the usable points L may be a node's zero; what that gives there
+        # is not read.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            np.divide(lag1, lag, out=ratio1)
+            np.divide(2.0 * (l + 1), rho, out=values)
+            values *= np.subtract(ratio1, 0.5, out=work)
+            values += 0.25
+            values -= ratio1
+            values += np.divide(lag2, lag, out=work)
+            values *= scale
+            values *= coefficient
+        yield values, usable
 
 
 def bohm_potential_fd(

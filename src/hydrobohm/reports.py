@@ -60,6 +60,10 @@ class CaseRecord:
     passed: bool
 
 
+# The fields of a case in declaration order: the keys of its JSON object.
+_CASE_FIELDS = tuple(case_field.name for case_field in dataclasses.fields(CaseRecord))
+
+
 def make_case(case_id: str, computed: float, expected: float, tolerance: float, metric: str = "rel") -> CaseRecord:
     """Build a record; the pass flag compares the chosen error metric.
 
@@ -105,6 +109,24 @@ class VerificationReport:
     def add(self, case: CaseRecord) -> None:
         self.cases.append(case)
 
+    def add_copies(self, case: CaseRecord, case_ids) -> None:
+        """Add case again under each id of case_ids, its numbers shared.
+
+        Each copy is a bare instance whose fields are set in declaration
+        order by object.__setattr__, without the frozen dataclass's
+        __init__ and without touching __dict__, so it keeps the attribute
+        layout of a built record; it compares and hashes as
+        CaseRecord(case_id, ...) with the same numbers would.
+        """
+        numbers = [(name, getattr(case, name)) for name in _CASE_FIELDS[1:]]
+        setter = object.__setattr__
+        for case_id in case_ids:
+            copy = object.__new__(CaseRecord)
+            setter(copy, "case_id", case_id)
+            for name, value in numbers:
+                setter(copy, name, value)
+            self.cases.append(copy)
+
     @property
     def case_count(self) -> int:
         return len(self.cases)
@@ -133,7 +155,7 @@ class VerificationReport:
         return {
             "command": self.command,
             "tolerance": self.tolerance,
-            "cases": [dataclasses.asdict(case) for case in self.sorted_cases()],
+            "cases": [{name: getattr(case, name) for name in _CASE_FIELDS} for case in self.sorted_cases()],
             "summary": {
                 "cases": self.case_count,
                 "passes": self.pass_count,
@@ -144,10 +166,9 @@ class VerificationReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> "VerificationReport":
-        names = [case_field.name for case_field in dataclasses.fields(CaseRecord)]
         report = cls(command=data["command"], tolerance=data["tolerance"])
         for entry in data["cases"]:
-            report.add(CaseRecord(**{name: entry[name] for name in names}))
+            report.add(CaseRecord(**{name: entry[name] for name in _CASE_FIELDS}))
         return report
 
     def summary_lines(self) -> list[str]:

@@ -19,6 +19,8 @@ radial_peaks read before it switched to a sign helper.  The Madelung and
 packet kernels from first_weights_reference to packet_field_reference are
 kept copies too: the allocating bodies the package ran before its
 residual kernels moved to in-place buffers and cached stencil weights.
+bohm_shell_reference is the allocating body of madelung._bohm_shell before
+the shell moved into reused buffers: the bit oracle of the buffered walk.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ from hydrobohm import (
     state,
 )
 from hydrobohm.core import AMPLITUDE_FLOOR, PhysicalConstants, _above_floor, _interior, _worst, as_points
+from hydrobohm.hydrogen import _radial_from_laguerre
 from hydrobohm.madelung import PolarForm, PotentialProfile, _central_second, _runs
+from hydrobohm.specfun import _laguerre_pair
 from hydrobohm.reports import format_number
 
 
@@ -608,3 +612,41 @@ def packet_field_reference(params: AiryPacketParams, x, t: float, envelope) -> n
     """Ai(u) e^{iS/hbar} from the envelope Ai(u) already evaluated on x."""
     hbar = float(params.constants.hbar)
     return envelope * np.exp(1j * airy_phase_reference(params, x, t) / hbar)
+
+
+def bohm_shell_reference(n: int, ls, constants: PhysicalConstants, r: np.ndarray):
+    """(values, usable) of (n, l) for each l in ls, each in arrays of its own.
+
+    values is NaN where a point is not usable.  Shares rho, e^{-rho/2} and
+    the L'' of (n, l) with the L chain of (n, l + 1) as the package does.
+    """
+    hb, mass = float(constants.hbar), float(constants.mass)
+    a = float(constants.bohr_radius)
+    c = 2.0 / (n * a)
+    rho = c * r
+    envelope = np.exp(-rho / 2)
+    zeros = np.zeros_like(rho)
+    scale = c * c
+    coefficient = -(hb * hb / (2.0 * mass))
+    shared_l, shared = None, None
+    for l in ls:
+        k = n - l - 1
+        if k < 2:
+            lag2 = zeros
+        elif shared_l == l + 1:
+            lag2 = shared
+        else:
+            lag2 = _laguerre_pair(k - 2, 2 * l + 3, rho)[0]
+        lag, shared = _laguerre_pair(k, 2 * l + 1, rho)
+        shared_l = l
+        if k >= 1:
+            lag1 = _laguerre_pair(k - 1, 2 * l + 2, rho)[0]
+            lag1 *= -1
+        else:
+            lag1 = zeros
+        usable = _above_floor(np.abs(_radial_from_laguerre(n, l, a, rho, lag, envelope)), AMPLITUDE_FLOOR)
+        safe_lag = np.where(usable, lag, 1.0)
+        ratio1 = lag1 / safe_lag
+        ratio2 = lag2 / safe_lag
+        lap_ratio = scale * (2.0 * (l + 1) / rho * (ratio1 - 0.5) + 0.25 - ratio1 + ratio2)
+        yield np.where(usable, coefficient * lap_ratio, np.nan), usable

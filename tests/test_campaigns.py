@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,22 @@ class TestRunFlatness:
             n, l = int(case.case_id[2:4]), int(case.case_id[7:9])
             assert case.passed is ((n, l) not in shared), case.case_id
 
+    def test_non_finite_deviation_on_a_usable_point_warns(self):
+        # The analytic shell divides with numpy's warnings off on every
+        # point; a fault on a usable point must still reach the caller.
+        usable = np.array([True, True, False])
+        with pytest.warns(RuntimeWarning, match="non-finite"):
+            deviation = campaigns._flatness_deviation(np.zeros(3), np.array([1.0, np.nan, 2.0]), usable, -0.5)
+        assert math.isnan(deviation)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert campaigns._flatness_deviation(np.zeros(3), np.array([1.0, 2.0, np.inf]), usable, -0.5) == 5.0
+
+    def test_analytic_sweep_raises_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_flatness(12).all_passed
+
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             run_flatness(2, policy="everything")
@@ -205,6 +222,37 @@ class TestBlockedFdShell:
             computed = {case.case_id[:9]: case.computed for case in report.cases}
             for (n, l), (_, _, _, deviation) in reference.items():
                 assert computed[f"n={n:02d} l={l:02d}"] == deviation, (block, n, l)
+
+    @pytest.mark.parametrize(
+        "n, ls",
+        [*(pytest.param(n, range(n), id=f"n{n}-all-l") for n in range(1, 13)), pytest.param(30, (0, 14, 29), id="n30-l0,14,29")],
+    )
+    def test_assembly_stop_keeps_the_whole_grid_deviations(self, n, ls):
+        # Shells n >= 10 span more than one block and stop assembling R_nl
+        # past the outer turning point; the deviations must be the
+        # whole-grid oracle's, bit for bit.
+        e_n = float(energy_level(n, AU))
+        for l, deviation in zip(ls, campaigns._fd_shell(n, ls, AU, e_n)):
+            assert deviation == oracles.fd_flatness_reference(n, l)[3], (n, l)
+
+    @pytest.mark.parametrize("n, whole", [(9, True), (30, False)])
+    def test_assembly_of_a_multi_block_shell_ends_before_the_grid(self, n, whole, monkeypatch):
+        assembled = []
+        radial = campaigns._radial_from_laguerre
+
+        def counted(n, l, a, rho, *args, **kwargs):
+            assembled.append(rho.size)
+            return radial(n, l, a, rho, *args, **kwargs)
+
+        monkeypatch.setattr(campaigns, "_radial_from_laguerre", counted)
+        campaigns._fd_shell(n, (0,), AU, float(energy_level(n, AU)))
+        count = campaigns._flatness_fd_grid(n, AU).count
+        if whole:  # one block: the whole grid, in one call
+            assert assembled == [count]
+        else:
+            assert len(assembled) > 1 and sum(assembled) < count
+            assert sum(assembled) % campaigns.FD_BLOCK_POINTS == 0
+            assert campaigns._flatness_fd_grid(n, AU).points[sum(assembled) - 1] > 2.0 * n * n
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_stencil_windows_tile_the_one_window_bits(self, dtype):

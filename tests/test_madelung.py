@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from hydrobohm import (
     si_units,
     state,
 )
+import hydrobohm.madelung as madelung
 from hydrobohm.campaigns import default_hydrogen_grid
 from hydrobohm.core import _uniform_spacing
 from hydrobohm.core import PhysicalConstants
@@ -216,13 +218,61 @@ class TestBohmShell:
         "constants, n_max", [(AU, 20), (si_units(), 8)], ids=["atomic-n20", "si-n8"]
     )
     def test_shell_equals_single_state_bit_for_bit(self, constants, n_max):
+        # The shell's values are specified on its usable points only.
         r = default_hydrogen_grid(n_max, constants).points
         for n in range(1, n_max + 1):
             ls = range(n - 1, -1, -1)
             for l, (values, usable) in zip(ls, _bohm_shell(n, ls, constants, r)):
                 alone = bohm_potential_analytic(state(n, l, 0, constants), r)
-                assert _bits(values) == _bits(alone.values), (n, l)
+                assert _bits(values[usable]) == _bits(alone.values[~alone.node_mask]), (n, l)
                 assert _bits(~usable) == _bits(alone.node_mask), (n, l)
+
+    @pytest.mark.parametrize("n", [*range(1, 13), 20, 40])
+    def test_buffered_walk_keeps_the_bits_of_the_allocating_walk(self, n):
+        # The shell reuses its buffers from one l to the next; the oracle is
+        # its allocating body.  Off the mask only bohm_potential_analytic is
+        # specified: NaN exactly where node_mask is set.
+        grids = [(AU, default_hydrogen_grid(max(n, 20), AU).points), (si_units(), default_hydrogen_grid(n, si_units()).points)]
+        if n <= 12:  # past that, rho^l overflows float32 at the far end of the grid
+            grids.append((AU, default_hydrogen_grid(n, AU).points.astype(np.float32)))
+        for constants, r in grids:
+            ls = range(n - 1, -1, -1)
+            walks = zip(ls, _bohm_shell(n, ls, constants, r), oracles.bohm_shell_reference(n, ls, constants, r))
+            for l, (values, usable), (expected, expected_usable) in walks:
+                assert _same_bits(usable, expected_usable), (n, l)
+                assert _same_bits(values[usable], expected[expected_usable]), (n, l)
+                alone = bohm_potential_analytic(state(n, l, 0, constants), r)
+                assert _same_bits(alone.values, expected), (n, l)
+                assert _same_bits(alone.node_mask, ~expected_usable), (n, l)
+
+    def test_walk_reads_its_buffers_fresh_at_every_l(self):
+        # A caller that reduces values in place, as run_flatness does, must
+        # not change what the next l yields.
+        r = default_hydrogen_grid(6, AU).points
+        ls = range(5, -1, -1)
+        for (values, usable), (expected, _) in zip(_bohm_shell(6, ls, AU, r), oracles.bohm_shell_reference(6, ls, AU, r)):
+            assert _same_bits(values[usable], expected[usable])
+            values.fill(np.inf)
+            usable.fill(True)
+
+    def test_non_finite_value_on_a_usable_point_warns(self, monkeypatch):
+        r = np.array([1.0, 2.0, 3.0])
+
+        def faulty_shell(n, ls, constants, r):
+            yield np.array([np.nan, -0.5, np.inf]), np.array([False, True, True])
+
+        monkeypatch.setattr(madelung, "_bohm_shell", faulty_shell)
+        with pytest.warns(RuntimeWarning, match=r"\(n, l\) = \(2, 1\)"):
+            profile = bohm_potential_analytic(state(2, 1), r)
+        assert _bits(profile.node_mask) == _bits(np.array([True, False, False]))
+
+    def test_nodes_raise_no_warning(self):
+        # Off the mask the shell divides by L's zeros; that is not a fault.
+        r = default_hydrogen_grid(12, AU).points
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for n, l in [(12, 0), (9, 2), (3, 2)]:
+                assert bohm_potential_analytic(state(n, l), r).node_mask.any()
 
     def test_one_point_is_the_grid_value(self):
         spec = state(3, 1)
