@@ -31,6 +31,7 @@ import os
 import re
 import sys
 import time as _time
+from dataclasses import dataclass
 
 from .campaigns import (
     AiryRangeError,
@@ -59,44 +60,66 @@ __all__ = ["main"]
 
 OUT_DIR_ENV = "HYDROBOHM_OUT_DIR"
 
-# Largest --n-max of flatness and largest n of profile --state: the
-# normalization of the state (n, n - 1) needs ln((2n - 1)!), and
-# ln_factorial covers k <= 200.
-STATE_N_MAX = 100
 
-# Largest --n-max of bohr-radii.  The peak search reads only the sign of
-# dP/dr and no normalization.  With warnings and numpy floating-point errors
-# raised, run_bohr_radii(10000) passes every case (worst relative error
-# 3.44e-11) in 0.35 s and 34 MB.
-BOHR_RADII_N_MAX = 10000
+@dataclass(frozen=True)
+class Limit:
+    """The accepted range [low, high] of one CLI number, and its argparse type.
 
-# Largest --n-max of levels.  Its cost is the table: levels --n-max 10000
-# --format json takes 0.5 s and 64 MB, and at 100000 it takes 5.4 s and
-# 372 MB and writes 36 MB.
-LEVELS_N_MAX = 10000
+    uses holds the command lines that read the number, with {} where it goes;
+    the option is the token before that one.  An int low makes an integer
+    option, a float low a finite float option.
+    """
 
-# Largest --n-max of flatness --method fd, set by a sweep over every l: at
-# the five-point stencils and h = 10^-2 a each (n, l) with n <= 30 reads at
-# most 3.7e-6 ((29, 0)), a tenth of the 1e-4 tolerance or less.  Past it the
-# margin shrinks ((40, 0) reads 2.0e-5, (50, 0) 2.4e-5), and the grid grows
-# as about 4 n^2 10^2 points per state.
-FD_FLATNESS_N_MAX = 30
+    low: int | float
+    high: int | float
+    uses: tuple[str, ...]
 
-# Largest --B of airy and profile --state airy.  The Euler check's fixed
-# 1e-3 time step costs truncation error that grows with B: at t = 0 the
-# residual stays under 0.6 of the 1e-5 tolerance up to B = 100 and first
-# exceeds it at B = 115.75.  Past B = 122 the polar forms at t -+ 5e-4 leave
-# airy_ai's |x| <= 20, and B**3 overflows near 5.6e102.
-AIRY_B_MAX = 100.0
+    def __call__(self, text: str) -> int | float:
+        if isinstance(self.low, float):
+            value = _finite_float(text)
+        else:
+            try:
+                value = int(text)
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        if value > self.high:
+            raise argparse.ArgumentTypeError(f"must be <= {self.high:g}, got {value!r}")
+        if value < self.low:
+            raise argparse.ArgumentTypeError(f"must be >= {self.low:g}, got {value!r}")
+        return value
 
-# Smallest --B of airy and profile --state airy.  The grids scale as 1/B, so
-# the stencil weight h1 h2 (h1 + h2) of madelung._first_weights grows as
-# 1/B^3.  With numpy's overflow, invalid and divide errors raised, every
-# airy case at times (0, 0.3, 1), (0, 5, 100) and (-1, 0.01) and every
-# profile quantity at t = 0 and 0.5 ran clean down to B = 1e-105; the
-# profile residual overflows at 5e-106, and at 6e-107 B^3 is subnormal and
-# the acceleration cases fail.  At this limit B^3 = 1e-300 is still normal.
-AIRY_B_MIN = 1e-100
+
+LIMITS = {
+    # The normalization of the state (n, n - 1) needs ln((2n - 1)!), and
+    # ln_factorial covers k <= 200.  _parse_state checks the n of --state.
+    "state": Limit(1, 100, ("flatness --n-max {}", "profile --state {},0,0 --out x.csv")),
+    # The peak search reads only the sign of dP/dr and no normalization.  With
+    # warnings and numpy floating-point errors raised, run_bohr_radii(10000)
+    # passes every case (worst relative error 3.44e-11) in 0.35 s and 34 MB.
+    "bohr-radii": Limit(1, 10000, ("bohr-radii --n-max {}",)),
+    # The cost is the table: levels --n-max 10000 --format json takes 0.5 s
+    # and 64 MB, and at 100000 it takes 5.4 s and 372 MB and writes 36 MB.
+    "levels": Limit(1, 10000, ("levels --n-max {}",)),
+    # Set by a sweep over every l: at the five-point stencils and h = 10^-2 a
+    # each (n, l) with n <= 30 reads at most 3.7e-6 ((29, 0)), a tenth of the
+    # 1e-4 tolerance or less.  Past it the margin shrinks ((40, 0) reads
+    # 2.0e-5, (50, 0) 2.4e-5), and the grid grows as about 4 n^2 10^2 points
+    # per state.  cmd_flatness checks it, since it depends on --method.
+    "fd": Limit(1, 30, ("flatness --method fd --n-max {}",)),
+    # High: the Euler check's fixed 1e-3 time step costs truncation error
+    # that grows with B: at t = 0 the residual stays under 0.6 of the 1e-5
+    # tolerance up to B = 100 and first exceeds it at B = 115.75.  Past
+    # B = 122 the polar forms at t -+ 5e-4 leave airy_ai's |x| <= 20, and
+    # B**3 overflows near 5.6e102.
+    # Low: the grids scale as 1/B, so the stencil weight h1 h2 (h1 + h2) of
+    # madelung._first_weights grows as 1/B^3.  With numpy's overflow, invalid
+    # and divide errors raised, every airy case at times (0, 0.3, 1),
+    # (0, 5, 100) and (-1, 0.01) and every profile quantity at t = 0 and 0.5
+    # ran clean down to B = 1e-105; the profile residual overflows at
+    # 5e-106, and at 6e-107 B^3 is subnormal and the acceleration cases fail.
+    # At this limit B^3 = 1e-300 is still normal.
+    "B": Limit(1e-100, 100.0, ("airy --B {}", "profile --state airy --B {} --out x.csv")),
+}
 
 # argparse reads a value that starts with '-' as an option unless it is a
 # plain negative number, so `--times -1,0.5` and `--time -1e-3` are joined
@@ -141,17 +164,17 @@ def _finish(args: argparse.Namespace, report: VerificationReport, table=None, cs
 
 
 def _finite_float(text: str) -> float:
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number, got {text!r}") from None
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"must be finite, got {value}")
     return value
 
 
 def _parse_times(text: str) -> tuple[float, ...]:
-    try:
-        times = tuple(_finite_float(part) for part in text.split(",") if part.strip() != "")
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad time list {text!r}") from exc
+    times = tuple(_finite_float(part) for part in text.split(",") if part.strip() != "")
     if not times:
         raise argparse.ArgumentTypeError("at least one time is required")
     try:
@@ -164,37 +187,17 @@ def _parse_times(text: str) -> tuple[float, ...]:
 def _parse_state(text: str):
     if text.strip() == "airy":
         return "airy"
-    parts = text.split(",")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError("state must be n,l,m or 'airy'")
     try:
-        n, l, m = (int(part) for part in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad state {text!r}") from exc
-    if n > STATE_N_MAX:
-        raise argparse.ArgumentTypeError(f"n must be <= {STATE_N_MAX}, got {n}")
+        n, l, m = (int(part) for part in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be n,l,m integers or 'airy', got {text!r}") from None
+    violation = quantum_number_violation(n, l, m)
+    if violation is not None:
+        raise argparse.ArgumentTypeError(violation)
+    n_max = LIMITS["state"].high
+    if n > n_max:
+        raise argparse.ArgumentTypeError(f"n must be <= {n_max}, got {n}")
     return n, l, m
-
-
-def _capped_int(text: str, limit: int) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    if value > limit:
-        raise argparse.ArgumentTypeError(f"must be <= {limit}, got {value}")
-    return value
-
-
-def _state_n_max(text: str) -> int:
-    return _capped_int(text, STATE_N_MAX)
-
-
-def _bohr_radii_n_max(text: str) -> int:
-    return _capped_int(text, BOHR_RADII_N_MAX)
-
-
-def _levels_n_max(text: str) -> int:
-    return _capped_int(text, LEVELS_N_MAX)
 
 
 def _join_signed_values(argv: list[str]) -> list[str]:
@@ -214,15 +217,6 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _airy_strength(text: str) -> float:
-    value = _positive_float(text)
-    if value > AIRY_B_MAX:
-        raise argparse.ArgumentTypeError(f"must be <= {AIRY_B_MAX:g}, got {value!r}")
-    if value < AIRY_B_MIN:
-        raise argparse.ArgumentTypeError(f"must be >= {AIRY_B_MIN:g}, got {value!r}")
-    return value
-
-
 def cmd_levels(args: argparse.Namespace) -> int:
     report, rows = run_levels(args.n_max, atomic_units(), args.tol)
     columns = ["n", "energy", "ratio", "expected"]
@@ -231,8 +225,9 @@ def cmd_levels(args: argparse.Namespace) -> int:
 
 
 def cmd_flatness(args: argparse.Namespace) -> int:
-    if args.method == "fd" and args.n_max > FD_FLATNESS_N_MAX:
-        raise ValueError(f"--n-max must be <= {FD_FLATNESS_N_MAX} with --method fd, got {args.n_max}")
+    fd_n_max = LIMITS["fd"].high
+    if args.method == "fd" and args.n_max > fd_n_max:
+        raise ValueError(f"--n-max must be <= {fd_n_max} with --method fd, got {args.n_max}")
     report = run_flatness(
         args.n_max, atomic_units(), policy=args.policy, method=args.method, tolerance=args.tol
     )
@@ -263,10 +258,6 @@ def cmd_airy(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
-    if args.state != "airy":
-        violation = quantum_number_violation(*args.state)
-        if violation is not None:
-            raise ValueError(f"argument --state: {violation}")
     try:
         curve = profile_curve(
             args.state, args.quantity, atomic_units(), strength=args.strength, time=args.time
@@ -309,11 +300,11 @@ def _build_parser() -> argparse.ArgumentParser:
     output.add_argument("--out", default=None)
 
     p_levels = sub.add_parser("levels", parents=[output], help="energy table with the 1/n^2 ratio check")
-    p_levels.add_argument("--n-max", type=_levels_n_max, required=True)
+    p_levels.add_argument("--n-max", type=LIMITS["levels"], required=True)
     p_levels.set_defaults(run=cmd_levels)
 
     p_flat = sub.add_parser("flatness", parents=[output], help="V_Q = E_n check per eigenstate")
-    p_flat.add_argument("--n-max", type=_state_n_max, required=True)
+    p_flat.add_argument("--n-max", type=LIMITS["state"], required=True)
     group = p_flat.add_mutually_exclusive_group()
     group.add_argument("--all-lm", dest="policy", action="store_const", const="all-lm")
     group.add_argument("--circular", dest="policy", action="store_const", const="circular")
@@ -321,18 +312,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_flat.set_defaults(policy="all-lm", run=cmd_flatness)
 
     p_bohr = sub.add_parser("bohr-radii", parents=[output], help="P_{n,n-1} peak against n^2 a")
-    p_bohr.add_argument("--n-max", type=_bohr_radii_n_max, required=True)
+    p_bohr.add_argument("--n-max", type=LIMITS["bohr-radii"], required=True)
     p_bohr.set_defaults(run=cmd_bohr_radii)
 
     p_airy = sub.add_parser("airy", parents=[output], help="accelerating-packet checks")
-    p_airy.add_argument("--B", dest="strength", type=_airy_strength, default=1.0)
+    p_airy.add_argument("--B", dest="strength", type=LIMITS["B"], default=1.0)
     p_airy.add_argument("--times", type=_parse_times, default=(0.0, 0.3, 1.0))
     p_airy.set_defaults(run=cmd_airy)
 
     p_prof = sub.add_parser("profile", help="export a named curve")
     p_prof.add_argument("--state", type=_parse_state, required=True, help="n,l,m or 'airy'")
     p_prof.add_argument("--quantity", choices=_PROFILE_QUANTITIES, default="P")
-    p_prof.add_argument("--B", dest="strength", type=_airy_strength, default=1.0)
+    p_prof.add_argument("--B", dest="strength", type=LIMITS["B"], default=1.0)
     p_prof.add_argument("--time", type=_finite_float, default=0.0)
     p_prof.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
     p_prof.add_argument("--out", required=True)

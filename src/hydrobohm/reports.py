@@ -177,13 +177,12 @@ class VerificationReport:
             f"max_abs_error: {format_number(self.max_abs_error)}  "
             f"max_rel_error: {format_number(self.max_rel_error)}"
         ]
-        for case in self.sorted_cases():
-            if not case.passed:
-                lines.append(
-                    f"FAIL {case.case_id}: computed {format_number(case.computed)} "
-                    f"expected {format_number(case.expected)} "
-                    f"rel_error {format_number(case.rel_error)}"
-                )
+        for case in sorted((case for case in self.cases if not case.passed), key=_case_order):
+            lines.append(
+                f"FAIL {case.case_id}: computed {format_number(case.computed)} "
+                f"expected {format_number(case.expected)} "
+                f"rel_error {format_number(case.rel_error)}"
+            )
         return lines
 
 

@@ -113,9 +113,9 @@ class TestRunFlatness:
                 assert computed[f"n={n:02d} l={l:02d}"] == deviation, (n, l)
 
     def test_fd_states_at_the_cli_limit_read_a_tenth_of_the_tolerance(self):
-        # cli.FD_FLATNESS_N_MAX was set by a sweep over every (n, l) with
+        # cli.LIMITS["fd"] was set by a sweep over every (n, l) with
         # n <= 30; these are the worst l = 0 states and the ends of shell 30.
-        assert cli.FD_FLATNESS_N_MAX == 30
+        assert cli.LIMITS["fd"].high == 30
         deviations = {}
         for n, ls in ((30, (0, 1, 29)), (29, (0,))):
             e_n = float(energy_level(n, AU))

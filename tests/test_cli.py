@@ -2,13 +2,15 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import hydrobohm.campaigns as campaigns
 from hydrobohm import cli
-from hydrobohm.cli import AIRY_B_MAX, AIRY_B_MIN, OUT_DIR_ENV, main
+from hydrobohm.cli import LIMITS, OUT_DIR_ENV, main
 from hydrobohm.reports import VerificationReport
 
 
@@ -173,60 +175,26 @@ class TestProfile:
         assert excinfo.value.code == 2
 
     def test_invalid_state_is_a_usage_error(self, capsys, tmp_path):
-        # n past STATE_N_MAX is refused by the parser (TestStateNMax); the
-        # other bounds are checked before any evaluation and name --state too.
+        # The parser checks every quantum-number rule, n's limit among them
+        # (TestLimits), so nothing is evaluated and the message names --state.
         for text, rule in (
             ("1,1,0", "l must satisfy l <= n - 1"),
             ("0,0,0", "n must satisfy n >= 1"),
             ("3,1,2", "m must satisfy |m| <= l"),
         ):
-            code, out, err = run(capsys, "profile", "--state", text, "--out", str(tmp_path / "x.csv"))
-            assert code == 2, text
+            with pytest.raises(SystemExit) as excinfo:
+                main(["profile", "--state", text, "--out", str(tmp_path / "x.csv")])
+            assert excinfo.value.code == 2, text
+            out, err = capsys.readouterr()
             assert out == "" and not (tmp_path / "x.csv").exists(), text
             assert f"error: argument --state: {rule}\n" in err, err
 
 
 class TestStateNMax:
-    @pytest.mark.parametrize("command", ["flatness"])
-    def test_above_100_is_a_usage_error_naming_the_limit(self, command, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main([command, "--n-max", "101"])
-        assert excinfo.value.code == 2
-        assert "argument --n-max: must be <= 100, got 101" in capsys.readouterr().err
-
     def test_bohr_radii_at_the_limit_runs(self, capsys):
         code, out, _ = run(capsys, "bohr-radii", "--n-max", "100")
         assert code == 0
         assert "cases: 100  passes: 100" in out
-
-    def test_bohr_radii_has_its_own_limit(self, capsys):
-        # Only the parser runs here: the full run_bohr_radii(BOHR_RADII_N_MAX)
-        # takes seconds, and CI runs it through the installed entry point.
-        assert cli.BOHR_RADII_N_MAX == 10000
-        parser = cli._build_parser()
-        args = parser.parse_args(["bohr-radii", "--n-max", str(cli.BOHR_RADII_N_MAX)])
-        assert args.n_max == cli.BOHR_RADII_N_MAX and args.run is cli.cmd_bohr_radii
-        with pytest.raises(SystemExit) as excinfo:
-            parser.parse_args(["bohr-radii", "--n-max", "10001"])
-        assert excinfo.value.code == 2
-        assert "argument --n-max: must be <= 10000, got 10001" in capsys.readouterr().err
-
-    def test_levels_has_its_own_limit(self, capsys):
-        # Only the parser runs here; CI runs the edge through the entry point.
-        assert cli.LEVELS_N_MAX == 10000
-        parser = cli._build_parser()
-        args = parser.parse_args(["levels", "--n-max", str(cli.LEVELS_N_MAX)])
-        assert args.n_max == cli.LEVELS_N_MAX and args.run is cli.cmd_levels
-        with pytest.raises(SystemExit) as excinfo:
-            parser.parse_args(["levels", "--n-max", "10001"])
-        assert excinfo.value.code == 2
-        assert "argument --n-max: must be <= 10000, got 10001" in capsys.readouterr().err
-
-    def test_profile_state_above_100_is_a_usage_error_naming_the_limit(self, capsys, tmp_path):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["profile", "--state", "101,100,0", "--out", str(tmp_path / "x.csv")])
-        assert excinfo.value.code == 2
-        assert "argument --state: n must be <= 100, got 101" in capsys.readouterr().err
 
     def test_profile_state_at_the_limit_runs(self, capsys, tmp_path):
         target = tmp_path / "x.csv"
@@ -299,52 +267,97 @@ class TestAiryTimes:
 
 class TestAiryStrengthLimit:
     def test_airy_at_the_limit_runs(self, capsys):
-        code, out, _ = run(capsys, "airy", "--B", repr(AIRY_B_MAX), "--times", "0")
+        code, out, _ = run(capsys, "airy", "--B", repr(LIMITS["B"].high), "--times", "0")
         assert code == 0
         assert "cases: 5  passes: 5" in out
 
     def test_profile_at_the_limit_runs(self, capsys, tmp_path):
         target = tmp_path / "x.csv"
-        argv = ["profile", "--state", "airy", "--quantity", "V_q", "--B", repr(AIRY_B_MAX), "--out", str(target)]
+        argv = ["profile", "--state", "airy", "--quantity", "V_q", "--B", repr(LIMITS["B"].high), "--out", str(target)]
         code, _, _ = run(capsys, *argv)
         assert code == 0
         assert target.exists()
 
-    @pytest.mark.parametrize("value", [math.nextafter(AIRY_B_MAX, math.inf), 1e300])
-    @pytest.mark.parametrize(
-        "argv", [["airy", "--times", "0"], ["profile", "--state", "airy", "--out", "x.csv"]], ids=["airy", "profile"]
-    )
-    def test_above_the_limit_is_a_usage_error_naming_B(self, argv, value, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv + ["--B", repr(value)])
-        assert excinfo.value.code == 2
-        assert f"argument --B: must be <= {AIRY_B_MAX:g}, got {value!r}" in capsys.readouterr().err
-
     def test_airy_at_the_lower_limit_runs_with_floating_point_errors_raised(self, capsys):
         # The default times; below the limit the stencil weights overflow.
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            code, out, _ = run(capsys, "airy", "--B", repr(AIRY_B_MIN))
+            code, out, _ = run(capsys, "airy", "--B", repr(LIMITS["B"].low))
         assert code == 0
         assert "cases: 15  passes: 15" in out
 
     @pytest.mark.parametrize("quantity", ["residual", "j"])
     def test_profile_at_the_lower_limit_runs_with_floating_point_errors_raised(self, quantity, capsys, tmp_path):
         target = tmp_path / "x.csv"
-        argv = ["profile", "--state", "airy", "--quantity", quantity, "--time", "0.5", "--B", repr(AIRY_B_MIN)]
+        argv = ["profile", "--state", "airy", "--quantity", quantity, "--time", "0.5", "--B", repr(LIMITS["B"].low)]
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             code, _, _ = run(capsys, *argv, "--out", str(target))
         assert code == 0
         assert target.exists()
 
-    @pytest.mark.parametrize("value", [math.nextafter(AIRY_B_MIN, 0.0), 1e-120, 1e-300])
+
+def _option(use: str) -> str:
+    """The option a limit's command line sets: the token before the number."""
+    tokens = use.split()
+    return next(tokens[i - 1] for i, token in enumerate(tokens) if "{}" in token)
+
+
+def _past_each_end(row) -> list[tuple]:
+    """The nearest values outside [low, high], each with the bound it passes."""
+    if isinstance(row.low, int):
+        return [(row.low - 1, row.low), (row.high + 1, row.high)]
+    return [(math.nextafter(row.low, 0.0), row.low), (math.nextafter(row.high, math.inf), row.high)]
+
+
+def _usage_error(capsys, argv: list[str]) -> str:
+    """stderr of a refused command line: argparse exits 2, a command returns 2."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "", (argv, code, out)
+    return err
+
+
+class TestLimits:
     @pytest.mark.parametrize(
-        "argv", [["airy", "--times", "0"], ["profile", "--state", "airy", "--out", "x.csv"]], ids=["airy", "profile"]
+        "row, use",
+        [(row, use) for row in LIMITS.values() for use in row.uses],
+        ids=[f"{name}-{use.split()[0]}" for name, row in LIMITS.items() for use in row.uses],
     )
-    def test_below_the_lower_limit_is_a_usage_error_naming_B(self, argv, value, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv + ["--B", repr(value)])
-        assert excinfo.value.code == 2
-        assert f"argument --B: must be >= {AIRY_B_MIN:g}, got {value!r}" in capsys.readouterr().err
+    def test_bounds_are_accepted_and_the_next_values_refused(self, row, use, capsys):
+        option = _option(use)
+        for bound in (row.low, row.high):
+            args = cli._build_parser().parse_args(use.format(repr(bound)).split())
+            assert repr(bound) in repr(args)
+        for value, bound in _past_each_end(row):
+            err = _usage_error(capsys, use.format(repr(value)).split())
+            assert option in err and f"{bound:g}" in err, err
+        err = _usage_error(capsys, use.format("abc").split())
+        assert f"argument {option}: must be " in err and "got 'abc" in err, err
+        assert re.search(r"(?<!\w)_[a-z]", err) is None, err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["flatness", "--n-max", "101"], "argument --n-max: must be <= 100, got 101"),
+            (["profile", "--state", "101,100,0", "--out", "x.csv"], "argument --state: n must be <= 100, got 101"),
+            (["bohr-radii", "--n-max", "10001"], "argument --n-max: must be <= 10000, got 10001"),
+            (["levels", "--n-max", "10001"], "argument --n-max: must be <= 10000, got 10001"),
+            (["airy", "--B", "1e300"], "argument --B: must be <= 100, got 1e+300"),
+            (["profile", "--state", "airy", "--B", "1e-300", "--out", "x.csv"], "argument --B: must be >= 1e-100, got 1e-300"),
+        ],
+    )
+    def test_messages_keep_their_words(self, argv, message, capsys):
+        assert message in _usage_error(capsys, argv)
+
+    @pytest.mark.parametrize("name", list(LIMITS))
+    def test_readme_lists_the_row(self, name):
+        row = LIMITS[name]
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        items = [" ".join(item.split()) for item in re.split(r"\n(?=- )", text)]
+        wanted = [f"`{use[: use.index(' {}')]}`" for use in row.uses] + [f"{row.low:g} to {row.high:g}"]
+        assert any(all(part in item for part in wanted) for item in items), wanted
 
 
 class TestUsageErrors:

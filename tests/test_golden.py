@@ -2,10 +2,11 @@
 
 Each case runs ``hydrobohm.cli.main`` in a fresh working directory with a
 relative ``--out`` path, then compares SHA-256 digests of the written file
-and of stdout against the table below.  The digests were recorded once and
-are never regenerated by the suite: a refactor of the output path must keep
-every byte.  On a mismatch the failure message names the argv and the
-digest actually produced.
+and of stdout, and the exit status the process would have (what ``main``
+returns, or the code argparse exits with), against the table below.  The
+digests were recorded once and are never regenerated by the suite: a
+refactor of the output path must keep every byte.  On a mismatch the
+failure message names the argv and the digest actually produced.
 """
 
 import hashlib
@@ -193,7 +194,10 @@ def test_golden(argv, status, file_digest, stdout_digest, tmp_path, monkeypatch,
     monkeypatch.delenv(OUT_DIR_ENV, raising=False)
     monkeypatch.chdir(tmp_path)
     args = argv.split()
-    got_status = main(args)
+    try:
+        got_status = main(args)
+    except SystemExit as exc:  # argparse refuses a usage error by exiting
+        got_status = exc.code
     got_stdout = _digest(capsys.readouterr().out.encode("utf-8"))
     out_name = _out_name(args)
     got_file = None

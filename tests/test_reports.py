@@ -10,6 +10,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from hydrobohm import reports
 from hydrobohm.campaigns import ProfileCurve
 from hydrobohm.reports import (
     CaseRecord,
@@ -85,6 +86,19 @@ class TestVerificationReport:
         report.add(make_case("c", 5.0, 4.0, 1e-6))
         lines = report.summary_lines()
         assert any("FAIL" in line and "c" in line for line in lines)
+
+    def test_summary_lines_sort_only_the_failing_cases(self, monkeypatch):
+        # FAIL lines come in case-id order with integer runs compared as
+        # numbers, and the sort key runs on the failing cases alone.
+        report = VerificationReport(command="demo", tolerance=1e-6)
+        for n in (100, 7, 99, 8, 10, 9):
+            failing = n in (100, 9, 10)
+            report.add(make_case(f"n={n:02d}", 5.0 if failing else 4.0, 4.0, 1e-6))
+        calls = []
+        order = reports._case_order
+        monkeypatch.setattr(reports, "_case_order", lambda case: calls.append(case.case_id) or order(case))
+        assert [line.split(":")[0] for line in report.summary_lines()[1:]] == ["FAIL n=09", "FAIL n=10", "FAIL n=100"]
+        assert sorted(calls) == ["n=09", "n=10", "n=100"]
 
     @pytest.mark.parametrize("numbers", [(3e-9, 0.0, 1e-8, "abs"), (5.0, 4.0, 1e-6, "rel")], ids=["pass", "fail"])
     def test_copies_behave_as_built_records(self, numbers):
