@@ -58,7 +58,7 @@ from .madelung import (
     quantum_acceleration,
     quantum_potential,
 )
-from .reports import VerificationReport, make_case
+from .reports import CaseRecord, VerificationReport, make_case
 from .specfun import _AIRY_SUPPORTED, _laguerre_pair, airy_ai
 
 __all__ = [
@@ -109,15 +109,15 @@ def default_airy_grid(params: AiryPacketParams):
     return make_axis_grid(-15.0 / beta, 10.0 / beta, 8000)
 
 
-def run_levels(n_max: int, constants: PhysicalConstants | None = None, tolerance: float | None = None):
-    """Energy table E_n with the 1/n^2 ratio check against E_1.
+def run_levels(n_max: int, *, tolerance: float | None = None):
+    """Energy table E_n with the 1/n^2 ratio check against E_1, in atomic units.
 
     Returns (report, rows); rows carry (n, E_n, E_n/E_1, 1/n^2) as floats.
     tolerance defaults to LEVELS_TOL.
     """
     if n_max < 1:
         raise ValueError("n_max must satisfy n_max >= 1")
-    constants = constants or atomic_units()
+    constants = atomic_units()
     if tolerance is None:
         tolerance = LEVELS_TOL
     report = VerificationReport(command="levels", tolerance=tolerance)
@@ -217,29 +217,29 @@ def _fd_shell(n: int, ls, constants: PhysicalConstants, e_n: float) -> list[floa
 
 def run_flatness(
     n_max: int,
-    constants: PhysicalConstants | None = None,
+    *,
     policy: str = "all-lm",
     method: str = "analytic",
     tolerance: float | None = None,
 ) -> VerificationReport:
-    """Check max |V_Q - E_n| / |E_n| per eigenstate.
+    """Check max |V_Q - E_n| / |E_n| per eigenstate, in atomic units.
 
     The work goes one shell n at a time.  The full-wavefunction Bohm
     potential is independent of m, so the deviation is computed once per
-    (n, l): make_case builds the record of m = -l, and
-    VerificationReport.add_copies clones it for every other m the policy
-    selects.  On the analytic path the l of a shell are walked downward
-    through madelung._bohm_shell, which shares rho, e^{-rho/2}, work
-    buffers and one Laguerre chain between neighbouring l (L'' of (n, l)
-    is the step before L of (n, l + 1)); the Coulomb term is built once
-    per grid.  The shell yields V_Bohm and its mask in its own buffers,
-    valid until the next l, and _flatness_deviation reduces them in place
-    before the walk moves on.  On the fd path the uniform grid, rho,
-    e^{-rho/2} and the Coulomb term are built once per shell, and each l
-    runs five-point stencils over the points the amplitude floor keeps;
-    past the outer turning point the assembly of R_nl stops once |R| has
-    fallen under the floor (_fd_shell).  The m copies of an (n, l) share
-    one case-id prefix.  Cases are reported in (n, l, m) order.
+    (n, l): make_case builds the record of m = -l, and every other m the
+    policy selects gets that record's numbers under its own case id.  On the
+    analytic path the l of a shell are walked downward through
+    madelung._bohm_shell, which shares rho, e^{-rho/2}, work buffers and one
+    Laguerre chain between neighbouring l (L'' of (n, l) is the step before
+    L of (n, l + 1)); the Coulomb term is built once per grid.  The shell
+    yields V_Bohm and its mask in its own buffers, valid until the next l,
+    and _flatness_deviation reduces them in place before the walk moves on.
+    On the fd path the uniform grid, rho, e^{-rho/2} and the Coulomb term
+    are built once per shell, and each l runs five-point stencils over the
+    points the amplitude floor keeps; past the outer turning point the
+    assembly of R_nl stops once |R| has fallen under the floor (_fd_shell).
+    The m copies of an (n, l) share one case-id prefix.  Cases are reported
+    in (n, l, m) order.
     """
     if policy not in ("all-lm", "circular"):
         raise ValueError(f"unknown policy {policy!r}")
@@ -247,7 +247,7 @@ def run_flatness(
         raise ValueError(f"unknown method {method!r}")
     if n_max < 1:
         raise ValueError("n_max must satisfy n_max >= 1")
-    constants = constants or atomic_units()
+    constants = atomic_units()
     if tolerance is None:
         tolerance = FLATNESS_ANALYTIC_TOL if method == "analytic" else FLATNESS_FD_TOL
     report = VerificationReport(command="flatness", tolerance=tolerance)
@@ -268,23 +268,19 @@ def run_flatness(
             prefix = f"n={n:02d} l={l:02d} m="
             case = make_case(f"{prefix}{-l:+03d}", deviation, 0.0, tolerance, metric="abs")
             report.add(case)
-            report.add_copies(case, [f"{prefix}{m:+03d}" for m in range(1 - l, l + 1)])
+            report.cases.extend(CaseRecord(f"{prefix}{m:+03d}", *case[1:]) for m in range(1 - l, l + 1))
     return report
 
 
-def run_bohr_radii(
-    n_max: int,
-    constants: PhysicalConstants | None = None,
-    tolerance: float | None = None,
-):
-    """Peak of P_{n,n-1} against the Bohr orbit radius n^2 a.
+def run_bohr_radii(n_max: int, *, tolerance: float | None = None):
+    """Peak of P_{n,n-1} against the Bohr orbit radius n^2 a, in atomic units.
 
     Returns (report, rows); rows carry (n, r_peak, n^2 a, rel_error, passed).
     tolerance defaults to BOHR_RADII_TOL.
     """
     if n_max < 1:
         raise ValueError("n_max must satisfy n_max >= 1")
-    constants = constants or atomic_units()
+    constants = atomic_units()
     if tolerance is None:
         tolerance = BOHR_RADII_TOL
     a = float(constants.bohr_radius)
@@ -418,13 +414,8 @@ def _airy_peak(params: AiryPacketParams, grid, t: float) -> float:
     return float(grid.points[int(np.argmax(density))])
 
 
-def run_airy(
-    strength: float,
-    times,
-    constants: PhysicalConstants | None = None,
-    tolerance: float | None = None,
-):
-    """Quantum-acceleration, residual and trajectory checks for the packet.
+def run_airy(strength: float, times, *, tolerance: float | None = None):
+    """Quantum-acceleration, residual and trajectory checks for the packet, in atomic units.
 
     Per time t the report carries: the mean finite-difference quantum
     acceleration against B^3/2m^2 (relative), the Hamilton-Jacobi,
@@ -453,7 +444,7 @@ def run_airy(
     if not times:
         raise ValueError("times must contain at least one instant")
     _check_time_ids(times)
-    constants = constants or atomic_units()
+    constants = atomic_units()
     if tolerance is None:
         tolerance = AIRY_TOL
     params = AiryPacketParams(strength, constants)
@@ -524,14 +515,8 @@ class ProfileCurve:
 _PROFILE_QUANTITIES = ("P", "V", "V_bohm", "V_q", "j", "residual")
 
 
-def profile_curve(
-    selection,
-    quantity: str,
-    constants: PhysicalConstants | None = None,
-    strength: float = 1.0,
-    time: float = 0.0,
-) -> ProfileCurve:
-    """Curve of a named quantity for a hydrogen state or the Airy packet.
+def profile_curve(selection, quantity: str, *, strength: float = 1.0, time: float = 0.0) -> ProfileCurve:
+    """Curve of a named quantity for a hydrogen state or the Airy packet, in atomic units.
 
     selection is (n, l, m) for hydrogen or the string "airy".  Quantities:
     P (radial distribution or relative density), V (external potential),
@@ -542,7 +527,7 @@ def profile_curve(
     """
     if quantity not in _PROFILE_QUANTITIES:
         raise ValueError(f"unknown quantity {quantity!r}")
-    constants = constants or atomic_units()
+    constants = atomic_units()
     if selection == "airy":
         return _airy_curve(quantity, constants, strength, time)
     n, l, m = selection

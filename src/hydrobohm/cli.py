@@ -8,9 +8,10 @@ Commands
     profile     export a named curve as CSV, JSON, or SVG
 
 Exit status is 0 when every case passes, 1 when any fails, 2 on usage
-errors.  All file output is byte-deterministic for a given invocation;
-wall-clock timing goes to stderr only.  CSV schemas (comma delimiter, LF
-endings, UTF-8, 12 significant digits):
+errors, an output path that cannot be written among them.  All file output
+is byte-deterministic for a given invocation; wall-clock timing goes to
+stderr only.  CSV schemas (comma delimiter, LF endings, UTF-8, 12
+significant digits):
 
     levels      n,energy,ratio,expected,rel_error,pass
     flatness    case_id,computed,expected,abs_error,rel_error,pass
@@ -43,12 +44,11 @@ from .campaigns import (
     run_flatness,
     run_levels,
 )
-from .core import atomic_units, quantum_number_violation
+from .core import quantum_number_violation
 from .reports import (
     REPORT_HEADER,
     VerificationReport,
     format_cell,
-    report_rows,
     write_csv,
     write_json,
     write_profile_csv,
@@ -141,7 +141,7 @@ def _finish(args: argparse.Namespace, report: VerificationReport, table=None, cs
 
     table is (column names, rows of raw values): it is printed and becomes
     the JSON payload's "table".  The CSV file holds csv_table, or the
-    report's generic case rows when none is given.
+    report's sorted cases when none is given.
     """
     if table is not None:
         columns, rows = table
@@ -158,7 +158,7 @@ def _finish(args: argparse.Namespace, report: VerificationReport, table=None, cs
                 payload["table"] = [dict(zip(columns, row)) for row in rows]
             write_json(path, payload)
         else:
-            header, csv_rows = csv_table or (REPORT_HEADER, report_rows(report))
+            header, csv_rows = csv_table or (REPORT_HEADER, report.sorted_cases())
             write_csv(path, header, csv_rows)
     return 0 if report.all_passed else 1
 
@@ -218,7 +218,7 @@ def _positive_float(text: str) -> float:
 
 
 def cmd_levels(args: argparse.Namespace) -> int:
-    report, rows = run_levels(args.n_max, atomic_units(), args.tol)
+    report, rows = run_levels(args.n_max, tolerance=args.tol)
     columns = ["n", "energy", "ratio", "expected"]
     csv_rows = [row + (case.rel_error, case.passed) for row, case in zip(rows, report.cases)]
     return _finish(args, report, (columns, rows), (columns + ["rel_error", "pass"], csv_rows))
@@ -228,14 +228,12 @@ def cmd_flatness(args: argparse.Namespace) -> int:
     fd_n_max = LIMITS["fd"].high
     if args.method == "fd" and args.n_max > fd_n_max:
         raise ValueError(f"--n-max must be <= {fd_n_max} with --method fd, got {args.n_max}")
-    report = run_flatness(
-        args.n_max, atomic_units(), policy=args.policy, method=args.method, tolerance=args.tol
-    )
+    report = run_flatness(args.n_max, policy=args.policy, method=args.method, tolerance=args.tol)
     return _finish(args, report)
 
 
 def cmd_bohr_radii(args: argparse.Namespace) -> int:
-    report, rows = run_bohr_radii(args.n_max, atomic_units(), args.tol)
+    report, rows = run_bohr_radii(args.n_max, tolerance=args.tol)
     table = (["n", "r_peak", "expected", "rel_error", "pass"], rows)
     return _finish(args, report, table, table)
 
@@ -251,7 +249,7 @@ def _airy_range_usage(exc: AiryRangeError, time_option: str) -> ValueError:
 
 def cmd_airy(args: argparse.Namespace) -> int:
     try:
-        report, rows = run_airy(args.strength, args.times, atomic_units(), args.tol)
+        report, rows = run_airy(args.strength, args.times, tolerance=args.tol)
     except AiryRangeError as exc:
         raise _airy_range_usage(exc, "--times") from exc
     return _finish(args, report, (["t", "x_peak", "expected"], rows))
@@ -259,9 +257,7 @@ def cmd_airy(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     try:
-        curve = profile_curve(
-            args.state, args.quantity, atomic_units(), strength=args.strength, time=args.time
-        )
+        curve = profile_curve(args.state, args.quantity, strength=args.strength, time=args.time)
     except AiryRangeError as exc:
         raise _airy_range_usage(exc, "--time") from exc
     path = _resolve_out(args.out)
@@ -339,6 +335,10 @@ def main(argv=None) -> int:
         status = args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        # The only files touched are the outputs: --out and HYDROBOHM_OUT_DIR.
+        print(f"error: cannot write {exc.filename or args.out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     print(f"wall time: {_time.perf_counter() - started:.3f} s", file=sys.stderr)
     return status

@@ -8,11 +8,11 @@ timing is deliberately kept out of serialized reports for the same reason.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,7 +23,6 @@ __all__ = [
     "format_number",
     "format_cell",
     "REPORT_HEADER",
-    "report_rows",
     "write_csv",
     "write_json",
     "write_profile_csv",
@@ -48,9 +47,12 @@ def format_cell(value) -> str:
     return format_number(value)
 
 
-@dataclass(frozen=True)
-class CaseRecord:
-    """One verified case: a computed value against its expected value."""
+class CaseRecord(NamedTuple):
+    """One verified case: a computed value against its expected value.
+
+    Its fields, in order, are the keys of its JSON object and the cells of
+    its CSV row.
+    """
 
     case_id: str
     computed: float
@@ -58,10 +60,6 @@ class CaseRecord:
     abs_error: float
     rel_error: float
     passed: bool
-
-
-# The fields of a case in declaration order: the keys of its JSON object.
-_CASE_FIELDS = tuple(case_field.name for case_field in dataclasses.fields(CaseRecord))
 
 
 def make_case(case_id: str, computed: float, expected: float, tolerance: float, metric: str = "rel") -> CaseRecord:
@@ -77,14 +75,7 @@ def make_case(case_id: str, computed: float, expected: float, tolerance: float, 
     abs_error = abs(float(computed) - float(expected))
     rel_error = abs_error / abs(float(expected)) if expected else abs_error
     passed = (rel_error if metric == "rel" else abs_error) <= tolerance
-    return CaseRecord(
-        case_id=case_id,
-        computed=float(computed),
-        expected=float(expected),
-        abs_error=abs_error,
-        rel_error=rel_error,
-        passed=bool(passed),
-    )
+    return CaseRecord(case_id, float(computed), float(expected), abs_error, rel_error, bool(passed))
 
 
 # An integer run is a digit run that does not follow a decimal point or a
@@ -108,24 +99,6 @@ class VerificationReport:
 
     def add(self, case: CaseRecord) -> None:
         self.cases.append(case)
-
-    def add_copies(self, case: CaseRecord, case_ids) -> None:
-        """Add case again under each id of case_ids, its numbers shared.
-
-        Each copy is a bare instance whose fields are set in declaration
-        order by object.__setattr__, without the frozen dataclass's
-        __init__ and without touching __dict__, so it keeps the attribute
-        layout of a built record; it compares and hashes as
-        CaseRecord(case_id, ...) with the same numbers would.
-        """
-        numbers = [(name, getattr(case, name)) for name in _CASE_FIELDS[1:]]
-        setter = object.__setattr__
-        for case_id in case_ids:
-            copy = object.__new__(CaseRecord)
-            setter(copy, "case_id", case_id)
-            for name, value in numbers:
-                setter(copy, name, value)
-            self.cases.append(copy)
 
     @property
     def case_count(self) -> int:
@@ -155,7 +128,7 @@ class VerificationReport:
         return {
             "command": self.command,
             "tolerance": self.tolerance,
-            "cases": [{name: getattr(case, name) for name in _CASE_FIELDS} for case in self.sorted_cases()],
+            "cases": [case._asdict() for case in self.sorted_cases()],
             "summary": {
                 "cases": self.case_count,
                 "passes": self.pass_count,
@@ -168,7 +141,7 @@ class VerificationReport:
     def from_dict(cls, data: dict) -> "VerificationReport":
         report = cls(command=data["command"], tolerance=data["tolerance"])
         for entry in data["cases"]:
-            report.add(CaseRecord(**{name: entry[name] for name in _CASE_FIELDS}))
+            report.add(CaseRecord(*(entry[name] for name in CaseRecord._fields)))
         return report
 
     def summary_lines(self) -> list[str]:
@@ -186,15 +159,8 @@ class VerificationReport:
         return lines
 
 
-REPORT_HEADER = ["case_id", "computed", "expected", "abs_error", "rel_error", "pass"]
-
-
-def report_rows(report: VerificationReport) -> list[tuple]:
-    """Generic table rows for a report: the raw fields of each case, sorted by id."""
-    return [
-        (case.case_id, case.computed, case.expected, case.abs_error, case.rel_error, case.passed)
-        for case in report.sorted_cases()
-    ]
+# The CSV header of a report's cases, which are its rows; "passed" is written "pass".
+REPORT_HEADER = [*CaseRecord._fields[:-1], "pass"]
 
 
 def _write_text(path, text: str) -> None:

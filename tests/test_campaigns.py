@@ -59,6 +59,25 @@ class TestDefaultGrids:
         assert grid.points[-1] == pytest.approx(5.0)
 
 
+class TestAtomicUnitsOnly:
+    # The tolerances are atomic-unit numbers, so the campaigns take no unit
+    # system; a unit system passed where one used to go is refused.
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: run_levels(2, AU),
+            lambda: run_flatness(2, AU),
+            lambda: run_bohr_radii(2, AU),
+            lambda: run_airy(1.0, (0.0,), AU),
+            lambda: profile_curve((1, 0, 0), "P", AU),
+        ],
+        ids=["levels", "flatness", "bohr-radii", "airy", "profile"],
+    )
+    def test_constants_by_position_is_a_type_error(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+
 class TestRunLevels:
     def test_ratio_rows(self):
         report, rows = run_levels(4)
@@ -311,7 +330,7 @@ class TestSharedWork:
         ]
         by_n_l = {}
         for case in report.cases:
-            by_n_l.setdefault(case.case_id[:9], set()).add(dataclasses.astuple(case)[1:])
+            by_n_l.setdefault(case.case_id[:9], set()).add(case[1:])
         assert len(by_n_l) == 21 and all(len(numbers) == 1 for numbers in by_n_l.values())
 
     def test_flatness_masks_nodes_from_the_laguerre_values_in_hand(self, monkeypatch):

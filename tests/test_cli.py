@@ -11,7 +11,7 @@ import pytest
 import hydrobohm.campaigns as campaigns
 from hydrobohm import cli
 from hydrobohm.cli import LIMITS, OUT_DIR_ENV, main
-from hydrobohm.reports import VerificationReport
+from hydrobohm.reports import VerificationReport, format_cell
 
 
 def run(capsys, *argv):
@@ -437,6 +437,57 @@ class TestOutputDirectoryRedirect:
         assert code == 0
         assert target.exists()
         assert not (tmp_path / "nested").exists()
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written is a usage error naming the path."""
+
+    def check(self, capsys, path, *argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith(f"error: cannot write {path}: ")
+        assert "Traceback" not in err and "wall time" not in err
+
+    @pytest.mark.parametrize("command", [("levels", "--n-max", "2"), ("flatness", "--n-max", "2", "--format", "json")])
+    def test_report_command(self, command, capsys, tmp_path):
+        missing = tmp_path / "missing-dir" / "x.out"
+        self.check(capsys, missing, *command, "--out", str(missing))
+        self.check(capsys, tmp_path, *command, "--out", str(tmp_path))
+
+    def test_profile(self, capsys, tmp_path):
+        missing = tmp_path / "missing-dir" / "p.csv"
+        self.check(capsys, missing, "profile", "--state", "1,0,0", "--out", str(missing))
+        assert not missing.parent.exists()
+
+    def test_out_dir_env_that_is_a_file(self, capsys, tmp_path, monkeypatch):
+        occupied = tmp_path / "occupied"
+        occupied.write_text("", encoding="utf-8")
+        monkeypatch.setenv(OUT_DIR_ENV, str(occupied))
+        self.check(capsys, occupied, "levels", "--n-max", "2", "--out", "levels.csv")
+        self.check(capsys, occupied, "profile", "--state", "1,0,0", "--out", "p.csv")
+
+
+class TestWrittenRecords:
+    """The --out records are the campaign's records, on any CPU (no pins marker)."""
+
+    @pytest.mark.parametrize(
+        "argv, build",
+        [
+            (("flatness", "--n-max", "3"), lambda: campaigns.run_flatness(3)),
+            (("airy", "--times", "0,0.3"), lambda: campaigns.run_airy(1.0, (0, 0.3))[0]),
+        ],
+        ids=["flatness", "airy"],
+    )
+    def test_csv_and_json_hold_the_sorted_records(self, argv, build, capsys, tmp_path):
+        records = build().sorted_cases()
+        csv_path, json_path = tmp_path / "cases.csv", tmp_path / "cases.json"
+        assert run(capsys, *argv, "--format", "csv", "--out", str(csv_path))[0] == 0
+        assert run(capsys, *argv, "--format", "json", "--out", str(json_path))[0] == 0
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "case_id,computed,expected,abs_error,rel_error,pass"
+        assert lines[1:] == [",".join(map(format_cell, record)) for record in records]
+        report = VerificationReport.from_dict(json.loads(json_path.read_text(encoding="utf-8"))["report"])
+        assert [tuple(case) for case in report.cases] == [tuple(record) for record in records]
 
 
 class TestDeterminism:

