@@ -8,10 +8,11 @@ Commands
     profile     export a named curve as CSV, JSON, or SVG
 
 Exit status is 0 when every case passes, 1 when any fails, 2 on usage
-errors, an output path that cannot be written among them.  All file output
-is byte-deterministic for a given invocation; wall-clock timing goes to
-stderr only.  CSV schemas (comma delimiter, LF endings, UTF-8, 12
-significant digits):
+errors, an output path that cannot be written among them (a missing
+directory, or a directory as the path, is refused before any work).  All
+file output is byte-deterministic for a given invocation; wall-clock
+timing goes to stderr only.  CSV schemas (comma delimiter, LF endings,
+UTF-8, 12 significant digits):
 
     levels      n,energy,ratio,expected,rel_error,pass
     flatness    case_id,computed,expected,abs_error,rel_error,pass
@@ -26,6 +27,7 @@ into the given directory.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import os
@@ -129,11 +131,26 @@ _SIGNED_VALUE = re.compile(r"-\.?\d")
 
 
 def _resolve_out(path: str) -> str:
+    """The output path under HYDROBOHM_OUT_DIR, refused before any work if it cannot be written.
+
+    Raises the OSError that opening the path would raise when its directory
+    is missing or not a directory, or when the path is a directory.  The
+    file itself is neither created nor truncated here.
+    """
     base = os.environ.get(OUT_DIR_ENV)
     if base and not os.path.isabs(path):
         os.makedirs(base, exist_ok=True)
-        return os.path.join(base, path)
-    return path
+        path = os.path.join(base, path)
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.exists(parent):
+        code = errno.ENOENT
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR
+    else:
+        return path
+    raise OSError(code, os.strerror(code), path)
 
 
 def _finish(args: argparse.Namespace, report: VerificationReport, table=None, csv_table=None) -> int:
@@ -151,15 +168,14 @@ def _finish(args: argparse.Namespace, report: VerificationReport, table=None, cs
     for line in report.summary_lines():
         print(line)
     if args.out is not None:
-        path = _resolve_out(args.out)
         if args.format == "json":
             payload = {"report": report.to_dict()}
             if table is not None:
                 payload["table"] = [dict(zip(columns, row)) for row in rows]
-            write_json(path, payload)
+            write_json(args.out, payload)
         else:
             header, csv_rows = csv_table or (REPORT_HEADER, report.sorted_cases())
-            write_csv(path, header, csv_rows)
+            write_csv(args.out, header, csv_rows)
     return 0 if report.all_passed else 1
 
 
@@ -260,11 +276,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
         curve = profile_curve(args.state, args.quantity, strength=args.strength, time=args.time)
     except AiryRangeError as exc:
         raise _airy_range_usage(exc, "--time") from exc
-    path = _resolve_out(args.out)
     coord_name = "x" if args.state == "airy" else "r"
     if args.format == "svg":
         write_svg(
-            path,
+            args.out,
             curve.coords,
             curve.values,
             curve.title,
@@ -273,10 +288,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
             mask=curve.masked,
         )
     elif args.format == "json":
-        write_profile_json(path, coord_name, curve)
+        write_profile_json(args.out, coord_name, curve)
     else:
-        write_profile_csv(path, coord_name, curve)
-    print(f"wrote {path}")
+        write_profile_csv(args.out, coord_name, curve)
+    print(f"wrote {args.out}")
     return 0
 
 
@@ -332,12 +347,16 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(_join_signed_values(argv))
     started = _time.perf_counter()
     try:
+        if args.out is not None:
+            args.out = _resolve_out(args.out)
         status = args.run(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         # The only files touched are the outputs: --out and HYDROBOHM_OUT_DIR.
+        # _resolve_out refuses most unwritable paths before the run; this
+        # catches what only the write itself meets.
         print(f"error: cannot write {exc.filename or args.out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     print(f"wall time: {_time.perf_counter() - started:.3f} s", file=sys.stderr)

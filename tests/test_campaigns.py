@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 import warnings
 
 import numpy as np
@@ -551,6 +552,48 @@ class TestRunAiry:
         monkeypatch.setattr(campaigns, "_check_airy_reach", lambda params, spans: None)
         with pytest.raises(ValueError, match="airy_ai supports"):
             run_airy(strength, (t,))
+
+
+# The (B, t) lattice of ROADMAP item 5.  Every accepted cell must give a
+# right verdict, except these known wrong ones: true claims that fail
+# continuity and Euler, each just before the reach refusal.
+AIRY_LATTICE_STRENGTHS = (0.5, 1.0, 2.0, 5.0, 7.0, 10.0, 20.0, 30.0, 50.0, 100.0)
+AIRY_LATTICE_TIMES = (-1.0, 0.0, 1e-4, 1e-3, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0)
+AIRY_KNOWN_WRONG = {(10.0, 0.03), (20.0, 0.01), (30.0, 1e-3), (50.0, 1e-4), (50.0, 1e-3), (100.0, 1e-4)}
+AIRY_INTERIOR_SAMPLE = 8
+
+
+def _airy_verdict(strength, t):
+    """'refused' (exit 2), or the kinds of the failing cases (empty when all pass)."""
+    try:
+        report, _ = run_airy(strength, (t,))
+    except AiryRangeError:
+        return "refused"
+    return {case.case_id.split(" ")[0] for case in report.cases if not case.passed}
+
+
+@pytest.mark.filterwarnings("error")
+def test_airy_lattice_edges_known_wrong_cells_and_interior_sample():
+    """Each B at its last lattice time the reach check accepts, the known wrong cells and a seeded interior sample.
+
+    A new wrong cell fails this test, and so does a listed cell that starts to pass.
+    """
+    verdicts = {}
+    interior = []
+    for strength in AIRY_LATTICE_STRENGTHS:
+        # Walk back from the largest time; a refusal costs no evaluation.
+        for index in reversed(range(len(AIRY_LATTICE_TIMES))):
+            cell = (strength, AIRY_LATTICE_TIMES[index])
+            verdicts[cell] = _airy_verdict(*cell)
+            if verdicts[cell] != "refused":
+                break
+        interior += [(strength, t) for t in AIRY_LATTICE_TIMES[:index] if (strength, t) not in AIRY_KNOWN_WRONG]
+    for cell in sorted(AIRY_KNOWN_WRONG | set(random.Random(5).sample(interior, AIRY_INTERIOR_SAMPLE))):
+        if cell not in verdicts:
+            verdicts[cell] = _airy_verdict(*cell)
+    wrong = {cell for cell, verdict in verdicts.items() if verdict not in ("refused", set())}
+    assert wrong == AIRY_KNOWN_WRONG, verdicts
+    assert all(verdicts[cell] == {"continuity", "euler"} for cell in AIRY_KNOWN_WRONG)
 
 
 class TestProfileCurve:

@@ -440,11 +440,20 @@ class TestOutputDirectoryRedirect:
 
 
 class TestUnwritableOutput:
-    """An output path that cannot be written is a usage error naming the path."""
+    """An output path that cannot be written is a usage error naming the path, before any work."""
+
+    @pytest.fixture(autouse=True)
+    def campaigns_never_run(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the campaign ran before the output path was refused")
+
+        for name in ("run_levels", "run_flatness", "profile_curve"):
+            monkeypatch.setattr(cli, name, refuse)
 
     def check(self, capsys, path, *argv):
-        code, _, err = run(capsys, *argv)
+        code, out, err = run(capsys, *argv)
         assert code == 2
+        assert out == ""
         assert err.startswith(f"error: cannot write {path}: ")
         assert "Traceback" not in err and "wall time" not in err
 
@@ -454,10 +463,20 @@ class TestUnwritableOutput:
         self.check(capsys, missing, *command, "--out", str(missing))
         self.check(capsys, tmp_path, *command, "--out", str(tmp_path))
 
+    def test_fd_flatness_at_its_limit_is_refused_at_once(self, capsys, tmp_path):
+        missing = tmp_path / "missing-dir" / "x.csv"
+        self.check(capsys, missing, "flatness", "--n-max", "30", "--method", "fd", "--out", str(missing))
+
     def test_profile(self, capsys, tmp_path):
         missing = tmp_path / "missing-dir" / "p.csv"
         self.check(capsys, missing, "profile", "--state", "1,0,0", "--out", str(missing))
         assert not missing.parent.exists()
+
+    def test_parent_that_is_a_file(self, capsys, tmp_path):
+        occupied = tmp_path / "occupied"
+        occupied.write_text("", encoding="utf-8")
+        self.check(capsys, occupied / "x.csv", "levels", "--n-max", "2", "--out", str(occupied / "x.csv"))
+        assert occupied.read_text(encoding="utf-8") == ""
 
     def test_out_dir_env_that_is_a_file(self, capsys, tmp_path, monkeypatch):
         occupied = tmp_path / "occupied"
@@ -465,6 +484,18 @@ class TestUnwritableOutput:
         monkeypatch.setenv(OUT_DIR_ENV, str(occupied))
         self.check(capsys, occupied, "levels", "--n-max", "2", "--out", "levels.csv")
         self.check(capsys, occupied, "profile", "--state", "1,0,0", "--out", "p.csv")
+
+    def test_an_existing_file_is_kept_until_the_write(self, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "levels.csv"
+        target.write_text("old", encoding="utf-8")
+
+        def stop(*args, **kwargs):
+            raise ValueError("stopped")
+
+        monkeypatch.setattr(cli, "run_levels", stop)
+        code, out, err = run(capsys, "levels", "--n-max", "2", "--out", str(target))
+        assert (code, out, err) == (2, "", "error: stopped\n")
+        assert target.read_text(encoding="utf-8") == "old"
 
 
 class TestWrittenRecords:
