@@ -99,8 +99,8 @@ LIMITS = {
     # warnings and numpy floating-point errors raised, run_bohr_radii(10000)
     # passes every case (worst relative error 3.44e-11) in 0.35 s and 34 MB.
     "bohr-radii": Limit(1, 10000, ("bohr-radii --n-max {}",)),
-    # The cost is the table: levels --n-max 10000 --format json takes 0.5 s
-    # and 64 MB, and at 100000 it takes 5.4 s and 372 MB and writes 36 MB.
+    # The cost is the table: levels --n-max 10000 --format json takes 0.3 s
+    # and 40 MB, and at 100000 it takes 2.8 s and 135 MB and writes 36 MB.
     "levels": Limit(1, 10000, ("levels --n-max {}",)),
     # Set by a sweep over every l: at the five-point stencils and h = 10^-2 a
     # each (n, l) with n <= 30 reads at most 3.7e-6 ((29, 0)), a tenth of the

@@ -62,20 +62,31 @@ class PhysicalConstants:
         return self.coulomb / self.bohr_radius
 
 
+_ATOMIC_UNITS = PhysicalConstants(hbar=1.0, mass=1.0, coulomb=1.0)
+
+_ELEMENTARY_CHARGE = 1.602176634e-19
+_VACUUM_PERMITTIVITY = 8.8541878128e-12
+_SI_UNITS = PhysicalConstants(
+    hbar=1.054571817e-34,
+    mass=9.1093837015e-31,
+    coulomb=_ELEMENTARY_CHARGE**2 / (4.0 * math.pi * _VACUUM_PERMITTIVITY),
+)
+
+
 def atomic_units() -> PhysicalConstants:
-    """hbar = m = coulomb = 1, hence a = 1 and hartree = 1."""
-    return PhysicalConstants(hbar=1.0, mass=1.0, coulomb=1.0)
+    """hbar = m = coulomb = 1, hence a = 1 and hartree = 1.
+
+    Every call returns the same frozen instance, built and validated once.
+    """
+    return _ATOMIC_UNITS
 
 
 def si_units() -> PhysicalConstants:
-    """CODATA 2018 values for the electron in SI units."""
-    elementary_charge = 1.602176634e-19
-    vacuum_permittivity = 8.8541878128e-12
-    return PhysicalConstants(
-        hbar=1.054571817e-34,
-        mass=9.1093837015e-31,
-        coulomb=elementary_charge**2 / (4.0 * math.pi * vacuum_permittivity),
-    )
+    """CODATA 2018 values for the electron in SI units.
+
+    Every call returns the same frozen instance, built and validated once.
+    """
+    return _SI_UNITS
 
 
 def quantum_number_violation(n: int, l: int, m: int) -> str | None:

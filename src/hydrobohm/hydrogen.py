@@ -297,6 +297,19 @@ def _overlap_rule() -> _OverlapRule:
     return _OverlapRule(*(_read_only(values) for values in arrays))
 
 
+# The trapezoid weight of the uniform phi nodes.
+OVERLAP_PHI_WEIGHT = 2.0 * math.pi / OVERLAP_PHI_POINTS
+
+
+@functools.lru_cache(maxsize=64)
+def _overlap_radial_weights(r_max: float) -> np.ndarray:
+    """w_r r^2 on the radial nodes of [0, r_max], the rule's weights mapped there."""
+    rule = _overlap_rule()
+    r = rule.unit_r * r_max
+    w_r = 0.5 * r_max * rule.weights
+    return _read_only(w_r * r**2)
+
+
 @functools.lru_cache(maxsize=256)
 def _overlap_radial(n: int, l: int, a: float, r_max: float) -> np.ndarray:
     """R_nl on the radial nodes of [0, r_max]; keyed on plain numbers."""
@@ -310,33 +323,41 @@ def _overlap_angular(l: int, m: int) -> np.ndarray:
     return _read_only(spherical_harmonic(l, m, rule.theta, rule.phi))
 
 
+@functools.lru_cache(maxsize=128)
+def _overlap_angular_conj(l: int, m: int) -> np.ndarray:
+    """conj(Y_l^m) on the same grid, the factor of the bra state."""
+    return _read_only(np.conj(_overlap_angular(l, m)))
+
+
 def overlap(spec_a: EigenstateSpec, spec_b: EigenstateSpec) -> complex:
     """<psi_a | psi_b> by tensor-product quadrature of the full 3D integrand.
 
     Gauss-Legendre in r on [0, 30 a max(n_a, n_b)] and in cos(theta),
-    uniform trapezoid in phi.  Both states must share one PhysicalConstants
-    instance; orthonormality of the closed forms is then a measurable
-    outcome, not an input.  The quadrature rule is built once per process,
-    on the first call, and each state's R_nl and Y_l^m on it are computed
-    once and reused (bounded caches of read-only arrays).
+    uniform trapezoid in phi.  Both states must carry equal
+    PhysicalConstants (compared by value, not identity); orthonormality of
+    the closed forms is then a measurable outcome, not an input.  The
+    quadrature rule is built once per process, on the first call.  The
+    factors of one state or one radius are computed once and reused from
+    bounded caches of read-only arrays: R_nl per (n, l, a, r_max), Y_l^m
+    and its conjugate per (l, m), and the radial weights w_r r^2 per r_max.
+    Nothing is cached per pair: every call multiplies and sums the two
+    products over the whole rule.
     """
-    if spec_a.constants != spec_b.constants:
+    constants = spec_a.constants
+    if constants != spec_b.constants:
         raise ValueError("overlap requires both states to use the same constants")
-    a = float(spec_a.constants.bohr_radius)
-    r_max = 30.0 * a * max(spec_a.n, spec_b.n)
-    rule = _overlap_rule()
-    r = rule.unit_r * r_max
-    w_r = 0.5 * r_max * rule.weights
-    w_phi = 2.0 * math.pi / OVERLAP_PHI_POINTS
-
+    qa, qb = spec_a.qn, spec_b.qn
+    a = float(constants.bohr_radius)
+    r_max = 30.0 * a * max(qa.n, qb.n)
     radial = (
-        w_r * r**2 * _overlap_radial(spec_a.n, spec_a.l, a, r_max)
-        * _overlap_radial(spec_b.n, spec_b.l, a, r_max)
+        _overlap_radial_weights(r_max)
+        * _overlap_radial(qa.n, qa.l, a, r_max)
+        * _overlap_radial(qb.n, qb.l, a, r_max)
     )
     angular = (
-        np.conj(_overlap_angular(spec_a.l, spec_a.m))
-        * _overlap_angular(spec_b.l, spec_b.m)
-        * rule.w_x
-        * w_phi
+        _overlap_angular_conj(qa.l, qa.m)
+        * _overlap_angular(qb.l, qb.m)
+        * _overlap_rule().w_x
+        * OVERLAP_PHI_WEIGHT
     )
     return complex(radial.sum() * angular.sum())

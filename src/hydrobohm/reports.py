@@ -8,6 +8,7 @@ timing is deliberately kept out of serialized reports for the same reason.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from collections.abc import Sequence
@@ -175,9 +176,23 @@ def write_csv(path, header: list[str], rows: list[Sequence]) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
+# Encoder chunks joined into one write: large enough that the join and the
+# write cost no more than json.dumps, small enough to hold little at once.
+_JSON_CHUNKS_PER_WRITE = 4096
+
+
 def write_json(path, payload: dict) -> None:
-    """Deterministic JSON: sorted keys, two-space indent, LF endings."""
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Deterministic JSON: sorted keys, two-space indent, LF endings.
+
+    The bytes are json.dumps(payload, indent=2, sort_keys=True) + "\n", but
+    the encoder's chunks are written in blocks as they come, so neither the
+    list of all chunks nor the whole text is ever held in memory.
+    """
+    chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(payload)
+    with open(path, "w", encoding="utf-8", newline="\n") as stream:
+        for first in chunks:
+            stream.write(first + "".join(itertools.islice(chunks, _JSON_CHUNKS_PER_WRITE - 1)))
+        stream.write("\n")
 
 
 def _fill_rows(curve, templates: tuple[str, str, str], separator: str, value_first: bool = False) -> str:

@@ -21,6 +21,8 @@ kept copies too: the allocating bodies the package ran before its
 residual kernels moved to in-place buffers and cached stencil weights.
 bohm_shell_reference is the allocating body of madelung._bohm_shell before
 the shell moved into reused buffers: the bit oracle of the buffered walk.
+overlap_reference is the body of hydrogen.overlap before its radial weights
+and conjugate harmonics were cached: it forms both afresh on every call.
 """
 
 from __future__ import annotations
@@ -650,3 +652,27 @@ def bohm_shell_reference(n: int, ls, constants: PhysicalConstants, r: np.ndarray
         ratio2 = lag2 / safe_lag
         lap_ratio = scale * (2.0 * (l + 1) / rho * (ratio1 - 0.5) + 0.25 - ratio1 + ratio2)
         yield np.where(usable, coefficient * lap_ratio, np.nan), usable
+
+
+def overlap_reference(spec_a, spec_b) -> complex:
+    """<psi_a | psi_b> with w_r r^2 and conj(Y_a) formed afresh, in overlap's operation order."""
+    if spec_a.constants != spec_b.constants:
+        raise ValueError("overlap requires both states to use the same constants")
+    a = float(spec_a.constants.bohr_radius)
+    r_max = 30.0 * a * max(spec_a.n, spec_b.n)
+    rule = hydrogen._overlap_rule()
+    r = rule.unit_r * r_max
+    w_r = 0.5 * r_max * rule.weights
+    w_phi = 2.0 * math.pi / hydrogen.OVERLAP_PHI_POINTS
+
+    radial = (
+        w_r * r**2 * hydrogen._overlap_radial(spec_a.n, spec_a.l, a, r_max)
+        * hydrogen._overlap_radial(spec_b.n, spec_b.l, a, r_max)
+    )
+    angular = (
+        np.conj(hydrogen._overlap_angular(spec_a.l, spec_a.m))
+        * hydrogen._overlap_angular(spec_b.l, spec_b.m)
+        * rule.w_x
+        * w_phi
+    )
+    return complex(radial.sum() * angular.sum())

@@ -60,6 +60,15 @@ class TestPhysicalConstants:
         with pytest.raises(dataclasses.FrozenInstanceError):
             atomic_units().hbar = 2.0
 
+    @pytest.mark.parametrize("helper", [atomic_units, si_units])
+    def test_unit_helpers_share_one_frozen_instance(self, helper):
+        assert helper() is helper()
+        hbar = helper().hbar
+        for name in ("hbar", "mass", "coulomb"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(helper(), name, 2.0)
+        assert helper().hbar == hbar
+
 
 class TestQuantumNumbers:
     def test_valid_triples_construct(self):

@@ -1,5 +1,6 @@
 """Hydrogen eigenstates: energies, radial functions, peaks, orthonormality."""
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -353,8 +354,10 @@ class TestOverlapCaches:
 
     @staticmethod
     def _clear():
+        hydrogen._overlap_radial_weights.cache_clear()
         hydrogen._overlap_radial.cache_clear()
         hydrogen._overlap_angular.cache_clear()
+        hydrogen._overlap_angular_conj.cache_clear()
 
     @staticmethod
     def _overlap(a, b, constants):
@@ -366,8 +369,10 @@ class TestOverlapCaches:
     def test_cached_arrays_are_read_only(self):
         rule = hydrogen._overlap_rule()
         cached = list(rule) + [
+            hydrogen._overlap_radial_weights(60.0),
             hydrogen._overlap_radial(2, 1, 1.0, 60.0),
             hydrogen._overlap_angular(1, 1),
+            hydrogen._overlap_angular_conj(1, 1),
         ]
         for values in cached:
             with pytest.raises(ValueError):
@@ -385,6 +390,30 @@ class TestOverlapCaches:
                 values.append(self._overlap(a, b, constants))
         assert interleaved == alone
         assert self._values(self.UNITS[1]) == alone[1]
+
+    def test_cached_factors_keep_the_bits_of_the_allocating_body(self):
+        # Unpinned: overlap must equal its kept body on any platform.
+        states = [
+            state(n, l, m) for n in range(1, 5) for l in range(n) for m in range(-l, l + 1)
+        ]
+        pairs = [(left, right) for i, left in enumerate(states) for right in states[i:]]
+        si = si_units()
+        pairs.append((state(3, 1, -1, si), state(4, 1, -1, si)))
+        for constants in self.UNITS:
+            pairs.extend((state(*a, constants=constants), state(*b, constants=constants)) for a, b in self.PAIRS)
+        self._clear()
+        values = [overlap(left, right) for left, right in pairs]
+        expected = [oracles.overlap_reference(left, right) for left, right in pairs]
+        assert np.asarray(values).tobytes() == np.asarray(expected).tobytes()
+
+    def test_equal_constants_in_distinct_instances_are_accepted(self):
+        for constants, twin in (
+            (atomic_units(), PhysicalConstants(1.0, 1.0, 1.0)),
+            (si_units(), dataclasses.replace(si_units())),
+        ):
+            assert twin is not constants and twin == constants
+            left = state(3, 1, 1, constants)
+            assert overlap(left, state(4, 1, 1, twin)) == overlap(left, state(4, 1, 1, constants))
 
     def test_mismatched_constants_still_raise(self):
         overlap(state(2, 1, 0), state(2, 1, 0))

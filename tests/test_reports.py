@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from hydrobohm import reports
+from hydrobohm import cli, reports
 from hydrobohm.campaigns import ProfileCurve
 from hydrobohm.reports import (
     CaseRecord,
@@ -132,6 +132,46 @@ class TestWriters:
         value = 0.1234567890123456789
         write_json(path, {"v": value})
         assert json.loads(path.read_text(encoding="utf-8"))["v"] == value
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["levels", "--n-max", "4"],
+            ["flatness", "--n-max", "3"],
+            ["bohr-radii", "--n-max", "5"],
+            ["airy", "--B", "1", "--times", "0,0.3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_streamed_json_equals_dumps_for_cli_payloads(self, argv, capsys, monkeypatch, tmp_path):
+        payloads = []
+        monkeypatch.setattr(cli, "write_json", lambda path, payload: payloads.append(payload))
+        cli.main([*argv, "--format", "json", "--out", str(tmp_path / "unused.json")])
+        capsys.readouterr()
+        (payload,) = payloads
+        assert ("table" in payload) == (argv[0] != "flatness")
+        bare = {key: value for key, value in payload.items() if key != "table"}
+        for index, variant in enumerate((payload, bare)):
+            path = tmp_path / f"payload{index}.json"
+            write_json(path, variant)
+            assert path.read_text(encoding="utf-8") == json.dumps(variant, indent=2, sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"report": VerificationReport(command="empty", tolerance=1e-6).to_dict()},
+            {},
+            {"text": 'quote " slash \\ tab \t line \n nul \x00 é ∞ \U0001d11e', "ü": [None, True, -0.0]},
+            {"edges": [float("nan"), float("inf"), -float("inf"), 5e-324, 1.7976931348623157e308]},
+            # More chunks than one write takes, so the file is written in several blocks.
+            {"rows": [{"n": n, "value": n / 7} for n in range(3000)]},
+        ],
+        ids=["empty-report", "empty", "escapes", "non-finite", "many-blocks"],
+    )
+    def test_streamed_json_equals_dumps(self, payload, tmp_path):
+        path = tmp_path / "payload.json"
+        write_json(path, payload)
+        assert path.read_bytes() == (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
     def test_svg_splits_polyline_on_mask(self, tmp_path):
         path = tmp_path / "curve.svg"
