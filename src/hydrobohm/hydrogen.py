@@ -14,6 +14,11 @@ radial_peaks locates the maximum of P_nl = r^2 R_nl^2 for circular states
 Derivatives of R are assembled by the product rule from the Laguerre
 derivative identity, never from the radial equation itself, so residual and
 flatness checks downstream remain genuine tests rather than tautologies.
+
+overlap integrates conj(psi_a) psi_b by a tensor-product rule sized from
+the quantum numbers of the two states (Gauss-Laguerre in r, Gauss-Legendre
+in cos theta, uniform in phi) that is exact for their product, so only
+rounding separates the Gram matrix of the closed forms from the identity.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -44,9 +48,6 @@ __all__ = [
 
 PEAK_SCAN_PER_DECADE = 1000
 PEAK_REL_TOL = 1e-10
-OVERLAP_RADIAL_POINTS = 240
-OVERLAP_THETA_POINTS = 32
-OVERLAP_PHI_POINTS = 32
 
 
 @dataclass(frozen=True)
@@ -276,88 +277,75 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
-class _OverlapRule(NamedTuple):
-    """Read-only quadrature arrays shared by every overlap."""
+def _rule_sizes(qa: QuantumNumbers, qb: QuantumNumbers) -> tuple[int, int, int]:
+    """Nodes in r, cos(theta) and phi of the smallest rule exact for <qa|qb>.
 
-    unit_r: np.ndarray  # radial Gauss-Legendre nodes mapped to [0, 1]
-    weights: np.ndarray  # their weights on [-1, 1]
-    theta: np.ndarray  # arccos of the cos(theta) nodes, as a column
-    phi: np.ndarray  # uniform phi nodes, as a row
-    w_x: np.ndarray  # cos(theta) weights, as a column
-
-
-@functools.cache
-def _overlap_rule() -> _OverlapRule:
-    """The overlap quadrature rule, built on the first call, never at import."""
-    nodes, weights = np.polynomial.legendre.leggauss(OVERLAP_RADIAL_POINTS)
-    x_nodes, w_x = np.polynomial.legendre.leggauss(OVERLAP_THETA_POINTS)
-    theta = np.arccos(x_nodes)
-    phi = 2.0 * math.pi * np.arange(OVERLAP_PHI_POINTS) / OVERLAP_PHI_POINTS
-    arrays = (0.5 * (nodes + 1.0), weights, theta[:, None], phi[None, :], w_x[:, None])
-    return _OverlapRule(*(_read_only(values) for values in arrays))
+    r^2 R_a R_b is a polynomial of degree n_a + n_b times e^{-beta r};
+    conj(Y_a) Y_b is one of degree l_a + l_b in cos(theta) (if |m_a| + |m_b|
+    is odd, the phi sum is exactly 0) times e^{i (m_b - m_a) phi}.  N Gauss
+    nodes are exact to degree 2N - 1; N uniform phi points sum e^{i d phi}
+    exactly for |d| < N.
+    """
+    return (qa.n + qb.n) // 2 + 1, (qa.l + qb.l) // 2 + 1, abs(qa.m - qb.m) + 1
 
 
-# The trapezoid weight of the uniform phi nodes.
-OVERLAP_PHI_WEIGHT = 2.0 * math.pi / OVERLAP_PHI_POINTS
+@functools.lru_cache(maxsize=128)
+def _laguerre_rule(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes x and log weights ln(w) + x of the size-point Gauss-Laguerre rule, on f(x) e^{-x} as a whole.
+
+    Logs, because w underflows and e^x overflows where w e^x does not.
+    """
+    x, w = np.polynomial.laguerre.laggauss(size)
+    return _read_only(x), _read_only(np.log(w) + x)
 
 
-@functools.lru_cache(maxsize=64)
-def _overlap_radial_weights(r_max: float) -> np.ndarray:
-    """w_r r^2 on the radial nodes of [0, r_max], the rule's weights mapped there."""
-    rule = _overlap_rule()
-    r = rule.unit_r * r_max
-    w_r = 0.5 * r_max * rule.weights
-    return _read_only(w_r * r**2)
+@functools.lru_cache(maxsize=128)
+def _legendre_rule(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """theta = arccos(x) and the weights of the size-point Gauss-Legendre rule in x = cos(theta), as columns."""
+    x, w = np.polynomial.legendre.leggauss(size)
+    return _read_only(np.arccos(x)[:, None]), _read_only(w[:, None])
 
 
 @functools.lru_cache(maxsize=256)
-def _overlap_radial(n: int, l: int, a: float, r_max: float) -> np.ndarray:
-    """R_nl on the radial nodes of [0, r_max]; keyed on plain numbers."""
-    return _read_only(_radial_values(n, l, a, _overlap_rule().unit_r * r_max))
+def _radial_factor(n: int, l: int, a: float, size: int, beta: float) -> np.ndarray:
+    """r R_nl sqrt(w e^x / beta) at r = x / beta: a dot product of two is the rule's sum of r^2 R_a R_b."""
+    x, log_w = _laguerre_rule(size)
+    r = x / beta
+    return _read_only(np.exp(0.5 * (log_w - math.log(beta))) * r * _radial_values(n, l, a, r))
 
 
-@functools.lru_cache(maxsize=128)
-def _overlap_angular(l: int, m: int) -> np.ndarray:
-    """Y_l^m on the (theta, phi) product grid of the overlap rule."""
-    rule = _overlap_rule()
-    return _read_only(spherical_harmonic(l, m, rule.theta, rule.phi))
+@functools.lru_cache(maxsize=4096)
+def _harmonic_factor(l: int, m: int, polar: int, azimuthal: int) -> np.ndarray:
+    """Y_l^m sqrt(w) on polar Gauss-Legendre nodes in cos(theta) times azimuthal uniform phi nodes.
 
-
-@functools.lru_cache(maxsize=128)
-def _overlap_angular_conj(l: int, m: int) -> np.ndarray:
-    """conj(Y_l^m) on the same grid, the factor of the bra state."""
-    return _read_only(np.conj(_overlap_angular(l, m)))
+    The vdot of two is the rule's sum of conj(Y_a) Y_b.
+    """
+    theta, w = _legendre_rule(polar)
+    step = 2.0 * math.pi / azimuthal
+    phi = step * np.arange(azimuthal)[None, :]
+    return _read_only(np.sqrt(step * w) * spherical_harmonic(l, m, theta, phi))
 
 
 def overlap(spec_a: EigenstateSpec, spec_b: EigenstateSpec) -> complex:
     """<psi_a | psi_b> by tensor-product quadrature of the full 3D integrand.
 
-    Gauss-Legendre in r on [0, 30 a max(n_a, n_b)] and in cos(theta),
-    uniform trapezoid in phi.  Both states must carry equal
+    The rule is sized from the two states (_rule_sizes) so that it is exact
+    for their product, leaving only rounding.  Both states must carry equal
     PhysicalConstants (compared by value, not identity); orthonormality of
-    the closed forms is then a measurable outcome, not an input.  The
-    quadrature rule is built once per process, on the first call.  The
-    factors of one state or one radius are computed once and reused from
-    bounded caches of read-only arrays: R_nl per (n, l, a, r_max), Y_l^m
-    and its conjugate per (l, m), and the radial weights w_r r^2 per r_max.
-    Nothing is cached per pair: every call multiplies and sums the two
-    products over the whole rule.
+    the closed forms is then a measurable outcome, not an input.  Rules are
+    cached per size, and each state's factor per (state, a, rule), in
+    bounded caches of read-only arrays.  Nothing is cached per pair: every
+    call multiplies and sums the two factors over its whole rule.
     """
     constants = spec_a.constants
     if constants != spec_b.constants:
         raise ValueError("overlap requires both states to use the same constants")
     qa, qb = spec_a.qn, spec_b.qn
     a = float(constants.bohr_radius)
-    r_max = 30.0 * a * max(qa.n, qb.n)
-    radial = (
-        _overlap_radial_weights(r_max)
-        * _overlap_radial(qa.n, qa.l, a, r_max)
-        * _overlap_radial(qb.n, qb.l, a, r_max)
+    size, polar, azimuthal = _rule_sizes(qa, qb)
+    beta = (1.0 / qa.n + 1.0 / qb.n) / a
+    radial = np.dot(_radial_factor(qa.n, qa.l, a, size, beta), _radial_factor(qb.n, qb.l, a, size, beta))
+    angular = np.vdot(
+        _harmonic_factor(qa.l, qa.m, polar, azimuthal), _harmonic_factor(qb.l, qb.m, polar, azimuthal)
     )
-    angular = (
-        _overlap_angular_conj(qa.l, qa.m)
-        * _overlap_angular(qb.l, qb.m)
-        * _overlap_rule().w_x
-        * OVERLAP_PHI_WEIGHT
-    )
-    return complex(radial.sum() * angular.sum())
+    return complex(radial * angular)

@@ -21,8 +21,8 @@ kept copies too: the allocating bodies the package ran before its
 residual kernels moved to in-place buffers and cached stencil weights.
 bohm_shell_reference is the allocating body of madelung._bohm_shell before
 the shell moved into reused buffers: the bit oracle of the buffered walk.
-overlap_reference is the body of hydrogen.overlap before its radial weights
-and conjugate harmonics were cached: it forms both afresh on every call.
+overlap_reference is the allocating body of hydrogen.overlap: it forms the
+rules, their weights and both states' factors afresh on every call.
 """
 
 from __future__ import annotations
@@ -655,24 +655,25 @@ def bohm_shell_reference(n: int, ls, constants: PhysicalConstants, r: np.ndarray
 
 
 def overlap_reference(spec_a, spec_b) -> complex:
-    """<psi_a | psi_b> with w_r r^2 and conj(Y_a) formed afresh, in overlap's operation order."""
+    """<psi_a | psi_b> with every rule and factor formed afresh, in overlap's operation order."""
     if spec_a.constants != spec_b.constants:
         raise ValueError("overlap requires both states to use the same constants")
+    qa, qb = spec_a.qn, spec_b.qn
     a = float(spec_a.constants.bohr_radius)
-    r_max = 30.0 * a * max(spec_a.n, spec_b.n)
-    rule = hydrogen._overlap_rule()
-    r = rule.unit_r * r_max
-    w_r = 0.5 * r_max * rule.weights
-    w_phi = 2.0 * math.pi / hydrogen.OVERLAP_PHI_POINTS
+    beta = (1.0 / qa.n + 1.0 / qb.n) / a
+    x, w = np.polynomial.laguerre.laggauss((qa.n + qb.n) // 2 + 1)
+    r = x / beta
+    root_w_r = np.exp(0.5 * ((np.log(w) + x) - math.log(beta))) * r
+    cos_nodes, w_cos = np.polynomial.legendre.leggauss((qa.l + qb.l) // 2 + 1)
+    theta = np.arccos(cos_nodes)[:, None]
+    azimuthal = abs(qa.m - qb.m) + 1
+    step = 2.0 * math.pi / azimuthal
+    phi = step * np.arange(azimuthal)[None, :]
+    root_w_angle = np.sqrt(step * w_cos[:, None])
 
-    radial = (
-        w_r * r**2 * hydrogen._overlap_radial(spec_a.n, spec_a.l, a, r_max)
-        * hydrogen._overlap_radial(spec_b.n, spec_b.l, a, r_max)
+    radial = np.dot(root_w_r * radial_R(spec_a, r), root_w_r * radial_R(spec_b, r))
+    angular = np.vdot(
+        root_w_angle * specfun.spherical_harmonic(qa.l, qa.m, theta, phi),
+        root_w_angle * specfun.spherical_harmonic(qb.l, qb.m, theta, phi),
     )
-    angular = (
-        np.conj(hydrogen._overlap_angular(spec_a.l, spec_a.m))
-        * hydrogen._overlap_angular(spec_b.l, spec_b.m)
-        * rule.w_x
-        * w_phi
-    )
-    return complex(radial.sum() * angular.sum())
+    return complex(radial * angular)

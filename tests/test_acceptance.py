@@ -127,7 +127,7 @@ def test_criterion_06_orthonormality():
             value = overlap(left, right)
             expected = 1.0 if left is right else 0.0
             worst = max(worst, abs(value - expected))
-    assert worst < 1e-6
+    assert worst < 1e-12
     announce(6, f"max |<a|b> - delta_ab| = {worst:.3e} over all 30 states with n <= 4")
 
 

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -301,19 +302,90 @@ class TestNodeMask:
             schrodinger_residual(state(1, 0), grid)
 
 
+def _states(n_max):
+    return [state(n, l, m) for n in range(1, n_max + 1) for l in range(n) for m in range(-l, l + 1)]
+
+
+def _gram_errors(pairs):
+    """|<a|b> - delta_ab| for each pair of states."""
+    return [abs(overlap(left, right) - (left.qn == right.qn)) for left, right in pairs]
+
+
+# State cap of the seeded sample: past it spherical_harmonic loses digits (l + |m| >= 174)
+# and then underflows to 0 (l + |m| >= 178).
+SAMPLE_HARMONIC_CAP = 173
+# Worst sampled error, 8.4e-13 at <94 93 -24|94 93 -24>, with headroom.
+SAMPLE_GRAM_TOL = 2e-12
+
+
+def _sampled_pairs(draws, seed=2026, n_max=100):
+    """Seeded pairs of states with n <= n_max and l + |m| <= SAMPLE_HARMONIC_CAP.
+
+    One in four is a state with itself, one a state against another n with
+    the same (l, m), one against another l with the same (n, m), and one
+    two independent draws: the radial and polar sums are tested, not only
+    pairs whose phi sum is 0.
+    """
+    rng = random.Random(seed)
+
+    def draw():
+        while True:
+            n = rng.randint(1, n_max)
+            l = rng.randrange(n)
+            m = rng.randint(-l, l)
+            if l + abs(m) <= SAMPLE_HARMONIC_CAP:
+                return n, l, m
+
+    pairs = []
+    for _ in range(draws):
+        n, l, m = draw()
+        partner = (
+            (n, l, m),
+            (rng.randint(l + 1, n_max), l, m),
+            (n, rng.randint(abs(m), n - 1), m),
+            draw(),
+        )[rng.randrange(4)]
+        pairs.append((state(n, l, m), state(*partner)))
+    return pairs
+
+
 class TestOverlap:
     def test_orthonormality_for_low_states(self):
-        states = [
-            state(n, l, m)
-            for n in range(1, 4)
-            for l in range(n)
-            for m in range(-l, l + 1)
-        ]
-        for i, left in enumerate(states):
-            for right in states[i:]:
-                value = overlap(left, right)
-                expected = 1.0 if left is right else 0.0
-                assert abs(value - expected) < 1e-6
+        states = _states(3)
+        assert max(_gram_errors((left, right) for i, left in enumerate(states) for right in states[i:])) < 1e-12
+
+    def test_every_entry_of_the_gram_matrix_up_to_n10_is_exact(self):
+        # The 385 states and 74,305 entries README times.
+        states = _states(10)
+        errors = _gram_errors((left, right) for i, left in enumerate(states) for right in states[i:])
+        assert len(errors) == 74305
+        assert max(errors) < 1e-12
+
+    def test_seeded_sample_up_to_n100_is_within_its_bound(self):
+        pairs = _sampled_pairs(3000)
+        assert max(max(left.n, right.n) for left, right in pairs) == 100
+        assert max(_gram_errors(pairs)) < SAMPLE_GRAM_TOL
+
+    @pytest.mark.parametrize(
+        "axis, bra, ket, expected",
+        [
+            (0, (10, 0, 0), (10, 0, 0), 1.0),  # one node short in r: error 0.50
+            (1, (4, 3, 2), (4, 3, 2), 1.0),  # one node short in cos(theta): error 0.30
+            (2, (5, 4, 3), (5, 4, -3), 0.0),  # one point short in phi: error 1.0
+        ],
+    )
+    def test_a_rule_one_node_short_fails(self, monkeypatch, axis, bra, ket, expected):
+        exact = abs(overlap(state(*bra), state(*ket)) - expected)
+        assert exact < 1e-12
+        full = hydrogen._rule_sizes
+
+        def one_short(qa, qb):
+            sizes = list(full(qa, qb))
+            sizes[axis] -= 1
+            return tuple(sizes)
+
+        monkeypatch.setattr(hydrogen, "_rule_sizes", one_short)
+        assert abs(overlap(state(*bra), state(*ket)) - expected) > 0.25
 
     def test_overlap_is_conjugate_symmetric(self):
         a, b = state(3, 1, 1), state(4, 1, 1)
@@ -322,13 +394,11 @@ class TestOverlap:
     @pytest.mark.pins
     def test_gram_bits_for_states_up_to_n4(self):
         # The i <= j pairs of acceptance criterion 6, in its order.
-        states = [
-            state(n, l, m) for n in range(1, 5) for l in range(n) for m in range(-l, l + 1)
-        ]
+        states = _states(4)
         values = [overlap(left, right) for i, left in enumerate(states) for right in states[i:]]
         assert len(values) == 465
         assert _complex_bits(values) == (
-            "c31ad250af6af9c4268a829b89554d7ea38252794170c03c396f717aceb9a1b0"
+            "f366f3bdd853c7e9f5b389071f69358a8036f4417f869c4041292f10f2afeb1e"
         )
 
     @pytest.mark.pins
@@ -336,28 +406,27 @@ class TestOverlap:
         si = si_units()
         value = overlap(state(3, 1, -1, si), state(4, 1, -1, si))
         assert _complex_bits([value]) == (
-            "4a9d79c728950c79ef34423a79558c6fcf2719065862f82b4f4cbb3e1f76a367"
+            "451f7ffdda159e40b51bc4fa69e577ca8ad8ba9b767ad5242e2f535d9b69c4e6"
         )
 
 
 class TestOverlapCaches:
-    # a = 1/2 (mass 2) at max n 4 shares r_max = 60 with a = 1 at max n 2, so
-    # (2, 1, 0) meets the same radial nodes in both: a cache that dropped a
-    # would hand one unit system the other's R_21.
+    # With a = 3/4, <1 0 0|2 1 0> puts R_10 on the rule of <1 0 0|1 0 0> in
+    # atomic units: 2 nodes and beta = 2 / a' = (1 + 1/2) / a.  A cache that
+    # dropped a would hand one unit system the other's R_10.
     PAIRS = [
         ((2, 1, 0), (1, 0, 0)),
+        ((1, 0, 0), (1, 0, 0)),
         ((4, 0, 0), (2, 1, 0)),
         ((2, 1, 1), (3, 1, 1)),
         ((4, 3, -2), (4, 3, -2)),
     ]
-    UNITS = [atomic_units(), si_units(), PhysicalConstants(1.0, 2.0, 1.0)]
+    UNITS = [atomic_units(), si_units(), PhysicalConstants(1.5, 3.0, 1.0)]
+    CACHES = ("_laguerre_rule", "_legendre_rule", "_radial_factor", "_harmonic_factor")
 
-    @staticmethod
-    def _clear():
-        hydrogen._overlap_radial_weights.cache_clear()
-        hydrogen._overlap_radial.cache_clear()
-        hydrogen._overlap_angular.cache_clear()
-        hydrogen._overlap_angular_conj.cache_clear()
+    def _clear(self):
+        for name in self.CACHES:
+            getattr(hydrogen, name).cache_clear()
 
     @staticmethod
     def _overlap(a, b, constants):
@@ -367,18 +436,18 @@ class TestOverlapCaches:
         return [self._overlap(a, b, constants) for a, b in self.PAIRS]
 
     def test_cached_arrays_are_read_only(self):
-        rule = hydrogen._overlap_rule()
-        cached = list(rule) + [
-            hydrogen._overlap_radial_weights(60.0),
-            hydrogen._overlap_radial(2, 1, 1.0, 60.0),
-            hydrogen._overlap_angular(1, 1),
-            hydrogen._overlap_angular_conj(1, 1),
+        cached = [
+            *hydrogen._laguerre_rule(3),
+            *hydrogen._legendre_rule(2),
+            hydrogen._radial_factor(2, 1, 1.0, 3, 1.0),
+            hydrogen._harmonic_factor(1, 1, 2, 3),
         ]
         for values in cached:
             with pytest.raises(ValueError):
                 values[(0,) * values.ndim] = 0.0
 
     def test_interleaved_unit_systems_match_separate_runs(self):
+        assert float(self.UNITS[2].bohr_radius) == 0.75
         alone = []
         for constants in self.UNITS:
             self._clear()
@@ -393,14 +462,13 @@ class TestOverlapCaches:
 
     def test_cached_factors_keep_the_bits_of_the_allocating_body(self):
         # Unpinned: overlap must equal its kept body on any platform.
-        states = [
-            state(n, l, m) for n in range(1, 5) for l in range(n) for m in range(-l, l + 1)
-        ]
+        states = _states(4)
         pairs = [(left, right) for i, left in enumerate(states) for right in states[i:]]
         si = si_units()
         pairs.append((state(3, 1, -1, si), state(4, 1, -1, si)))
         for constants in self.UNITS:
             pairs.extend((state(*a, constants=constants), state(*b, constants=constants)) for a, b in self.PAIRS)
+        pairs.extend(_sampled_pairs(20))
         self._clear()
         values = [overlap(left, right) for left, right in pairs]
         expected = [oracles.overlap_reference(left, right) for left, right in pairs]
@@ -427,19 +495,24 @@ class TestOverlapCaches:
         probe = (
             "import numpy as np\n"
             "builds = []\n"
-            "leggauss = np.polynomial.legendre.leggauss\n"
-            "np.polynomial.legendre.leggauss = lambda *a: builds.append(a) or leggauss(*a)\n"
+            "for module, name in ((np.polynomial.legendre, 'leggauss'), (np.polynomial.laguerre, 'laggauss')):\n"
+            "    rule = getattr(module, name)\n"
+            "    setattr(module, name, lambda size, rule=rule, name=name: builds.append((name, size)) or rule(size))\n"
             "import hydrobohm, hydrobohm.hydrogen as h\n"
-            "print(len(builds), h._overlap_rule.cache_info().currsize)\n"
+            "print(sorted(builds))\n"
             "hydrobohm.overlap(hydrobohm.state(1, 0), hydrobohm.state(2, 0))\n"
             "hydrobohm.overlap(hydrobohm.state(3, 1), hydrobohm.state(2, 1))\n"
-            "print(len(builds), h._overlap_rule.cache_info().currsize)\n"
+            "hydrobohm.overlap(hydrobohm.state(3, 1), hydrobohm.state(2, 1))\n"
+            "print(sorted(builds))\n"
         )
         result = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
             env={**os.environ, "PYTHONPATH": str(src)},
         )
-        assert result.stdout.split("\n")[:2] == ["0 0", "2 1"]
+        assert result.stdout.split("\n")[:2] == [
+            "[]",
+            "[('laggauss', 2), ('laggauss', 3), ('leggauss', 1), ('leggauss', 2)]",
+        ]
 
 
 def _complex_bits(values) -> str:
