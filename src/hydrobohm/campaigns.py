@@ -95,6 +95,11 @@ AIRY_RESIDUAL_STEP = 2.5e-4
 AIRY_EULER_STEP = 1e-3
 AIRY_RESIDUAL_FLOOR = 0.05
 AIRY_RESIDUAL_WINDOW = (-6.0, 2.0)
+# Ai's first zero a_1, and the largest |Ai| off the first lobe [a_1, 0]: the
+# second lobe's peak |Ai(a_2')| = 0.4190155 (a_2' = -3.24820), rounded up.
+# Every later lobe is lower, and Ai(0) = 0.3550281 bounds u > 0.
+AIRY_FIRST_ZERO = -2.338107410459767
+AIRY_OFF_LOBE_PEAK = 0.41902
 
 
 def default_hydrogen_grid(n_max: int, constants: PhysicalConstants):
@@ -409,9 +414,31 @@ def _check_time_ids(times) -> None:
 
 
 def _airy_peak(params: AiryPacketParams, grid, t: float) -> float:
-    """Grid position of the density maximum at time t."""
-    density = np.abs(airy_psi(params, grid.points, t)) ** 2
-    return float(grid.points[int(np.argmax(density))])
+    """Grid position of the density maximum at time t, read off Ai's first lobe.
+
+    |Ai(u)| peaks at 0.53566 on its first lobe a_1 <= u <= 0 and stays
+    below AIRY_OFF_LOBE_PEAK off it.  u is monotone in x, also after
+    rounding, so the lobe is one index window (748 of the default grid's
+    8,000 points), and only there is the packet evaluated.  airy_ai and
+    airy_psi are pointwise (airy_ai's Maclaurin stop reads the widest point;
+    the terms a wider array would still add are below 1e-25 against sums of
+    at least 0.07), so the window holds the bits of a whole-grid
+    evaluation, and once its maximum beats AIRY_OFF_LOBE_PEAK squared the
+    argmax is the whole-grid one, bit for bit, whether or not the grid cuts
+    the lobe.  Otherwise (an empty window, or a grid too coarse or short for
+    the lobe's peak) the whole grid is searched.  Every default grid that
+    _check_airy_reach accepts spans u in [-15 - s, 10 - s] with 0 <= s <= 5,
+    so the fallback never runs in run_airy.
+    """
+    x = grid.points
+    lo, hi = (int(i) for i in np.searchsorted(airy_argument(params, x, t), (AIRY_FIRST_ZERO, 0.0)))
+    if lo < hi:
+        density = np.abs(airy_psi(params, x[lo:hi], t)) ** 2
+        peak = int(np.argmax(density))
+        if density[peak] > AIRY_OFF_LOBE_PEAK**2:
+            return float(x[lo + peak])
+    density = np.abs(airy_psi(params, x, t)) ** 2
+    return float(x[int(np.argmax(density))])
 
 
 def run_airy(strength: float, times, *, tolerance: float | None = None):
@@ -425,7 +452,10 @@ def run_airy(strength: float, times, *, tolerance: float | None = None):
     shrinks with the node drift rate so its O(dt^2) truncation stays
     below tolerance at large B t; wherever it equals the Euler step, the
     Euler check reuses the continuity pair.  The density peak is located
-    once per distinct time, t = 0 included.  One Ai evaluation per time on
+    once per distinct time, t = 0 included, from the packet on Ai's first
+    lobe alone (748 of the trajectory grid's 8,000 points), where the
+    maximum must sit; it is the whole-grid peak, bit for bit (_airy_peak).
+    One Ai evaluation per time on
     the residual grid serves both the finite-difference Bohm input and the
     polar form at t itself, which the Hamilton-Jacobi check reads; only
     that form carries the exact amplitude curvature.  The forms bracketing

@@ -57,6 +57,7 @@ from .reports import (
     write_profile_json,
     write_svg,
 )
+from .specfun import HARMONIC_LM_MAX
 
 __all__ = ["main"]
 
@@ -272,6 +273,13 @@ def cmd_airy(args: argparse.Namespace) -> int:
 
 
 def cmd_profile(args: argparse.Namespace) -> int:
+    if args.quantity == "j" and args.state != "airy":
+        n, l, m = args.state
+        if l + abs(m) > HARMONIC_LM_MAX:
+            raise ValueError(
+                f"--state {n},{l},{m} with --quantity j reads Y_l^m, which needs "
+                f"l + |m| <= {HARMONIC_LM_MAX}, got {l + abs(m)}"
+            )
     try:
         curve = profile_curve(args.state, args.quantity, strength=args.strength, time=args.time)
     except AiryRangeError as exc:

@@ -48,6 +48,11 @@ __all__ = [
 
 PEAK_SCAN_PER_DECADE = 1000
 PEAK_REL_TOL = 1e-10
+# Largest Gauss-Laguerre rule overlap builds: from 187 nodes numpy's laggauss
+# overflows in its weight normalization and its weights come back nan.  The
+# rule of <a|b> has (n_a + n_b) // 2 + 1 nodes, so overlap takes
+# n_a + n_b <= 2 * 186 - 1 = 371.
+OVERLAP_LAGUERRE_NODES_MAX = 186
 
 
 @dataclass(frozen=True)
@@ -336,6 +341,10 @@ def overlap(spec_a: EigenstateSpec, spec_b: EigenstateSpec) -> complex:
     cached per size, and each state's factor per (state, a, rule), in
     bounded caches of read-only arrays.  Nothing is cached per pair: every
     call multiplies and sums the two factors over its whole rule.
+
+    Raises ValueError for n_a + n_b > 371, where numpy's Gauss-Laguerre
+    weights overflow (OVERLAP_LAGUERRE_NODES_MAX), and, from
+    spherical_harmonic, for a state with l + |m| > 173.
     """
     constants = spec_a.constants
     if constants != spec_b.constants:
@@ -343,6 +352,10 @@ def overlap(spec_a: EigenstateSpec, spec_b: EigenstateSpec) -> complex:
     qa, qb = spec_a.qn, spec_b.qn
     a = float(constants.bohr_radius)
     size, polar, azimuthal = _rule_sizes(qa, qb)
+    if size > OVERLAP_LAGUERRE_NODES_MAX:
+        raise ValueError(
+            f"overlap supports n_a + n_b <= {2 * OVERLAP_LAGUERRE_NODES_MAX - 1}, got {qa.n} + {qb.n}"
+        )
     beta = (1.0 / qa.n + 1.0 / qb.n) / a
     radial = np.dot(_radial_factor(qa.n, qa.l, a, size, beta), _radial_factor(qb.n, qb.l, a, size, beta))
     angular = np.vdot(

@@ -133,16 +133,27 @@ def _legendre_assoc(l: int, m: int, cos_t, sin_t):
     return pm
 
 
+# Largest l + |m| spherical_harmonic accepts.  The factor exp(ln (l-m)! -
+# ln (l+m)!) of its normalization turns subnormal as l + |m| grows: its worst
+# relative error over l <= 99 is 1.9e-11 at l + |m| = 173, 9.9e-9 at 174 and
+# 3.8e-2 at 177, and from 178 it underflows to 0.
+HARMONIC_LM_MAX = 173
+
+
 def spherical_harmonic(l: int, m: int, theta, phi):
     """Orthonormal spherical harmonic Y_l^m(theta, phi), Condon-Shortley phase.
 
     Y_l^m = (-1)^m sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!) P_l^m(cos theta) e^{i m phi}
     for m >= 0 (the phase lives in P_l^m here), and Y_l^{-m} = (-1)^m conj(Y_l^m).
+    Raises ValueError past l + |m| = HARMONIC_LM_MAX, where the
+    normalization can lose its digits.
     """
     if not isinstance(l, (int, np.integer)) or l < 0:
         raise ValueError(f"l must be a non-negative integer, got {l!r}")
     if not isinstance(m, (int, np.integer)) or abs(m) > l:
         raise ValueError(f"m must be an integer with |m| <= l, got {m!r}")
+    if l + abs(m) > HARMONIC_LM_MAX:
+        raise ValueError(f"spherical_harmonic supports l + |m| <= {HARMONIC_LM_MAX}, got l={l}, m={m}")
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
     mm = abs(int(m))

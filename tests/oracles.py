@@ -23,6 +23,8 @@ bohm_shell_reference is the allocating body of madelung._bohm_shell before
 the shell moved into reused buffers: the bit oracle of the buffered walk.
 overlap_reference is the allocating body of hydrogen.overlap: it forms the
 rules, their weights and both states' factors afresh on every call.
+airy_peak_reference is the whole-grid density argmax that
+campaigns._airy_peak ran before it read only Ai's first lobe.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import numpy as np
 import hydrobohm.hydrogen as hydrogen
 from hydrobohm import (
     AiryPacketParams,
+    airy_psi,
     atomic_units,
     energy_level,
     make_radial_grid,
@@ -677,3 +680,9 @@ def overlap_reference(spec_a, spec_b) -> complex:
         root_w_angle * specfun.spherical_harmonic(qb.l, qb.m, theta, phi),
     )
     return complex(radial * angular)
+
+
+def airy_peak_reference(params: AiryPacketParams, grid, t: float) -> float:
+    """Grid position of the density maximum at t, searched over the whole grid."""
+    density = np.abs(airy_psi(params, grid.points, t)) ** 2
+    return float(grid.points[int(np.argmax(density))])

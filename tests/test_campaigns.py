@@ -36,7 +36,7 @@ from hydrobohm.campaigns import (
     run_flatness,
     run_levels,
 )
-from hydrobohm import AiryPacketParams, atomic_units
+from hydrobohm import AiryPacketParams, atomic_units, make_axis_grid
 from hydrobohm.reports import make_case
 
 import oracles
@@ -535,6 +535,10 @@ class TestRunAiry:
 
     # Last accepted input and the next float up: the trajectory grid sets the
     # edge in t at B = 1, the bracketing forms set the edge in B at t = 0.
+    # The peak search reads Ai on the trajectory grid's whole span only when
+    # its lobe window cannot hold the peak; with the reach check off, an
+    # infinite off-lobe bound sends every instant to that whole-grid search,
+    # the evaluation the trajectory span guards.
     @pytest.mark.parametrize(
         "strength, t, moved",
         [(1.0, 4.47213595499958, "t"), (122.33817698125047, 0.0, "B")],
@@ -550,8 +554,79 @@ class TestRunAiry:
         with pytest.raises(AiryRangeError):
             run_airy(strength, (t,))
         monkeypatch.setattr(campaigns, "_check_airy_reach", lambda params, spans: None)
+        monkeypatch.setattr(campaigns, "AIRY_OFF_LOBE_PEAK", math.inf)
         with pytest.raises(ValueError, match="airy_ai supports"):
             run_airy(strength, (t,))
+
+
+# Every reach-accepted cell of this lattice is an instant whose peak
+# _airy_peak finds on Ai's first lobe alone.
+AIRY_PEAK_STRENGTHS = (1e-100, 1e-3, 0.03, 0.1, 0.5, 1.0, 2.0, 5.0, 7.0, 10.0, 20.0, 30.0, 50.0, 100.0)
+AIRY_PEAK_TIMES = (-1.0, 0.0, 1e-4, 1e-3, 0.01, 0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0)
+
+
+def _record_airy_points(monkeypatch):
+    """Point counts of each airy_ai call made through airy_psi."""
+    points = []
+    original = airy.airy_ai
+
+    def recorded(u):
+        points.append(np.size(u))
+        return original(u)
+
+    monkeypatch.setattr(airy, "airy_ai", recorded)
+    return points
+
+
+class TestAiryPeak:
+    def test_lobe_window_finds_the_whole_grid_peak_on_every_accepted_cell(self):
+        cells = 0
+        for strength in AIRY_PEAK_STRENGTHS:
+            params = AiryPacketParams(strength, AU)
+            grid = default_airy_grid(params)
+            for t in AIRY_PEAK_TIMES:
+                try:
+                    campaigns._check_airy_reach(params, [(t, t, grid.x_min, grid.x_max)])
+                except AiryRangeError:
+                    continue
+                peak = campaigns._airy_peak(params, grid, t)
+                assert peak.hex() == oracles.airy_peak_reference(params, grid, t).hex(), (strength, t)
+                cells += 1
+        assert cells == 106
+
+    @pytest.mark.parametrize("strength", [0.5, 1.0, 2.0])
+    def test_each_instant_reads_ai_on_under_a_thousand_points(self, strength, monkeypatch):
+        params = AiryPacketParams(strength, AU)
+        grid = default_airy_grid(params)
+        points = _record_airy_points(monkeypatch)
+        for t in (0.0, 0.3, 1.0):
+            campaigns._airy_peak(params, grid, t)
+        assert len(points) == 3 and max(points) <= 1000
+        assert grid.count == 8000
+
+    # At B = 1 (atomic units) u = x at t = 0.  A window whose maximum does
+    # not beat the largest value off the lobe sends the search to the
+    # whole grid; one cut by an end of the grid but holding the lobe's peak
+    # does not need to.
+    @pytest.mark.parametrize(
+        "x_min, x_max, count, whole, off_lobe",
+        [
+            (-3.5, -2.0, 600, True, True),  # cut at the top: the second lobe's peak wins
+            (-2.0, 6.0, 600, False, False),  # cut at the bottom, the lobe's peak inside
+            (-15.0, 10.0, 11, True, False),  # a point at u = 0, none inside the lobe
+            (-15.0, 8.04, 10, True, True),  # one lobe point, at u = -2.2, below the bound
+        ],
+    )
+    def test_a_window_cut_by_the_grid_or_too_coarse_still_gives_the_whole_grid_peak(
+        self, x_min, x_max, count, whole, off_lobe, monkeypatch
+    ):
+        params = AiryPacketParams(1.0, AU)
+        grid = make_axis_grid(x_min, x_max, count)
+        points = _record_airy_points(monkeypatch)
+        peak = campaigns._airy_peak(params, grid, 0.0)
+        assert (points[-1] == count) == whole
+        assert peak.hex() == oracles.airy_peak_reference(params, grid, 0.0).hex()
+        assert (peak < campaigns.AIRY_FIRST_ZERO) == off_lobe
 
 
 # The (B, t) lattice of ROADMAP item 5.  Every accepted cell must give a

@@ -202,6 +202,23 @@ class TestStateNMax:
         assert code == 0
         assert target.exists()
 
+    def test_profile_current_past_the_harmonic_limit_is_a_usage_error(self, capsys, tmp_path):
+        # j reads Y_l^m, which is refused past l + |m| = 173; at 198 it read
+        # exactly 0 and wrote 4,000 zero rows.
+        target = tmp_path / "j.csv"
+        code, out, err = run(capsys, "profile", "--state", "100,99,99", "--quantity", "j", "--out", str(target))
+        assert code == 2
+        assert out == "" and not target.exists()
+        assert "error: --state 100,99,99 with --quantity j" in err and "l + |m| <= 173" in err
+
+    @pytest.mark.parametrize("state, quantity", [("100,99,74", "j"), ("100,99,99", "P")])
+    def test_profile_at_the_harmonic_limit_and_without_y_runs(self, state, quantity, capsys, tmp_path):
+        target = tmp_path / "x.csv"
+        code, _, _ = run(capsys, "profile", "--state", state, "--quantity", quantity, "--out", str(target))
+        assert code == 0
+        values = [float(line.split(",")[1]) for line in target.read_text(encoding="utf-8").splitlines()[1:]]
+        assert max(values) > 0.0
+
     def test_fd_flatness_above_30_is_a_usage_error_naming_the_limit(self, capsys):
         code, out, err = run(capsys, "flatness", "--n-max", "31", "--method", "fd")
         assert code == 2

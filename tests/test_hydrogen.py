@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import hydrobohm.hydrogen as hydrogen
+import hydrobohm.specfun as specfun
 from hydrobohm import (
     PhysicalConstants,
     atomic_units,
@@ -311,9 +312,8 @@ def _gram_errors(pairs):
     return [abs(overlap(left, right) - (left.qn == right.qn)) for left, right in pairs]
 
 
-# State cap of the seeded sample: past it spherical_harmonic loses digits (l + |m| >= 174)
-# and then underflows to 0 (l + |m| >= 178).
-SAMPLE_HARMONIC_CAP = 173
+# State cap of the seeded sample: past it spherical_harmonic refuses the state.
+SAMPLE_HARMONIC_CAP = specfun.HARMONIC_LM_MAX
 # Worst sampled error, 8.4e-13 at <94 93 -24|94 93 -24>, with headroom.
 SAMPLE_GRAM_TOL = 2e-12
 
@@ -365,6 +365,20 @@ class TestOverlap:
         pairs = _sampled_pairs(3000)
         assert max(max(left.n, right.n) for left, right in pairs) == 100
         assert max(_gram_errors(pairs)) < SAMPLE_GRAM_TOL
+
+    def test_the_largest_radial_rule_is_exact(self):
+        # <185 0 0|186 0 0> takes 186 Gauss-Laguerre nodes, the most that
+        # numpy's laggauss forms without overflow.
+        assert abs(overlap(state(185, 0), state(186, 0))) < 1e-12
+
+    def test_pairs_past_the_largest_radial_rule_are_refused(self):
+        with pytest.raises(ValueError, match=r"n_a \+ n_b <= 371, got 186 \+ 186"):
+            overlap(state(186, 0), state(186, 0))
+
+    def test_states_past_the_harmonic_limit_are_refused(self):
+        assert abs(overlap(state(100, 99, 74), state(100, 99, 74)) - 1) < SAMPLE_GRAM_TOL
+        with pytest.raises(ValueError, match=r"l \+ \|m\| <= 173"):
+            overlap(state(100, 99, 75), state(100, 99, 75))
 
     @pytest.mark.parametrize(
         "axis, bra, ket, expected",

@@ -18,7 +18,7 @@ from hydrobohm import (
     spherical_harmonic,
 )
 from hydrobohm.campaigns import _airy_residual_grid
-from hydrobohm.specfun import ln_factorial
+from hydrobohm.specfun import HARMONIC_LM_MAX, ln_factorial
 
 import oracles
 
@@ -165,6 +165,16 @@ class TestSphericalHarmonic:
         with pytest.raises(ValueError):
             spherical_harmonic(2, 3, 0.5, 0.0)
 
+    def test_refuses_orders_past_the_normalization_limit(self):
+        # The normalization's relative error is at most 1.9e-11 at
+        # l + |m| = 173 and 9.9e-9 at 174; from 178 it underflows to 0.
+        assert HARMONIC_LM_MAX == 173
+        for l, m in ((87, 86), (99, 74), (99, -74)):
+            assert abs(spherical_harmonic(l, m, 1.2, 0.3)) > 0.0
+        for l, m in ((87, 87), (99, 75), (99, -75), (99, 99)):
+            with pytest.raises(ValueError, match=rf"l \+ \|m\| <= 173, got l={l}, m={m}$"):
+                spherical_harmonic(l, m, 1.2, 0.3)
+
 
 class TestAiryAi:
     def test_value_at_zero_from_gamma_quadrature(self):
@@ -284,6 +294,23 @@ def test_airy_ai_bits_on_full_range():
 def _same_bits(a, b) -> bool:
     """Equal values and signs; compares values, not the padding of longdouble."""
     return a.dtype == b.dtype and bool(np.all(a == b) and np.all(np.signbit(a) == np.signbit(b)))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["float64", "longdouble"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_airy_ai_is_pointwise(seed, dtype):
+    # A subset of the arguments reads the bits of the same points in the
+    # whole array, also when its widest |x| is smaller and the Maclaurin
+    # loop stops earlier.  campaigns._airy_peak rests on this.
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-20.0, 20.0, 4001).astype(dtype)
+    whole = airy_ai(x)
+    subsets = [rng.choice(x.size, size, replace=False) for size in (1, 17, 600)]
+    subsets.append(np.arange(1000, 1748))
+    subsets += [np.flatnonzero(np.abs(x) <= edge) for edge in (1.8, 1.0, 0.3, 0.05)]
+    for index in subsets:
+        assert index.size > 0
+        assert _same_bits(airy_ai(x[index]), whole[index])
 
 
 _KERNEL_INPUTS = {
