@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AMPLITUDE_FLOOR, PhysicalConstants, QuantumNumbers, _above_floor, _worst, as_points, atomic_units
+from .core import _ATOMIC_UNITS, AMPLITUDE_FLOOR, PhysicalConstants, QuantumNumbers, _above_floor, _worst, as_points
 from .specfun import laguerre, laguerre_derivative, ln_factorial, spherical_harmonic
 
 __all__ = [
@@ -53,6 +54,10 @@ PEAK_REL_TOL = 1e-10
 # rule of <a|b> has (n_a + n_b) // 2 + 1 nodes, so overlap takes
 # n_a + n_b <= 2 * 186 - 1 = 371.
 OVERLAP_LAGUERRE_NODES_MAX = 186
+# Bytes of Y_l^m factors overlap keeps (_harmonic_factor).  The whole n <= 10
+# Gram matrix needs 3.4 MB (4,605 factors of at most 3 KB); one factor at
+# l = 99 with m_a = -m_b takes 318 KB.
+HARMONIC_CACHE_BYTES = 8 * 2**20
 
 
 @dataclass(frozen=True)
@@ -75,8 +80,30 @@ class EigenstateSpec:
         return self.qn.m
 
 
+@functools.lru_cache(maxsize=4096)
+def _atomic_state(n: int, l: int, m: int) -> EigenstateSpec:
+    """The interned atomic-unit state of state(); an invalid triple raises, and is not cached."""
+    return EigenstateSpec(QuantumNumbers(n, l, m), _ATOMIC_UNITS)
+
+
 def state(n: int, l: int, m: int = 0, constants: PhysicalConstants | None = None) -> EigenstateSpec:
-    return EigenstateSpec(QuantumNumbers(n, l, m), constants or atomic_units())
+    """The bound state (n, l, m) in `constants`, atomic units when None.
+
+    States in atomic units are interned: when n, l and m are all plain int
+    and constants is None or the shared atomic_units() instance, every call
+    returns the one frozen spec of that (n, l, m), built and validated on
+    its first call and kept in a bounded cache of 4,096 states.  Every
+    other call (numpy integers, bool, floats, other constants) builds and
+    validates a new spec.  An invalid triple raises ValueError on every
+    call, as does a constants that is neither None nor a PhysicalConstants.
+    """
+    if (constants is None or constants is _ATOMIC_UNITS) and type(n) is int and type(l) is int and type(m) is int:
+        return _atomic_state(n, l, m)
+    if constants is None:
+        constants = _ATOMIC_UNITS
+    elif not isinstance(constants, PhysicalConstants):
+        raise ValueError(f"constants must be None or a PhysicalConstants, got {constants!r}")
+    return EigenstateSpec(QuantumNumbers(n, l, m), constants)
 
 
 def energy_level(n: int, constants: PhysicalConstants):
@@ -319,7 +346,44 @@ def _radial_factor(n: int, l: int, a: float, size: int, beta: float) -> np.ndarr
     return _read_only(np.exp(0.5 * (log_w - math.log(beta))) * r * _radial_values(n, l, a, r))
 
 
-@functools.lru_cache(maxsize=4096)
+def _byte_bounded_cache(build):
+    """Memoize build, a function returning read-only arrays, in at most HARMONIC_CACHE_BYTES.
+
+    Entries are dropped least recently used first; an array larger than
+    the whole budget is returned uncached and drops nothing.  The wrapper's
+    cache_clear() empties it, and cache_entries is its ordered dict, oldest
+    first.
+    """
+    entries: OrderedDict = OrderedDict()
+    held = 0
+
+    @functools.wraps(build)
+    def cached(*key):
+        nonlocal held
+        try:
+            values = entries[key]
+        except KeyError:
+            values = build(*key)
+            if values.nbytes <= HARMONIC_CACHE_BYTES:
+                entries[key] = values
+                held += values.nbytes
+                while held > HARMONIC_CACHE_BYTES:
+                    held -= entries.popitem(last=False)[1].nbytes
+            return values
+        entries.move_to_end(key)
+        return values
+
+    def cache_clear() -> None:
+        nonlocal held
+        entries.clear()
+        held = 0
+
+    cached.cache_clear = cache_clear
+    cached.cache_entries = entries
+    return cached
+
+
+@_byte_bounded_cache
 def _harmonic_factor(l: int, m: int, polar: int, azimuthal: int) -> np.ndarray:
     """Y_l^m sqrt(w) on polar Gauss-Legendre nodes in cos(theta) times azimuthal uniform phi nodes.
 
@@ -336,18 +400,19 @@ def overlap(spec_a: EigenstateSpec, spec_b: EigenstateSpec) -> complex:
 
     The rule is sized from the two states (_rule_sizes) so that it is exact
     for their product, leaving only rounding.  Both states must carry equal
-    PhysicalConstants (compared by value, not identity); orthonormality of
-    the closed forms is then a measurable outcome, not an input.  Rules are
-    cached per size, and each state's factor per (state, a, rule), in
-    bounded caches of read-only arrays.  Nothing is cached per pair: every
-    call multiplies and sums the two factors over its whole rule.
+    PhysicalConstants (compared by identity first, then by value);
+    orthonormality of the closed forms is then a measurable outcome, not an
+    input.  Rules are cached per size, and each state's factor per (state,
+    a, rule), in bounded caches of read-only arrays: the Y_l^m factors in at
+    most HARMONIC_CACHE_BYTES.  Nothing is cached per pair: every call
+    multiplies and sums the two factors over its whole rule.
 
     Raises ValueError for n_a + n_b > 371, where numpy's Gauss-Laguerre
     weights overflow (OVERLAP_LAGUERRE_NODES_MAX), and, from
     spherical_harmonic, for a state with l + |m| > 173.
     """
     constants = spec_a.constants
-    if constants != spec_b.constants:
+    if constants is not spec_b.constants and constants != spec_b.constants:
         raise ValueError("overlap requires both states to use the same constants")
     qa, qb = spec_a.qn, spec_b.qn
     a = float(constants.bohr_radius)

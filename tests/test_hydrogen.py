@@ -504,6 +504,40 @@ class TestOverlapCaches:
         with pytest.raises(ValueError, match="same constants"):
             overlap(state(1, 0, 0, constants=PhysicalConstants(1.0, 2.0, 1.0)), state(1, 0, 0))
 
+    def test_harmonic_factors_are_evicted_by_bytes(self, monkeypatch):
+        factor = hydrogen._harmonic_factor
+        factor.cache_clear()
+        small = [(1, m, 2, 3) for m in (-1, 0, 1)]  # 2 x 3 complex values: 96 bytes each
+        monkeypatch.setattr(hydrogen, "HARMONIC_CACHE_BYTES", 3 * 96)
+        first = [factor(*key) for key in small]
+        assert list(factor.cache_entries) == small
+        assert factor(*small[0]) is first[0]  # a hit, now the most recent
+        factor(2, 0, 2, 4)  # 128 bytes: the two least recent go
+        assert list(factor.cache_entries) == [small[0], (2, 0, 2, 4)]
+        assert sum(values.nbytes for values in factor.cache_entries.values()) <= 3 * 96
+        rebuilt = factor(*small[1])
+        assert rebuilt is not first[1] and rebuilt.tobytes() == first[1].tobytes()
+        # Larger than the whole budget: returned, not kept, and nothing dropped.
+        held = list(factor.cache_entries)
+        assert factor(3, 1, 4, 9).nbytes == 576
+        assert list(factor.cache_entries) == held
+        factor.cache_clear()
+
+    def test_every_harmonic_factor_of_the_gram_matrix_up_to_n10_is_kept(self):
+        qns = [spec.qn for spec in _states(10)]
+        keys = set()
+        for i, qa in enumerate(qns):
+            for qb in qns[i:]:
+                _, polar, azimuthal = hydrogen._rule_sizes(qa, qb)
+                keys.update(((qa.l, qa.m, polar, azimuthal), (qb.l, qb.m, polar, azimuthal)))
+        factor = hydrogen._harmonic_factor
+        factor.cache_clear()
+        for key in keys:
+            factor(*key)
+        assert len(factor.cache_entries) == len(keys) == 4605
+        assert max(values.nbytes for values in factor.cache_entries.values()) == 3040
+        assert sum(values.nbytes for values in factor.cache_entries.values()) <= hydrogen.HARMONIC_CACHE_BYTES / 2
+
     def test_import_builds_no_quadrature_rule(self):
         src = Path(hydrogen.__file__).resolve().parents[1]
         probe = (
@@ -527,6 +561,46 @@ class TestOverlapCaches:
             "[]",
             "[('laggauss', 2), ('laggauss', 3), ('leggauss', 1), ('leggauss', 2)]",
         ]
+
+
+class TestStateInterning:
+    def test_plain_int_states_in_atomic_units_are_interned(self):
+        assert state(2, 1, -1) is state(2, 1, -1)
+        assert state(2, 1, -1, atomic_units()) is state(2, 1, -1)
+        assert state(2, 1, -1, constants=atomic_units()) is state(2, 1, -1)
+        assert state(2, 1) is state(2, 1, 0)
+
+    def test_other_arguments_take_the_validating_path(self):
+        interned = state(2, 1, -1)
+        before = hydrogen._atomic_state.cache_info()
+        numpy_int = state(np.int64(2), 1, -1)
+        assert numpy_int == interned and numpy_int is not interned
+        assert numpy_int is not state(np.int64(2), 1, -1)
+        assert state(True, 0).n is True and state(True, 0) is not state(True, 0)
+        si = si_units()
+        assert state(2, 1, -1, si) is not state(2, 1, -1, si)
+        assert state(2, 1, -1, PhysicalConstants(1.0, 1.0, 1.0)) == interned
+        assert hydrogen._atomic_state.cache_info() == before
+
+    @pytest.mark.parametrize(
+        "args, fragment",
+        [((1, 1), "l <= n - 1"), ((2.0, 1, 0), "n must be an integer"), ((1, 0, 2), "|m| <= l")],
+    )
+    def test_invalid_triples_raise_on_every_call(self, args, fragment):
+        messages = []
+        for _ in range(2):
+            with pytest.raises(ValueError) as caught:
+                state(*args)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1] and fragment in messages[0]
+
+    @pytest.mark.parametrize("constants", [0, {}, "x"])
+    def test_constants_that_are_not_physical_constants_are_refused(self, constants):
+        with pytest.raises(ValueError, match=r"constants must be None or a PhysicalConstants"):
+            state(1, 0, 0, constants)
+
+    def test_interning_cache_holds_4096_states(self):
+        assert hydrogen._atomic_state.cache_parameters()["maxsize"] == 4096
 
 
 def _complex_bits(values) -> str:
