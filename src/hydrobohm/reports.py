@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -164,16 +165,18 @@ class VerificationReport:
 REPORT_HEADER = [*CaseRecord._fields[:-1], "pass"]
 
 
-def _write_text(path, text: str) -> None:
+def _write_text(path, *parts: str) -> None:
+    """The parts, one write each, so no joined copy of them is ever made."""
     with open(path, "w", encoding="utf-8", newline="\n") as stream:
-        stream.write(text)
+        for part in parts:
+            stream.write(part)
 
 
 def write_csv(path, header: list[str], rows: list[Sequence]) -> None:
     """UTF-8, comma-delimited, LF-terminated CSV; each cell through format_cell."""
     lines = [",".join(header)]
     lines.extend(",".join(map(format_cell, row)) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines), "\n")
 
 
 # Encoder chunks joined into one write: large enough that the join and the
@@ -200,16 +203,17 @@ def _fill_rows(curve, templates: tuple[str, str, str], separator: str, value_fir
 
     Row i takes templates[kind]: kind 0 shows the value, 1 leaves it blank
     because it is not finite, 2 because the sample is masked.  The picked
-    templates are joined by separator and filled from one flat tuple of
-    Python floats: the coordinate and, in kind 0 rows, the value (value
-    first with value_first).
+    templates (one take from an object array) are joined by separator and
+    filled from one flat tuple of Python floats: the coordinate and, in
+    kind 0 rows, the value (value first with value_first).
     """
     kinds = np.where(curve.masked, 2, ~np.isfinite(curve.values))
     columns = np.column_stack((curve.coords, curve.values))
     keep = np.column_stack((np.ones(len(kinds), dtype=bool), kinds == 0))
     if value_first:
         columns, keep = columns[:, ::-1], keep[:, ::-1]
-    return separator.join(map(templates.__getitem__, kinds.tolist())) % tuple(columns[keep].tolist())
+    rows = np.array(templates, dtype=object)[kinds].tolist()
+    return separator.join(rows) % tuple(columns[keep].tolist())
 
 
 def write_profile_csv(path, coord_name: str, curve) -> None:
@@ -220,7 +224,7 @@ def write_profile_csv(path, coord_name: str, curve) -> None:
     format_number, as both format a Python float with the same 'g' rules.
     """
     templates = ("%.12g,%.12g,false\n", "%.12g,,false\n", "%.12g,,true\n")
-    _write_text(path, f"{coord_name},value,masked\n" + _fill_rows(curve, templates, ""))
+    _write_text(path, f"{coord_name},value,masked\n", _fill_rows(curve, templates, ""))
 
 
 def write_profile_json(path, coord_name: str, curve) -> None:
@@ -245,15 +249,16 @@ def write_profile_json(path, coord_name: str, curve) -> None:
         )
     )
     rows = _fill_rows(curve, templates, ",\n", value_first="value" < coord_name)
-    lines = [
-        "{",
-        f'  "rows": [\n{rows}\n  ],' if rows else '  "rows": [],',
-        f'  "title": {json.dumps(curve.title)},',
-        f'  "x_label": {json.dumps(curve.x_label)},',
-        f'  "y_label": {json.dumps(curve.y_label)}',
-        "}",
-    ]
-    _write_text(path, "\n".join(lines) + "\n")
+    tail = (
+        f'  "title": {json.dumps(curve.title)},\n'
+        f'  "x_label": {json.dumps(curve.x_label)},\n'
+        f'  "y_label": {json.dumps(curve.y_label)}\n'
+        "}\n"
+    )
+    if rows:
+        _write_text(path, '{\n  "rows": [\n', rows, "\n  ],\n" + tail)
+    else:
+        _write_text(path, '{\n  "rows": [],\n' + tail)
 
 
 # The escapes of xml.sax.saxutils.escape for SVG text, without that
@@ -278,16 +283,77 @@ def _axis_range(values: np.ndarray) -> tuple[float, float]:
     return lo, hi
 
 
+def _hundredths(values: np.ndarray) -> np.ndarray:
+    """Each value times 100, rounded to an int64 as %.2f rounds it.
+
+    Every value must lie in [0, 10^4).  The product is taken on its exact
+    binary value v = m * 2^(e - 53), in int64 (m * 100 < 2^60), and rounded
+    to nearest, ties to even.
+    """
+    fraction, exponent = np.frexp(values)
+    scaled = np.ldexp(fraction, 53).astype(np.int64) * 100
+    # scaled < 2^60, so from a shift of 61 on every value rounds to 0; the
+    # cap keeps the int64 shifts defined.
+    shift = np.minimum(53 - exponent.astype(np.int64), 62)
+    hundredths = scaled >> shift
+    rest = scaled - (hundredths << shift)
+    half = np.int64(1) << (shift - 1)
+    hundredths += (rest > half) | ((rest == half) & (hundredths & 1 == 1))
+    return hundredths
+
+
+def _pixel_text(pixels: np.ndarray) -> tuple[str, np.ndarray]:
+    """'%.2f,%.2f ' % (x, y) for every row of pixels, as one string.
+
+    Also returns where each row's text starts, then where the last one ends.
+    Every value must lie in [0, 10^4) (see _hundredths).  The characters go
+    into one uint8 cell array, one row per number, whose leading zeros are
+    then dropped, and the kept cells are decoded once.
+    """
+    hundredths = _hundredths(pixels.ravel())
+    # One row per number: width integer digits, '.', two fraction digits,
+    # then ',' after an x and ' ' after a y.
+    width = len(str(int(hundredths.max(initial=0)) // 100))
+    cells = np.empty((len(hundredths), width + 4), dtype=np.uint8)
+    cells[:, width] = ord(".")
+    cells[0::2, -1] = ord(",")
+    cells[1::2, -1] = ord(" ")
+    # Digits from the last one leftwards, skipping the '.' column.
+    remaining = hundredths.astype(np.uint32)
+    for column in (width + 2, width + 1, *range(width - 1, -1, -1)):
+        quotient = remaining // 10
+        remaining -= quotient * 10
+        remaining += ord("0")
+        cells[:, column] = remaining
+        remaining = quotient
+    # Integer digits left of a number's leading one are dropped.
+    keep = np.ones(cells.shape, dtype=bool)
+    lengths = np.full(len(hundredths), width + 4)
+    for column in range(width - 1):
+        keep[:, column] = hundredths >= 10 ** (width + 1 - column)
+        lengths -= ~keep[:, column]
+    starts = np.concatenate(([0], np.cumsum(lengths)[1::2]))
+    return cells[keep].tobytes().decode("ascii"), starts
+
+
 def write_svg(path, x: np.ndarray, y: np.ndarray, title: str, x_label: str, y_label: str, mask=None) -> None:
     """Single-panel line plot with axes and ticks; no external assets.
 
     Masked or non-finite samples split the curve into separate segments.
-    The title and axis labels are XML-escaped (&, <, >).
+    Pixel coordinates are written with two decimals, rounded half to even
+    on their exact binary value, as %.2f rounds them.  x and y of different
+    lengths, a non-finite x, or an axis whose span is not finite raise
+    ValueError before the file is opened.  The title and axis labels are
+    XML-escaped (&, <, >).
     The output is deterministic: fixed canvas, fixed formatting, content
     derived only from the data.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or x.shape != y.shape:
+        raise ValueError(f"cannot plot: x and y must be 1-D of one length, got shapes {x.shape} and {y.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError("cannot plot: an x coordinate is not finite")
     drop = ~np.isfinite(y)
     if mask is not None:
         drop = drop | np.asarray(mask, dtype=bool)
@@ -296,6 +362,8 @@ def write_svg(path, x: np.ndarray, y: np.ndarray, title: str, x_label: str, y_la
         raise ValueError("nothing to plot: every sample is masked")
     x_lo, x_hi = _axis_range(x)
     y_lo, y_hi = _axis_range(y[keep])
+    if not (math.isfinite(x_hi - x_lo) and math.isfinite(y_hi - y_lo)):
+        raise ValueError("cannot plot: an axis span is not finite")
     plot_w = _SVG_WIDTH - _SVG_MARGIN_LEFT - _SVG_MARGIN_RIGHT
     plot_h = _SVG_HEIGHT - _SVG_MARGIN_TOP - _SVG_MARGIN_BOTTOM
 
@@ -340,17 +408,21 @@ def write_svg(path, x: np.ndarray, y: np.ndarray, title: str, x_label: str, y_la
         f'font-family="monospace" font-size="12" '
         f'transform="rotate(-90 16 {_SVG_MARGIN_TOP + plot_h / 2:.1f})">{y_label.translate(_XML_TEXT)}</text>'
     )
+    # Each run of kept samples is one polyline; a lone sample draws nothing,
+    # so only kept samples with a kept neighbour are drawn.
+    beside = np.concatenate(([False], keep, [False]))
+    drawn = keep & (beside[:-2] | beside[2:])
     # Same operation order as the scalar margin + (v - lo) / (hi - lo) * size
     # (hi - v for y), so every pixel coordinate is bit-identical to a
     # per-point evaluation.
-    px = _SVG_MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
-    py = _SVG_MARGIN_TOP + (y_hi - np.minimum(np.maximum(y, y_lo), y_hi)) / (y_hi - y_lo) * plot_h
-    # Each run of kept samples is one polyline; a lone sample draws nothing.
-    pixels = np.column_stack((px, py))
-    edges = np.diff(keep.astype(np.int8), prepend=0, append=0)
-    for start, stop in zip(np.flatnonzero(edges == 1).tolist(), np.flatnonzero(edges == -1).tolist()):
-        if stop - start > 1:
-            points = ("%.2f,%.2f " * (stop - start))[:-1] % tuple(pixels[start:stop].ravel().tolist())
-            parts.append(f'<polyline points="{points}" fill="none" stroke="#1f6fb4" stroke-width="1.5"/>')
+    px = _SVG_MARGIN_LEFT + (x[drawn] - x_lo) / (x_hi - x_lo) * plot_w
+    py = _SVG_MARGIN_TOP + (y_hi - np.minimum(np.maximum(y[drawn], y_lo), y_hi)) / (y_hi - y_lo) * plot_h
+    text, starts = _pixel_text(np.column_stack((px, py)))
+    edges = np.diff(drawn.astype(np.int8), prepend=0, append=0)
+    run_ends = np.cumsum(np.flatnonzero(edges == -1) - np.flatnonzero(edges == 1))
+    bounds = starts[np.concatenate(([0], run_ends))].tolist()
+    for begin, end in zip(bounds[:-1], bounds[1:]):
+        # The run's text less the separator after its last pair.
+        parts.append(f'<polyline points="{text[begin:end - 1]}" fill="none" stroke="#1f6fb4" stroke-width="1.5"/>')
     parts.append("</svg>")
-    _write_text(path, "\n".join(parts) + "\n")
+    _write_text(path, "\n".join(parts), "\n")

@@ -198,6 +198,34 @@ class TestWriters:
         with pytest.raises(ValueError):
             write_svg(path, x, np.full(5, np.nan), title="t", x_label="x", y_label="y")
 
+    def test_svg_rejects_a_non_finite_coordinate(self, tmp_path):
+        path = tmp_path / "nan.svg"
+        with pytest.raises(ValueError, match="x coordinate is not finite"):
+            write_svg(path, [0.0, math.nan, 1.0, 2.0], [1.0, 2.0, 3.0, 4.0], title="t", x_label="x", y_label="y")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("x, y", [([0.0, 1.0, 2.0], [1.0, 2.0]), ([0.0, 1.0], [1.0, 2.0, 3.0])], ids=["short y", "short x"])
+    def test_svg_rejects_x_and_y_of_different_lengths(self, x, y, tmp_path):
+        path = tmp_path / "ragged.svg"
+        with pytest.raises(ValueError, match="one length"):
+            write_svg(path, x, y, title="t", x_label="x", y_label="y")
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            ([-1e308, 1e308], [0.0, 1.0]),
+            ([0.0, 1.0], [-1e308, 1e308]),
+            (np.linspace(0.0, 1.0, 3), np.full(3, -1.7976931348623157e308)),
+        ],
+        ids=["x span", "y span", "padded constant y"],
+    )
+    def test_svg_rejects_an_axis_span_that_overflows(self, x, y, tmp_path):
+        path = tmp_path / "wide.svg"
+        with pytest.raises(ValueError, match="axis span is not finite"):
+            write_svg(path, x, y, title="t", x_label="x", y_label="y")
+        assert not path.exists()
+
     def test_svg_escapes_title_and_labels(self, tmp_path):
         path = tmp_path / "escaped.svg"
         x = np.linspace(0.0, 1.0, 5)
@@ -314,6 +342,20 @@ def _near_pixel_boundaries(lo, hi, size, count):
     return np.concatenate(([lo], np.sort(near.ravel()), [hi]))
 
 
+def _binary_ties():
+    """x and y whose pixels are exact binary ties of "%.2f" (fraction .125,
+    .375, .625 or .875) at every sample but the two that set each axis.
+
+    x = 17 j / 8 on [0, 544] maps to px = 72 + x and y = 332 - 83 j / 8 on
+    [0, 332] to py = 36 + 83 j / 8, both exactly: (v - lo) / (hi - lo) is
+    j / 256 or j / 32, a dyadic fraction, so neither step rounds.
+    """
+    odd = np.arange(1, 256, 2)
+    x = 17.0 * np.concatenate(([0], odd, [256])) / 8.0
+    y = 332.0 - 83.0 * np.concatenate(([0], odd % 32, [32])) / 8.0
+    return x, y
+
+
 def _svg_curves():
     x = np.linspace(0.0, 3.0, 41)
     y = np.cos(2.0 * x) * np.exp(-x)
@@ -336,7 +378,19 @@ def _svg_curves():
             _near_pixel_boundaries(2.0, -1.0, 332, 600),
             None,
         ),
+        "exact binary ties": (*_binary_ties(), None),
     }
+
+
+def test_binary_tie_curve_lands_on_ties():
+    x, y = _binary_ties()
+    # The writer's pixel formulas, with the axis ranges [0, 544] and [0, 332].
+    px = 72 + x / 544.0 * 544
+    py = 36 + (332.0 - y) / 332.0 * 332
+    for pixels in (px, py):
+        assert np.array_equal(pixels[1:-1] * 8 % 2, np.ones(len(pixels) - 2))
+    assert {value % 1 for value in px[1:-1].tolist() + py[1:-1].tolist()} == {0.125, 0.375, 0.625, 0.875}
+    assert (x.min(), x.max(), y.min(), y.max()) == (0.0, 544.0, 0.0, 332.0)
 
 
 class TestSvgPolylines:
@@ -346,3 +400,42 @@ class TestSvgPolylines:
         path = tmp_path / "curve.svg"
         write_svg(path, x, y, title="t", x_label="x", y_label="y", mask=mask)
         assert _written_polylines(path) == oracles.svg_polylines(x, y, mask)
+
+
+def _pixel_text_reference(pixels):
+    tokens = ["%.2f,%.2f " % tuple(pair) for pair in pixels.tolist()]
+    return "".join(tokens), np.cumsum([0] + [len(token) for token in tokens])
+
+
+def _two_decimal_edges():
+    """Values in [0, 10^4) where "%.2f" is easiest to get wrong."""
+    rng = np.random.default_rng(29)
+    uniform = rng.random(50_000) * 1e4
+    centres = (rng.choice(1_000_000, 20_000, replace=False) + 0.5) / 100.0
+    near = (centres[:, None] + np.spacing(centres)[:, None] * np.arange(-4, 5)).ravel()
+    ties = np.arange(80_000) / 8.0
+    small = [0.0, 5e-324, 1e-300, 0.004999999999999999, 0.005, 0.015, 0.125, 0.375, 9.995, 99.995]
+    top = [9999.994999999999, 9999.995, np.nextafter(1e4, 0.0)]
+    values = np.concatenate((uniform, near, ties, small, top))
+    return values[(values >= 0.0) & (values < 1e4)]
+
+
+class TestPixelText:
+    def test_matches_percent_format_on_edges(self):
+        values = _two_decimal_edges()
+        pixels = np.column_stack((values, values[::-1]))
+        text, starts = reports._pixel_text(pixels)
+        expected_text, expected_starts = _pixel_text_reference(pixels)
+        assert text == expected_text
+        assert np.array_equal(starts, expected_starts)
+
+    def test_ties_round_half_to_even(self):
+        text, _ = reports._pixel_text(np.array([[0.125, 0.375], [2.625, 616.875]]))
+        assert text == "0.12,0.38 2.62,616.88 "
+
+    @pytest.mark.parametrize("values", [[], [[36.0, 72.0]], [[9999.995, 0.0]]], ids=["none", "one", "five digits"])
+    def test_small_inputs(self, values):
+        pixels = np.array(values, dtype=float).reshape(-1, 2)
+        text, starts = reports._pixel_text(pixels)
+        expected_text, expected_starts = _pixel_text_reference(pixels)
+        assert (text, starts.tolist()) == (expected_text, expected_starts.tolist())
