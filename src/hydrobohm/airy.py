@@ -27,7 +27,7 @@ import numpy as np
 
 from .core import AMPLITUDE_FLOOR, PhysicalConstants, as_points
 from .madelung import PolarForm, PotentialProfile, decompose
-from .specfun import airy_ai
+from .specfun import _airy_points, airy_ai
 
 __all__ = [
     "AiryPacketParams",
@@ -89,19 +89,37 @@ def airy_phase_time_derivative(params: AiryPacketParams, x, t: float):
 
 
 def airy_psi(params: AiryPacketParams, x, t: float) -> np.ndarray:
-    """Complex packet samples Ai(u) e^{iS/hbar}."""
+    """Complex packet samples Ai(u) e^{iS/hbar}.
+
+    Points are read in airy_ai's dtype (longdouble stays, any other real
+    dtype is read as float64), so u, the phase and the envelope share it.
+    """
+    x = _airy_points(x)
     return _packet_field(params, x, t, airy_ai(airy_argument(params, x, t)))
 
 
 def _packet_field(params: AiryPacketParams, x, t: float, envelope) -> np.ndarray:
-    """Ai(u) e^{iS/hbar} from the envelope Ai(u) already evaluated on x."""
+    """Ai(u) e^{iS/hbar} from the envelope Ai(u) already evaluated on x.
+
+    On arrays the factor is written as (cos a, sin a) with
+    a = (S + 0.0) * (1/hbar).  For every finite a that is the value numpy
+    gives exp(1j * S / hbar), bit for bit: 1j * S has the imaginary part
+    0.0 + S (so -0.0 turns +0.0) and a real part of +-0, numpy divides a
+    complex number by the real hbar as a multiply by 1/hbar taken in the
+    phase's precision, and cexp(+-0 + i a) is (cos a, sin a).  On phases
+    below about 2 rad, where most of the packet's lie, the two real calls
+    cost less than the complex exp.  The identity needs libm's cos and sin;
+    a numpy build that vectorizes them may differ in the last bit.
+    """
     hbar = float(params.constants.hbar)
-    # envelope exp(i S / hbar), left to right, in one complex buffer.
-    field = np.multiply(1j, airy_phase(params, x, t))
-    field /= hbar
-    if not isinstance(field, np.ndarray):  # a scalar x
-        return envelope * np.exp(field)
-    np.exp(field, out=field)
+    phase = airy_phase(params, x, t)
+    if not isinstance(phase, np.ndarray):  # a scalar x
+        return envelope * np.exp(np.multiply(1j, phase) / hbar)
+    phase += 0.0
+    phase *= phase.dtype.type(1.0) / hbar
+    field = np.empty(phase.shape, np.result_type(phase, 1j))
+    np.cos(phase, out=field.real)
+    np.sin(phase, out=field.imag)
     return np.multiply(envelope, field, out=field)
 
 
@@ -117,7 +135,7 @@ def airy_polar(
     sign of each lobe cancels in the ratio) rides along, so residuals probe
     the phase bookkeeping rather than stencil noise.
     """
-    x = as_points(grid)
+    x = _airy_points(as_points(grid))
     return _packet_polar(params, x, t, airy_psi(params, x, t), amplitude_floor)
 
 

@@ -420,9 +420,9 @@ def _airy_peak(params: AiryPacketParams, grid, t: float) -> float:
     below AIRY_OFF_LOBE_PEAK off it.  u is monotone in x, also after
     rounding, so the lobe is one index window (748 of the default grid's
     8,000 points), and only there is the packet evaluated.  airy_ai and
-    airy_psi are pointwise (airy_ai's Maclaurin stop reads the widest point;
-    the terms a wider array would still add are below 1e-25 against sums of
-    at least 0.07), so the window holds the bits of a whole-grid
+    airy_psi are pointwise (airy_ai's Maclaurin stop reads the widest point,
+    and every term a wider array would still add is below half an ulp of
+    its sum), so the window holds the bits of a whole-grid
     evaluation, and once its maximum beats AIRY_OFF_LOBE_PEAK squared the
     argmax is the whole-grid one, bit for bit, whether or not the grid cuts
     the lobe.  Otherwise (an empty window, or a grid too coarse or short for

@@ -189,12 +189,19 @@ def spherical_harmonic(l: int, m: int, theta, phi):
 #
 # Both series loops update their arrays in place; each in-place step keeps the
 # operation order of the plain expression (value * delta + row), so the bits
-# are those of the allocating form.  The Maclaurin loop stops when both terms
-# fall below 1e-25 everywhere, and it reads that off one point: the one with
-# the largest |x|.  Rounding is monotone, so each step maps a larger |x| (and
-# a larger previous term) to a term at least as large; by induction that
-# point holds the array maximum of |term_f| and |term_g| at every k, and the
-# scalar test stops at the same k as the two array maxima would.
+# are those of the allocating form.  The Maclaurin loop stops before its
+# first addition that cannot change a bit: when |c_even term_f| +
+# |c_odd term_g| < eps / 2^7, eps of the dtype.  On |x| <= 1.8 every partial
+# sum lies near Ai >= 0.047 > 2^-5, and for a sum s >= 2^-5 the gap to
+# either neighbour of s is at least eps / 2^6, so such an addition rounds
+# back to s.  Each later pair of terms is smaller still (a step scales them
+# by |x|^3 / 30 or less), so the sums keep the bits of a loop run on to
+# convergence.  The loop reads the test off one point: the one with the
+# largest |x|.  Rounding is monotone, so each step maps a larger |x| (and a
+# larger previous term) to a term at least as large; by induction that
+# point holds the array maximum of both products at every k.  The bound
+# needs that point inside the series zone, and _airy_maclaurin checks it.
+# In float64, |x| = 1.8 takes 11 additions and stops in the 12th pass.
 
 _AIRY_SUPPORTED = 20.0
 _AIRY_SERIES_EDGE = 1.8
@@ -209,7 +216,16 @@ _PI = "3.141592653589793238462643383279502884197"
 
 
 def _airy_maclaurin(x, dtype):
-    """Ai via the two Maclaurin series of y'' = x y; accurate for |x| <= ~4.5."""
+    """Ai via the two Maclaurin series of y'' = x y, for |x| <= _AIRY_SERIES_EDGE.
+
+    The loop stops before its first addition that changes no bit.  The
+    comment above shows that this keeps every bit only inside the series
+    zone, so a widest point past it raises ValueError.
+    """
+    widest = int(np.argmax(np.abs(x)))
+    if not abs(x[widest]) <= _AIRY_SERIES_EDGE:
+        raise ValueError(f"the Maclaurin series of Ai serves |x| <= {_AIRY_SERIES_EDGE}, got {x[widest]!r}")
+    stop = np.finfo(dtype).eps / 2**7
     c_even = np.asarray(_AI_ZERO, dtype=dtype)
     c_odd = np.asarray(_AIP_ZERO, dtype=dtype)
     x3 = x * x * x
@@ -218,7 +234,6 @@ def _airy_maclaurin(x, dtype):
     total = c_even * term_f + c_odd * term_g
     contribution = np.empty_like(x)
     odd_part = np.empty_like(x)
-    widest = int(np.argmax(np.abs(x)))
     for k in range(60):
         term_f *= x3
         term_f /= (3 * k + 2) * (3 * k + 3)
@@ -226,10 +241,10 @@ def _airy_maclaurin(x, dtype):
         term_g /= (3 * k + 3) * (3 * k + 4)
         np.multiply(c_even, term_f, out=contribution)
         np.multiply(c_odd, term_g, out=odd_part)
+        if abs(contribution[widest]) + abs(odd_part[widest]) < stop:
+            break
         contribution += odd_part
         total += contribution
-        if abs(term_f[widest]) < 1e-25 and abs(term_g[widest]) < 1e-25:
-            break
     return total
 
 
@@ -349,17 +364,23 @@ def _airy_stations(dtype) -> tuple[np.ndarray, np.ndarray]:
     return stations, np.asarray(_airy_taylor_coefficients(stations, values, slopes))
 
 
+def _airy_points(x) -> np.ndarray:
+    """x as an array in airy_ai's dtype: longdouble stays, any other real dtype is read as float64."""
+    x = np.asarray(x)
+    if np.iscomplexobj(x):
+        raise ValueError("airy_ai needs a real argument; got a complex one")
+    return x if x.dtype == np.longdouble else x.astype(np.float64, copy=False)
+
+
 def airy_ai(x):
     """Airy function Ai(x) on |x| <= 20 to ~1e-10 relative accuracy.
 
     Near the negative-axis zeros the accuracy statement is relative to the
     local oscillation envelope rather than to the (vanishing) value itself.
     """
-    x_arr = np.asarray(x)
-    if np.iscomplexobj(x_arr):
-        raise ValueError("airy_ai needs a real argument; got a complex one")
-    dtype = x_arr.dtype if x_arr.dtype in (np.dtype(np.float64), np.dtype(np.longdouble)) else np.dtype(np.float64)
-    flat = np.asarray(x_arr, dtype=dtype).reshape(-1)
+    x_arr = _airy_points(x)
+    dtype = x_arr.dtype
+    flat = x_arr.reshape(-1)
     if not np.all(np.abs(flat) <= _AIRY_SUPPORTED):
         raise ValueError(f"airy_ai supports |x| <= {_AIRY_SUPPORTED}")
     out = np.empty_like(flat)

@@ -22,6 +22,7 @@ from hydrobohm import (
     hj_residual,
     hj_residual_field,
     make_axis_grid,
+    si_units,
 )
 from hydrobohm.airy import _packet_field
 
@@ -31,8 +32,21 @@ AU = atomic_units()
 
 
 def _same_bits(a, b) -> bool:
+    """Equal bytes; for longdouble types, equal values, signs and NaN places.
+
+    A longdouble element carries padding bytes that no arithmetic writes,
+    so those dtypes are compared part by part instead.
+    """
     a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    if a.dtype not in (np.dtype(np.longdouble), np.dtype(np.clongdouble)):
+        return a.tobytes() == b.tobytes()
+    parts = [(a.real, b.real), (a.imag, b.imag)] if np.iscomplexobj(a) else [(a, b)]
+    return all(
+        np.array_equal(p, q, equal_nan=True) and np.array_equal(np.signbit(p), np.signbit(q))
+        for p, q in parts
+    )
 
 
 def params(strength=1.0):
@@ -105,6 +119,72 @@ class TestPacketKernelsKeepTheBits:
             envelope = rng.normal(0.0, 1.0, np.shape(x)) if np.ndim(x) else 0.375
             field = _packet_field(p, x, t, envelope)
             assert _same_bits(field, oracles.packet_field_reference(p, x, t, envelope))
+
+    @staticmethod
+    def _assert_field_bits(p, x, t, envelope):
+        assert _same_bits(airy_phase(p, x, t), oracles.airy_phase_reference(p, x, t))
+        assert _same_bits(_packet_field(p, x, t, envelope), oracles.packet_field_reference(p, x, t, envelope))
+
+    @pytest.mark.parametrize("t", [1e-14, -1e-14, 0.0, -0.0])
+    def test_si_units(self, t):
+        # beta = 1/nm, so the grid spans u in [-15, 10]; at |t| = 1e-14 s
+        # the packet has drifted 0.3 nm and S/hbar spans about 14 radians.
+        constants = si_units()
+        p = AiryPacketParams(float(constants.hbar) ** (2.0 / 3.0) * 1e9, constants)
+        x = make_axis_grid(-15e-9, 10e-9, 2001).points
+        envelope = airy_ai(airy_argument(p, x, t))
+        self._assert_field_bits(p, x, t, envelope)
+        assert _same_bits(airy_psi(p, x, t), oracles.packet_field_reference(p, x, t, envelope))
+
+    @pytest.mark.parametrize("t", [1e-300, -1e-300, 0.0, -0.0])
+    def test_zero_and_subnormal_phases(self, t):
+        # t^2 underflows, so S = B^3 t x / 2m: +-0 at x = +-0 (and on the
+        # whole grid at t = +-0), subnormal for |x| below about 4e-8.
+        p = params(1.0)
+        x = np.concatenate([np.linspace(-1e-7, 1e-7, 401), [0.0, -0.0, 5e-324, -5e-324, 1e-310]])
+        phase = airy_phase(p, x, t)
+        assert np.any((phase == 0.0) & np.signbit(phase))
+        assert np.any((phase == 0.0) & ~np.signbit(phase))
+        if t != 0.0:
+            assert np.count_nonzero((phase != 0.0) & (np.abs(phase) < np.finfo(float).tiny)) > 100
+        envelope = airy_ai(airy_argument(p, x, t))
+        # A signed-zero envelope carries the sign of a zero phase into the field.
+        envelope[::3] = -0.0
+        envelope[1::3] = 0.0
+        self._assert_field_bits(p, x, t, envelope)
+
+    @pytest.mark.parametrize("strength, t", [(0.5, 0.3), (1.0, -0.0), (2.0, -1.0)])
+    def test_longdouble_points(self, strength, t):
+        p = AiryPacketParams(strength, dataclasses.replace(AU, hbar=0.7, mass=1.9))
+        x = make_axis_grid(-5.0, 3.0, 1001).points.astype(np.longdouble)
+        x += np.random.default_rng(3).uniform(-1e-17, 1e-17, x.size).astype(np.longdouble)
+        envelope = airy_ai(airy_argument(p, x, t))
+        assert envelope.dtype == np.longdouble
+        self._assert_field_bits(p, x, t, envelope)
+        field = airy_psi(p, x, t)
+        assert field.dtype == np.clongdouble
+        assert _same_bits(field, oracles.packet_field_reference(p, x, t, envelope))
+
+
+class TestPointDtypes:
+    """airy_psi and airy_polar read any real points in airy_ai's dtype."""
+
+    def test_float32_points_give_the_float64_bits(self):
+        p = params(1.0)
+        x = np.linspace(-3.0, 3.0, 7, dtype=np.float32)
+        field = airy_psi(p, x, 0.3)
+        assert field.dtype == np.complex128
+        assert _same_bits(field, airy_psi(p, x.astype(np.float64), 0.3))
+        grid = np.linspace(-6.0, 2.0, 401, dtype=np.float32)
+        narrow, wide = airy_polar(p, grid, 0.3), airy_polar(p, grid.astype(np.float64), 0.3)
+        for name in ("coords", "amplitude", "phase", "valid", "amplitude_d2"):
+            assert _same_bits(getattr(narrow, name), getattr(wide, name)), name
+
+    def test_integer_points_give_the_float64_bits(self):
+        p = params(2.0)
+        x = np.arange(-4, 3)
+        assert _same_bits(airy_psi(p, x, -0.5), airy_psi(p, x.astype(np.float64), -0.5))
+        assert _same_bits(airy_psi(p, 1, 0.5), airy_psi(p, 1.0, 0.5))
 
 
 class TestClosedFormPotential:

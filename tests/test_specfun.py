@@ -321,6 +321,12 @@ _KERNEL_INPUTS = {
     "single-station": np.array([5.83]),
     "tiny": np.array([1e-3, -7e-4, 0.0, 3e-5, -1e-3]),
     "symmetric": np.repeat(np.linspace(0.0, 8.9, 90), 2) * np.tile([1.0, -1.0], 90),
+    # The Maclaurin stop needs Ai > 2^-5 at the widest series point.
+    "series-edge": np.kron([1.0, -1.0], [1.8, np.nextafter(1.8, 0.0), np.nextafter(1.8, 2.0), 0.3]),
+    "series-edge-only": np.array([1.8]),
+    "negative-series-edge-only": np.array([-1.8]),
+    "zeros": np.zeros(9),
+    "signed-zeros": np.array([0.0, -0.0, -0.0]),
 }
 
 
@@ -331,4 +337,47 @@ def test_airy_ai_kernels_keep_the_reference_bits(name, dtype):
     if dtype is np.longdouble and name == "random":
         # Use the bits below float64 resolution too.
         x = x + np.random.default_rng(7).uniform(-1e-17, 1e-17, x.size).astype(dtype)
+    if dtype is np.longdouble and name == "series-edge":
+        # The longdouble neighbours of +-1.8 as well as the float64 ones.
+        edge = np.longdouble(1.8)
+        near = np.array([np.nextafter(edge, np.longdouble(0.0)), np.nextafter(edge, np.longdouble(2.0))])
+        x = np.concatenate([x, near, -near])
     assert _same_bits(airy_ai(x), oracles.airy_ai_reference(x))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["float64", "longdouble"])
+def test_airy_maclaurin_refuses_points_past_the_series_edge(dtype):
+    # Its stop is exact only where Ai > 2^-5, so the widest point is checked.
+    edge = np.asarray(1.8, dtype=dtype)
+    specfun._airy_maclaurin(np.array([0.5, -edge, edge], dtype=dtype), np.dtype(dtype))
+    for past in (np.nextafter(edge, 2.0 * edge), -np.nextafter(edge, 2.0 * edge), np.asarray(np.nan, dtype)):
+        with pytest.raises(ValueError, match="1.8"):
+            specfun._airy_maclaurin(np.array([0.5, past], dtype=dtype), np.dtype(dtype))
+
+
+# The first four zeros of Ai, where the accuracy is relative to the envelope.
+_AIRY_ZEROS = (-2.338107410459767, -4.087949444130970, -5.520559828095551, -6.786708090071759)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["float64", "longdouble"])
+def test_airy_ai_against_mpmath(dtype):
+    # An oracle that shares no code or method with specfun.  The documented
+    # accuracy is 1e-10 relative to |Ai| for x >= 0, and relative to the
+    # envelope sqrt(Ai^2 + Bi^2) for x < 0, where Ai has its zeros.
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(20261022)
+    edges = [-20.0, -9.0, -1.8, 0.0, 1.8, 9.0, 20.0, *_AIRY_ZEROS]
+    x = np.concatenate([rng.uniform(-20.0, 20.0, 240), edges]).astype(dtype)
+    values = airy_ai(x)
+
+    def exact(value):
+        numerator, denominator = value.as_integer_ratio()
+        return mpmath.mpf(numerator) / denominator
+
+    worst = 0.0
+    with mpmath.workdps(40):
+        for point, value in zip(x, values):
+            ai = mpmath.airyai(exact(point))
+            scale = abs(ai) if point >= 0 else mpmath.sqrt(ai**2 + mpmath.airybi(exact(point)) ** 2)
+            worst = max(worst, float(abs(exact(value) - ai) / scale))
+    assert worst < 1e-10
